@@ -31,8 +31,8 @@ from .corpus import (
 from .diffusion import LatentCodec
 from .errors import GeometryError, InputError
 from .geometry import PolygonMask, divide_mask, polygon_area
-from .glyph import BitmapFont, char_cells, default_font, glyph_scale, render_text_block
-from .grid import LatentGrid, sample_at
+from .glyph import char_cells, default_font, glyph_scale, render_text_block
+from .grid import LatentGrid, quad_points, sample_at
 from .guidance import GuidanceConfig, generate
 from .pnm import write_ppm
 
@@ -124,21 +124,43 @@ def _patch_fractions(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(us, vs)
 
 
-def _quad_points(q: np.ndarray, us: np.ndarray, vs: np.ndarray):
-    ul, ur, lr, ll = q
-    px = (1 - us) * (1 - vs) * ul[0] + us * (1 - vs) * ur[0] + us * vs * lr[0] + (1 - us) * vs * ll[0]
-    py = (1 - us) * (1 - vs) * ul[1] + us * (1 - vs) * ur[1] + us * vs * lr[1] + (1 - us) * vs * ll[1]
-    return px, py
-
-
 def _sample_quad(gray: LatentGrid, q: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    px, py = _quad_points(q, us, vs)
-    return sample_at(gray, px, py, "bilinear")[0]
+    px, py = quad_points(q, us, vs)
+    return sample_at(gray, px, py)[0]
 
 
 def _flat_cell_quad(h: int, w: int, ox: float = 0.0, oy: float = 0.0) -> np.ndarray:
     x0, y0 = ox - 0.5, oy - 0.5
     return np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+
+
+def _tilt_key(angle: float) -> int:
+    """Cell tilt in whole TILT_STEP_DEG steps."""
+    return int(round(math.degrees(angle) / TILT_STEP_DEG))
+
+
+def _slot_points(
+    h: int, w: int, ox: float, oy: float, tilt_key: int, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """(2, points) sampling positions of the flat h x w slot at (ox, oy),
+    turned about its centroid by the quantized tilt."""
+    tilt = math.radians(tilt_key * TILT_STEP_DEG)
+    cell = PolygonMask(_flat_cell_quad(h, w, ox, oy)).rotated(tilt).vertices
+    px, py = quad_points(cell, us, vs)
+    return np.stack([px.ravel(), py.ravel()])
+
+
+def _blocked_sheet(
+    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, int, np.ndarray]], factor: int
+) -> LatentGrid:
+    """Gray sheet of ink stamps, each (x0, y0, ink) on a zero RGB sheet,
+    after one codec round trip."""
+    sheet = np.zeros((sheet_h, sheet_w, 3))
+    for x0, y0, ink in stamps:
+        h, w = ink.shape
+        sheet[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
+    codec = LatentCodec(factor)
+    return LatentGrid(codec.decode(codec.encode(sheet)).mean(axis=2)[None])
 
 
 @dataclass(frozen=True)
@@ -160,19 +182,15 @@ def _normalized_rows(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ocr_context(
-    h: int, w: int, tilt_key: int, reach: int, factor: int, font_key: int
-) -> _OcrContext:
+def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _OcrContext:
     """Build templates for one cell shape.  Every character gets a clean
     render sampled through a flat quad, plus sampling geometry over a shared
     codec-blocked sheet: one sheet stamping each character in its own
     block-aligned slot, read through a quad tilted like the cell.  Offsetting
     a slot quad over the sheet reproduces any cell-to-content displacement up
     to `reach` pixels, so one codec pass serves the whole search."""
-    font = _FONT_REGISTRY[font_key]
-    codec = LatentCodec(factor)
+    font = default_font()
     us, vs = _patch_fractions(h, w)
-    tilt = math.radians(tilt_key * TILT_STEP_DEG)
     chars = font.charset
 
     flats = {ch: render_text_block(h, w, ch, font).data for ch in chars}
@@ -184,21 +202,18 @@ def _ocr_context(
     )
     margin = factor * math.ceil((reach + h + w) / factor)
     stride = factor * math.ceil((2 * reach + h + w + 2 * factor) / factor)
-    sheet_h = factor * math.ceil((2 * margin + h) / factor)
-    sheet = np.zeros((sheet_h, 2 * margin + stride * len(chars), 3))
-    for i, ch in enumerate(flats):
-        sheet[margin : margin + h, margin + i * stride : margin + i * stride + w, :] = flats[
-            ch
-        ][:, :, None]
-    grid = LatentGrid(codec.decode(codec.encode(sheet)).mean(axis=2)[None])
-    slots = np.empty((len(chars), 2, us.size))
-    for i in range(len(chars)):
-        cell = PolygonMask(
-            _flat_cell_quad(h, w, margin + i * stride, margin)
-        ).rotated(tilt).vertices
-        px, py = _quad_points(cell, us, vs)
-        slots[i, 0] = px.ravel()
-        slots[i, 1] = py.ravel()
+    grid = _blocked_sheet(
+        factor * math.ceil((2 * margin + h) / factor),
+        2 * margin + stride * len(chars),
+        [(margin + i * stride, margin, flats[ch]) for i, ch in enumerate(chars)],
+        factor,
+    )
+    slots = np.stack(
+        [
+            _slot_points(h, w, margin + i * stride, margin, tilt_key, us, vs)
+            for i in range(len(chars))
+        ]
+    )
     return _OcrContext(
         charset=chars, crisp=_normalized_rows(crisp), grid=grid, slots=slots
     )
@@ -210,7 +225,7 @@ def _raw_views(ctx: _OcrContext, offsets: np.ndarray) -> np.ndarray:
     px = ctx.slots[:, 0, None, :] + offsets[None, :, 0, None]
     py = ctx.slots[:, 1, None, :] + offsets[None, :, 1, None]
     n_ch, n_off, n_pts = px.shape
-    views = sample_at(ctx.grid, px.reshape(-1, n_pts), py.reshape(-1, n_pts), "bilinear")[0]
+    views = sample_at(ctx.grid, px.reshape(-1, n_pts), py.reshape(-1, n_pts))[0]
     return views.reshape(n_ch, n_off, n_pts)
 
 
@@ -229,23 +244,6 @@ SEARCH_X = 6
 SEARCH_Y = 8
 FINE_HALF = 0.75
 FINE_STEP = 0.25
-_FONT_REGISTRY: dict[int, BitmapFont] = {}
-
-
-def _register_font(font: BitmapFont) -> int:
-    key = id(font)
-    _FONT_REGISTRY[key] = font
-    return key
-
-
-def _ncc(a: np.ndarray, b: np.ndarray) -> float:
-    a0 = a - a.mean()
-    b0 = b - b.mean()
-    na = math.sqrt(float((a0 * a0).sum()))
-    nb = math.sqrt(float((b0 * b0).sum()))
-    if na < 1e-9 or nb < 1e-9:
-        return 0.0
-    return float((a0 * b0).sum()) / (na * nb)
 
 
 def _offset_grid(half_x: float, half_y: float, step: float) -> np.ndarray:
@@ -256,55 +254,37 @@ def _offset_grid(half_x: float, half_y: float, step: float) -> np.ndarray:
 
 
 def _context_grid(
-    frames: Sequence[tuple],
-    decoded: str,
-    pitch: float,
-    reach: int,
-    factor: int,
-    font: BitmapFont,
+    frames: Sequence[tuple], decoded: str, pitch: float, reach: int, factor: int
 ) -> tuple[LatentGrid, list[np.ndarray]]:
     """Blocked sheet holding the currently decoded text at cell pitch, plus
     each cell's tilted sampling points over its own slot."""
-    codec = LatentCodec(factor)
+    font = default_font()
     max_h = max(h for _, h, _, _ in frames)
     max_w = max(w for _, _, w, _ in frames)
     margin = factor * math.ceil((reach + max_h + max_w) / factor)
     span = margin + (len(frames) - 1) * pitch + max_w + margin
-    sheet = np.zeros(
-        (
-            factor * math.ceil((2 * margin + max_h) / factor),
-            factor * math.ceil(span / factor),
-            3,
-        )
+    xs = [margin + int(round(i * pitch)) for i in range(len(frames))]
+    grid = _blocked_sheet(
+        factor * math.ceil((2 * margin + max_h) / factor),
+        factor * math.ceil(span / factor),
+        [
+            (x0, margin, render_text_block(h, w, ch, font).data)
+            for x0, (_, h, w, _), ch in zip(xs, frames, decoded)
+            if ch in font.charset
+        ],
+        factor,
     )
-    for i, ((_, h, w, _), ch) in enumerate(zip(frames, decoded)):
-        if ch not in font.charset:
-            continue
-        x0 = margin + int(round(i * pitch))
-        sheet[margin : margin + h, x0 : x0 + w, :] = render_text_block(h, w, ch, font).data[
-            :, :, None
-        ]
-    grid = LatentGrid(codec.decode(codec.encode(sheet)).mean(axis=2)[None])
-    points = []
-    for i, (_, h, w, angle) in enumerate(frames):
-        tilt = math.radians(round(math.degrees(angle) / TILT_STEP_DEG) * TILT_STEP_DEG)
-        cell = PolygonMask(
-            _flat_cell_quad(h, w, margin + int(round(i * pitch)), margin)
-        ).rotated(tilt).vertices
-        us, vs = _patch_fractions(h, w)
-        px, py = _quad_points(cell, us, vs)
-        points.append(np.stack([px.ravel(), py.ravel()]))
+    points = [
+        _slot_points(h, w, x0, margin, _tilt_key(angle), *_patch_fractions(h, w))
+        for x0, (_, h, w, angle) in zip(xs, frames)
+    ]
     return grid, points
 
 
-def ocr_decode(
-    image: np.ndarray,
-    cells: Sequence[np.ndarray],
-    font: Optional[BitmapFont] = None,
-    factor: int = 4,
-) -> OcrResult:
+def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) -> OcrResult:
     """Read one character per cell by normalized cross-correlation against
-    font templates; a best correlation under the floor decodes as '?'.
+    templates of the default font; a best correlation under the floor
+    decodes as '?'.
 
     The cells are treated as windows onto a single rigid text block: every
     cell's template displacement is its geometric offset from the block plus
@@ -315,8 +295,6 @@ def ocr_decode(
     candidate, so ink spilling across tilted cell borders is matched instead
     of fought; the codec and the sampler are linear, so those composite views
     assemble from per-character views without extra codec passes."""
-    font = font or default_font()
-    font_key = _register_font(font)
     img = np.asarray(image, dtype=np.float64)
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 
@@ -345,8 +323,7 @@ def ocr_decode(
         if units[i] is None:
             contexts.append(None)
             continue
-        tilt_key = int(round(math.degrees(angle) / TILT_STEP_DEG))
-        contexts.append(_ocr_context(h, w, tilt_key, reach, factor, font_key))
+        contexts.append(_ocr_context(h, w, _tilt_key(angle), reach, factor))
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
         chars: list[str] = []
@@ -388,7 +365,7 @@ def ocr_decode(
     # replaced by the candidate), assembled by linearity from the shared
     # sheet view minus the cell's own stamp plus the candidate's.
     for _ in range(2):
-        ctx_grid, ctx_points = _context_grid(frames, decoded, pitch, reach, factor, font)
+        ctx_grid, ctx_points = _context_grid(frames, decoded, pitch, reach, factor)
         offsets = center + _offset_grid(1.0, 1.0, FINE_STEP)
         per_cell = []
         for i in live:
@@ -399,7 +376,6 @@ def ocr_decode(
                 ctx_grid,
                 ctx_points[i][0][None] + d[:, 0, None],
                 ctx_points[i][1][None] + d[:, 1, None],
-                "bilinear",
             )[0]
             comp = base[None] + cand
             if decoded[i] in ctx.charset:
@@ -675,18 +651,20 @@ def _run_case(args) -> tuple[CaseRecord, Optional[np.ndarray]]:
     global _WORKER_CORPUS
     if _WORKER_CORPUS is None:
         _WORKER_CORPUS = build_corpus()
+    corpus = _WORKER_CORPUS
     image = None
     try:
-        result = generate(
-            case.text, case.mask, case.scene_id, case.seed, config, corpus=_WORKER_CORPUS
-        )
-        cells = char_cells(divide_mask(case.mask, case.text), case.text)
+        result = generate(case.text, case.mask, case.scene_id, case.seed, config, corpus=corpus)
+        segments = result.segments
+        if segments is None:  # unguided runs never divide the mask
+            segments = divide_mask(case.mask, case.text)
+        cells = char_cells(segments, case.text)
         # Score against the scene plate: the referee knows the background just
         # as it knows the cell geometry, so placement is what gets graded.
         # The plate goes through the codec so the subtraction leaves pure ink.
-        codec = LatentCodec(4)
-        plate = codec.decode(codec.encode(scene_background(case.scene_id)))
-        decoded = ocr_decode(result.image - plate, cells).decoded
+        codec = LatentCodec(corpus.factor)
+        plate = codec.decode(codec.encode(scene_background(case.scene_id, corpus.canvas)))
+        decoded = ocr_decode(result.image - plate, cells, corpus.factor).decoded
         # A read is trusted only when most cells found a character; stray
         # fringes under a steeply rotated mask are not placed text.
         if 2 * sum(c != OCR_SENTINEL for c in decoded) < len(decoded):

@@ -7,7 +7,7 @@ alpha_bars[0] == 1 so the final step lands exactly on the clean estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,10 +25,11 @@ TraceFn = Callable[[int, LatentGrid], None]
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise rates and their cumulative products."""
+    """Per-step noise rates; alpha_bars, their cumulative products after a
+    leading 1, is derived from them."""
 
     betas: np.ndarray
-    alpha_bars: np.ndarray
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -38,13 +39,9 @@ class NoiseSchedule:
             raise ScheduleError("betas must be finite")
         if betas.min() <= 0.0 or betas.max() >= 1.0:
             raise ScheduleError("betas must lie strictly inside (0, 1)")
-        abar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-        expect = np.asarray(self.alpha_bars, dtype=np.float64)
-        if expect.shape != abar.shape or not np.allclose(expect, abar, atol=1e-12):
-            raise ScheduleError("alpha_bars inconsistent with betas")
         b = betas.copy()
         b.flags.writeable = False
-        a = abar.copy()
+        a = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         a.flags.writeable = False
         object.__setattr__(self, "betas", b)
         object.__setattr__(self, "alpha_bars", a)
@@ -58,8 +55,7 @@ def linear_schedule(steps: int = 20, beta_start: float = 1e-3,
                     beta_end: float = 0.15) -> NoiseSchedule:
     if steps < 1:
         raise ScheduleError(f"steps must be >= 1, got {steps}")
-    betas = np.linspace(beta_start, beta_end, steps)
-    return NoiseSchedule(betas=betas, alpha_bars=np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
+    return NoiseSchedule(betas=np.linspace(beta_start, beta_end, steps))
 
 
 def predict_x0(z_t: LatentGrid, eps: LatentGrid, abar_t: float) -> LatentGrid:

@@ -210,10 +210,6 @@ class QuadSegment:
     def height(self) -> float:
         return float(np.linalg.norm(self.corners[3] - self.corners[0]))
 
-    @property
-    def char_count(self) -> int:
-        return self.text_slice[1] - self.text_slice[0]
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -410,15 +406,18 @@ def _fit_cubic_chain(pts: np.ndarray) -> BezierCurve:
     return BezierCurve(np.array([p0, p1, p2, p3]))
 
 
-def fit_boundary_beziers(poly: PolygonMask) -> tuple[BezierCurve, BezierCurve]:
+def fit_boundary_beziers(
+    poly: PolygonMask,
+) -> tuple[BezierCurve, BezierCurve, OrientedRect]:
     """Fit one cubic to each boundary chain of a band-shaped polygon.
 
     The polygon splits at its two extreme vertices along the min-area-rect
     long axis; cap-like end edges are trimmed from both chains first.
-    Returns (upper, lower), both parameterized low-u to high-u.
+    Returns (upper, lower, rect): both curves parameterized low-u to high-u,
+    plus the min-area rect that chose the axis.
     """
-    upper_pts, lower_pts, _ = _boundary_chains(poly)
-    return _fit_cubic_chain(upper_pts), _fit_cubic_chain(lower_pts)
+    upper_pts, lower_pts, rect = _boundary_chains(poly)
+    return _fit_cubic_chain(upper_pts), _fit_cubic_chain(lower_pts), rect
 
 
 def baseline(upper: BezierCurve, lower: BezierCurve) -> BezierCurve:
@@ -529,9 +528,7 @@ def divide_mask(poly: PolygonMask, text: str) -> list[QuadSegment]:
     """
     if len(text) == 0:
         raise InputError("cannot divide a mask for empty text")
-    upper_pts, lower_pts, rect = _boundary_chains(poly)
-    upper_c = _fit_cubic_chain(upper_pts)
-    lower_c = _fit_cubic_chain(lower_pts)
+    upper_c, lower_c, rect = fit_boundary_beziers(poly)
     base = baseline(upper_c, lower_c)
     cuts = [0.0] + split_points(base, rect) + [1.0]
 

@@ -168,9 +168,7 @@ def render_glyph_image(
         lw = max(1, _round_half_up(seg.width))
         lh = max(1, _round_half_up(seg.height))
         local = render_text_block(lh, lw, text[a:b], font)
-        pasted, _ = paste_region_with_mask(
-            blank, LatentGrid(local.data[None]), seg.corners, mode="bilinear"
-        )
+        pasted, _ = paste_region_with_mask(blank, LatentGrid(local.data[None]), seg.corners)
         acc = np.maximum(acc, pasted.data[0])
     return GlyphImage(np.clip(acc, 0.0, 1.0))
 

@@ -16,8 +16,6 @@ from .errors import ShapeError
 # floor applied to the content std inside adain; style std is used as-is
 STD_FLOOR = 1e-5
 
-INTERP_MODES = ("nearest", "bilinear")
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64).copy()
@@ -55,10 +53,6 @@ class LatentGrid:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, channels: int, height: int, width: int) -> "LatentGrid":
-        return cls(np.zeros((channels, height, width)))
-
 
 @dataclass(frozen=True)
 class RegionMask:
@@ -84,9 +78,6 @@ class RegionMask:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-    def complement(self) -> "RegionMask":
-        return RegionMask(1.0 - self.data)
 
 
 @dataclass(frozen=True)
@@ -134,18 +125,12 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
     return LatentGrid(a.data * m + b.data * (1.0 - m))
 
 
-def _sample_nearest(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    c, h, w = data.shape
-    ix = np.rint(xs).astype(np.int64)
-    iy = np.rint(ys).astype(np.int64)
-    valid = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    out = np.zeros((c,) + xs.shape)
-    if valid.any():
-        out[:, valid] = data[:, iy[valid], ix[valid]]
-    return out
-
-
-def _sample_bilinear(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear samples of the grid at fractional (x, y) positions, shaped
+    (C,) + xs.shape."""
+    data = g.data
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
     c, h, w = data.shape
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
@@ -167,41 +152,6 @@ def _sample_bilinear(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     return out
 
 
-def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray, mode: str) -> np.ndarray:
-    """Sample grid values at fractional (x, y) positions; outside reads fill 0."""
-    if mode == "nearest":
-        return _sample_nearest(g.data, np.asarray(xs, float), np.asarray(ys, float))
-    if mode == "bilinear":
-        return _sample_bilinear(g.data, np.asarray(xs, float), np.asarray(ys, float))
-    raise ShapeError(f"unknown interpolation mode {mode!r}, expected one of {INTERP_MODES}")
-
-
-def rotate_resample(
-    g: LatentGrid,
-    angle: float,
-    center: tuple[float, float] | None = None,
-    mode: str = "bilinear",
-) -> LatentGrid:
-    """Rotate grid content by `angle` radians about `center` (x, y).
-
-    A positive angle turns content from the +x axis toward the +y (row)
-    axis. Each output cell pulls from the inverse-rotated source position;
-    reads outside the grid fill 0. Default center is the grid middle,
-    ((W-1)/2, (H-1)/2), so a square grid rotated by pi/2 lands exactly on
-    the lattice.
-    """
-    h, w = g.height, g.width
-    cx, cy = ((w - 1) / 2.0, (h - 1) / 2.0) if center is None else center
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    dx = xs - cx
-    dy = ys - cy
-    cos_a = np.cos(-angle)
-    sin_a = np.sin(-angle)
-    src_x = cx + cos_a * dx - sin_a * dy
-    src_y = cy + sin_a * dx + cos_a * dy
-    return LatentGrid(sample_at(g, src_x, src_y, mode))
-
-
 def _quad_array(corners) -> np.ndarray:
     quad = np.asarray(corners, dtype=np.float64)
     if quad.shape != (4, 2):
@@ -209,8 +159,9 @@ def _quad_array(corners) -> np.ndarray:
     return quad
 
 
-def _quad_point(quad: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map quad parameters (u, v) in [0,1]^2 to plane points by corner blending."""
+def quad_points(quad: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map quad parameters (u, v) in [0,1]^2 to plane points by blending the
+    corners (UL, UR, LR, LL)."""
     a, b, c, d = quad
     w00 = (1 - us) * (1 - vs)
     w10 = us * (1 - vs)
@@ -272,9 +223,7 @@ def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray, eps: float = 
     return u, v, inside
 
 
-def extract_region(
-    g: LatentGrid, corners, out_h: int, out_w: int, mode: str = "bilinear"
-) -> LatentGrid:
+def extract_region(g: LatentGrid, corners, out_h: int, out_w: int) -> LatentGrid:
     """Resample the quad spanned by `corners` (UL, UR, LR, LL) into an
     axis-aligned (C, out_h, out_w) grid."""
     quad = _quad_array(corners)
@@ -283,23 +232,16 @@ def extract_region(
     js, is_ = np.meshgrid(np.arange(out_w), np.arange(out_h))
     us = (js + 0.5) / out_w
     vs = (is_ + 0.5) / out_h
-    px, py = _quad_point(quad, us, vs)
-    return LatentGrid(sample_at(g, px, py, mode))
-
-
-def paste_region(
-    dst: LatentGrid, src: LatentGrid, corners, mode: str = "bilinear"
-) -> LatentGrid:
-    """Write `src` into the quad area of `dst`; cells outside the quad keep
-    their dst values. Returns a new grid."""
-    out, _ = paste_region_with_mask(dst, src, corners, mode)
-    return out
+    px, py = quad_points(quad, us, vs)
+    return LatentGrid(sample_at(g, px, py))
 
 
 def paste_region_with_mask(
-    dst: LatentGrid, src: LatentGrid, corners, mode: str = "bilinear"
+    dst: LatentGrid, src: LatentGrid, corners
 ) -> tuple[LatentGrid, np.ndarray]:
-    """paste_region plus the boolean (H, W) mask of cells that were written."""
+    """Write `src` into the quad area of `dst`; cells outside the quad keep
+    their dst values. Returns the new grid plus the boolean (H, W) mask of
+    cells that were written."""
     quad = _quad_array(corners)
     if dst.channels != src.channels:
         raise ShapeError(
@@ -321,7 +263,7 @@ def paste_region_with_mask(
 
     sx = u[inside] * src.width - 0.5
     sy = v[inside] * src.height - 0.5
-    values = sample_at(src, sx, sy, mode)
+    values = sample_at(src, sx, sy)
 
     out = dst.data.copy()
     iy = is_[inside]

@@ -194,11 +194,9 @@ def align_reference(
         ])
         out_h = max(1, int(round(h / factor)))
         out_w = max(1, int(round(w / factor)))
-        patch = extract_region(
-            z_ref, _px_to_latent(rect_quad, factor), out_h, out_w, mode="bilinear"
-        )
+        patch = extract_region(z_ref, _px_to_latent(rect_quad, factor), out_h, out_w)
         canvas, written = paste_region_with_mask(
-            canvas, patch, _px_to_latent(seg.corners, factor), mode="bilinear"
+            canvas, patch, _px_to_latent(seg.corners, factor)
         )
         valid = np.maximum(valid, written.astype(np.float64))
     return canvas, RegionMask(valid)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slantext import bench, geometry, guidance
 from slantext.bench import (
     BASE_ROWS,
     OCR_SENTINEL,
@@ -359,6 +360,23 @@ class TestRunBench:
         write_report(report, tmp_path / "b")
         for name in ("report.json", "report.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_guided_case_divides_mask_once(self, corpus, tiny_cases, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return geometry.divide_mask(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "divide_mask", counting)
+        monkeypatch.setattr(guidance, "divide_mask", counting)
+        run_bench(tiny_cases[:1], config=GuidanceConfig(), corpus=corpus)
+        assert len(calls) == 1
+
+    def test_non_default_canvas_scores_without_error(self):
+        cases = generate_benchmark(per_tier_count=1)
+        report = run_bench(cases, corpus=build_corpus(canvas=(96, 96)))
+        assert [r.note for r in report.records] == [""] * len(cases)
 
     def test_fingerprint_tracks_config(self):
         base = config_fingerprint(GuidanceConfig())

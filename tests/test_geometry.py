@@ -158,7 +158,7 @@ class TestMinAreaRect:
 class TestBoundaryFit:
     def test_arc_band_boundaries_follow_circles(self):
         band = arc_band()
-        upper, lower = fit_boundary_beziers(band)
+        upper, lower, _ = fit_boundary_beziers(band)
         center = np.array([80.0, 160.0])
         ts = np.linspace(0.0, 1.0, 200)
         # band length ~ 130.5 * 16deg ~ 36px; residual budget is 2% of that
@@ -170,12 +170,13 @@ class TestBoundaryFit:
 
     def test_upper_is_smaller_y_side(self):
         band = arc_band()
-        upper, lower = fit_boundary_beziers(band)
+        upper, lower, _ = fit_boundary_beziers(band)
         assert upper.point(0.5)[1] < lower.point(0.5)[1]
 
     def test_rectangle_boundaries_are_sides(self):
         poly = rect_polygon(32, 32, 40, 10)
-        upper, lower = fit_boundary_beziers(poly)
+        upper, lower, rect = fit_boundary_beziers(poly)
+        assert rect.area == pytest.approx(400.0, abs=1e-6)
         ts = np.linspace(0, 1, 50)
         assert upper.point(ts)[:, 1] == pytest.approx(np.full(50, 27.0), abs=1e-9)
         assert lower.point(ts)[:, 1] == pytest.approx(np.full(50, 37.0), abs=1e-9)
@@ -184,7 +185,7 @@ class TestBoundaryFit:
 
     def test_baseline_is_control_average(self):
         band = arc_band()
-        upper, lower = fit_boundary_beziers(band)
+        upper, lower, _ = fit_boundary_beziers(band)
         base = baseline(upper, lower)
         assert base.control == pytest.approx((upper.control + lower.control) / 2)
 
