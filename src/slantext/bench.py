@@ -12,7 +12,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,8 +28,8 @@ from .corpus import (
     build_corpus,
     scene_background,
 )
-from .diffusion import LatentCodec
-from .errors import GeometryError, InputError
+from .diffusion import LatentCodec, NoiseSchedule, linear_schedule
+from .errors import GeometryError, InputError, SlantextError
 from .geometry import PolygonMask, divide_mask, polygon_area
 from .glyph import char_cells, default_font, glyph_scale, render_text_block
 from .grid import LatentGrid, quad_points, sample_at
@@ -189,11 +189,10 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
     block-aligned slot, read through a quad tilted like the cell.  Offsetting
     a slot quad over the sheet reproduces any cell-to-content displacement up
     to `reach` pixels, so one codec pass serves the whole search."""
-    font = default_font()
     us, vs = _patch_fractions(h, w)
-    chars = font.charset
+    chars = default_font().charset
 
-    flats = {ch: render_text_block(h, w, ch, font).data for ch in chars}
+    flats = {ch: render_text_block(h, w, ch).data for ch in chars}
     crisp = np.asarray(
         [
             _sample_quad(LatentGrid(flats[ch][None]), _flat_cell_quad(h, w), us, vs).ravel()
@@ -229,10 +228,9 @@ def _raw_views(ctx: _OcrContext, offsets: np.ndarray) -> np.ndarray:
     return views.reshape(n_ch, n_off, n_pts)
 
 
-def _corr_block(ctx: _OcrContext, unit: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Correlation of the patch against every character template displaced by
-    every offset; returns (chars, offsets)."""
-    views = _raw_views(ctx, offsets)
+def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Correlation of the unit patch against (chars, offsets, points) template
+    views; returns (chars, offsets)."""
     n_ch, n_off, n_pts = views.shape
     return (_normalized_rows(views.reshape(-1, n_pts)) @ unit).reshape(n_ch, n_off)
 
@@ -258,7 +256,7 @@ def _context_grid(
 ) -> tuple[LatentGrid, list[np.ndarray]]:
     """Blocked sheet holding the currently decoded text at cell pitch, plus
     each cell's tilted sampling points over its own slot."""
-    font = default_font()
+    charset = default_font().charset
     max_h = max(h for _, h, _, _ in frames)
     max_w = max(w for _, _, w, _ in frames)
     margin = factor * math.ceil((reach + max_h + max_w) / factor)
@@ -268,9 +266,9 @@ def _context_grid(
         factor * math.ceil((2 * margin + max_h) / factor),
         factor * math.ceil(span / factor),
         [
-            (x0, margin, render_text_block(h, w, ch, font).data)
+            (x0, margin, render_text_block(h, w, ch).data)
             for x0, (_, h, w, _), ch in zip(xs, frames, decoded)
-            if ch in font.charset
+            if ch in charset
         ],
         factor,
     )
@@ -346,46 +344,47 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
         # on the rigid-block geometry instead of dragging it toward noise.
         return sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
 
-    def plain_stage(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def cell_views(
+        i: int, d: np.ndarray, context: Optional[tuple[LatentGrid, list[np.ndarray]]]
+    ) -> np.ndarray:
+        """Cell i's candidate templates at displacements d.  Given a context
+        sheet of the decoded text, each candidate becomes (decoded text with
+        this cell replaced by the candidate), assembled by linearity from the
+        shared sheet view minus the cell's own stamp plus the candidate's."""
+        ctx = contexts[i]
+        views = _raw_views(ctx, d)
+        if context is None:
+            return views
+        ctx_grid, ctx_points = context
+        px, py = ctx_points[i]
+        base = sample_at(ctx_grid, px[None] + d[:, 0, None], py[None] + d[:, 1, None])[0]
+        comp = base[None] + views
+        if decoded[i] in ctx.charset:
+            comp = comp - views[ctx.charset.index(decoded[i])][None]
+        return comp
+
+    def stage(
+        offsets: np.ndarray, context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        # Build and drop one cell's views at a time: they are the read's largest
+        # arrays, and keeping the last cell's alive raises peak memory.
         per_cell = [
-            _corr_block(contexts[i], units[i], anchors[i] + offsets) for i in live
+            _correlate(cell_views(i, anchors[i] + offsets, context), units[i]) for i in live
         ]
         return vote(per_cell), per_cell
 
     coarse = _offset_grid(SEARCH_X, SEARCH_Y, 1.0)
-    total, _ = plain_stage(coarse)
+    total, _ = stage(coarse)
     center = coarse[int(np.argmax(total))]
     fine = center + _offset_grid(FINE_HALF, FINE_HALF, FINE_STEP)
-    total, per_cell = plain_stage(fine)
+    total, per_cell = stage(fine)
     best_off = int(np.argmax(total))
     decoded, confs = read_out(per_cell, best_off)
     center = fine[best_off]
 
-    # Context passes: candidate templates become (decoded text with this cell
-    # replaced by the candidate), assembled by linearity from the shared
-    # sheet view minus the cell's own stamp plus the candidate's.
     for _ in range(2):
-        ctx_grid, ctx_points = _context_grid(frames, decoded, pitch, reach, factor)
         offsets = center + _offset_grid(1.0, 1.0, FINE_STEP)
-        per_cell = []
-        for i in live:
-            ctx = contexts[i]
-            d = anchors[i] + offsets
-            cand = _raw_views(ctx, d)
-            base = sample_at(
-                ctx_grid,
-                ctx_points[i][0][None] + d[:, 0, None],
-                ctx_points[i][1][None] + d[:, 1, None],
-            )[0]
-            comp = base[None] + cand
-            if decoded[i] in ctx.charset:
-                comp = comp - cand[ctx.charset.index(decoded[i])][None]
-            n_ch, n_off, n_pts = comp.shape
-            corr = (_normalized_rows(comp.reshape(-1, n_pts)) @ units[i]).reshape(
-                n_ch, n_off
-            )
-            per_cell.append(corr)
-        total = vote(per_cell)
+        total, per_cell = stage(offsets, _context_grid(frames, decoded, pitch, reach, factor))
         best_off = int(np.argmax(total))
         redecoded, confs = read_out(per_cell, best_off)
         center = offsets[best_off]
@@ -638,23 +637,20 @@ def config_fingerprint(config: GuidanceConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_WORKER_CORPUS: Optional[FlatTextCorpus] = None
-
-
-def _init_worker(corpus: Optional[FlatTextCorpus]) -> None:
-    global _WORKER_CORPUS
-    _WORKER_CORPUS = corpus
-
-
-def _run_case(args) -> tuple[CaseRecord, Optional[np.ndarray]]:
-    case, config, want_image = args
-    global _WORKER_CORPUS
-    if _WORKER_CORPUS is None:
-        _WORKER_CORPUS = build_corpus()
-    corpus = _WORKER_CORPUS
+def _run_case(
+    case: BenchCase,
+    *,
+    config: GuidanceConfig,
+    schedule: NoiseSchedule,
+    corpus: FlatTextCorpus,
+    want_image: bool,
+) -> tuple[CaseRecord, Optional[np.ndarray]]:
     image = None
     try:
-        result = generate(case.text, case.mask, case.scene_id, case.seed, config, corpus=corpus)
+        result = generate(
+            case.text, case.mask, case.scene_id, case.seed, config,
+            corpus=corpus, schedule=schedule,
+        )
         segments = result.segments
         if segments is None:  # unguided runs never divide the mask
             segments = divide_mask(case.mask, case.text)
@@ -674,7 +670,7 @@ def _run_case(args) -> tuple[CaseRecord, Optional[np.ndarray]]:
         note = ""
         if want_image:
             image = result.image
-    except Exception as exc:  # a failed case scores zero, the batch goes on
+    except SlantextError as exc:  # an expected failure scores zero, the batch goes on
         decoded, acc, sim = "", 0.0, 0.0
         note = f"{type(exc).__name__}: {exc}"
     record = CaseRecord(
@@ -715,24 +711,32 @@ def run_bench(
     out_dir=None,
     jobs: int = 1,
     save_images: bool = False,
+    schedule: Optional[NoiseSchedule] = None,
 ) -> BenchReport:
-    """Score every case under one guidance config.  Results are assembled
-    sorted by case id, so --jobs parallelism never changes the report."""
+    """Score every case under one guidance config and sampler schedule
+    (default: `linear_schedule()`, as in `generate`).  Results are assembled
+    sorted by case id, so --jobs parallelism never changes the report.
+
+    A case that fails with a SlantextError scores zero and carries the error
+    as its note; any other exception propagates."""
     if not cases:
         raise InputError("need at least one case")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     config = config or GuidanceConfig()
-    tasks = [(case, config, save_images) for case in cases]
+    run_case = partial(
+        _run_case,
+        config=config,
+        schedule=schedule if schedule is not None else linear_schedule(),
+        corpus=corpus if corpus is not None else build_corpus(),
+        want_image=save_images,
+    )
 
     if jobs == 1:
-        _init_worker(corpus if corpus is not None else build_corpus())
-        outcomes = [_run_case(task) for task in tasks]
+        outcomes = [run_case(case) for case in cases]
     else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(corpus,)
-        ) as pool:
-            outcomes = list(pool.map(_run_case, tasks))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(run_case, cases))
 
     order = sorted(range(len(outcomes)), key=lambda i: outcomes[i][0].case_id)
     records = tuple(outcomes[i][0] for i in order)

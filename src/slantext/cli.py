@@ -36,21 +36,37 @@ from .glyph import default_font, render_flat_glyph, render_glyph_image
 from .guidance import GuidanceConfig, generate
 from .pnm import write_pgm, write_ppm
 
-# Recognized config file sections and the value type each key takes.
+# The settings, each declared once: config section -> key -> (field, value
+# type).  [guidance] keys are GuidanceConfig fields, the rest RunConfig
+# fields; the dataclasses hold the defaults.
 _SCHEMA = {
     "guidance": {
-        "lambda": float,
-        "rho": float,
-        "use_srb": bool,
-        "use_sib": bool,
-        "use_adain": bool,
-        "refine_steps": int,
-        "literal_lambda_zero": bool,
+        "lambda": ("lambda_", float),
+        "rho": ("rho", float),
+        "use_srb": ("use_srb", bool),
+        "use_sib": ("use_sib", bool),
+        "use_adain": ("use_adain", bool),
+        "refine_steps": ("refine_steps", int),
+        "literal_lambda_zero": ("literal_lambda_zero", bool),
     },
-    "sampler": {"steps": int, "beta_start": float, "beta_end": float},
-    "scene": {"scene_id": int, "canvas": "pair"},
-    "bench": {"count": int},
-    "run": {"seed": int, "jobs": int},
+    "sampler": {
+        "steps": ("steps", int),
+        "beta_start": ("beta_start", float),
+        "beta_end": ("beta_end", float),
+    },
+    "scene": {"scene_id": ("scene_id", int), "canvas": ("canvas", "pair")},
+    "bench": {"count": ("count", int)},
+    "run": {"seed": ("seed", int), "jobs": ("jobs", int)},
+}
+
+# Value flags (argparse dest -> config section and key) that override the file.
+_FLAGS = {
+    "lambda_": ("guidance", "lambda"),
+    "rho": ("guidance", "rho"),
+    "scene": ("scene", "scene_id"),
+    "seed": ("run", "seed"),
+    "count": ("bench", "count"),
+    "jobs": ("run", "jobs"),
 }
 
 
@@ -72,7 +88,7 @@ class RunConfig:
     count: int = 10
     jobs: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         h, w = self.canvas
         if h < 64 or w < 64 or h % 4 or w % 4:
             raise InputError(
@@ -90,26 +106,15 @@ class RunConfig:
         return linear_schedule(self.steps, self.beta_start, self.beta_end)
 
     def to_dict(self) -> dict:
-        g = self.guidance
-        return {
-            "guidance": {
-                "lambda": g.lambda_,
-                "rho": g.rho,
-                "use_srb": g.use_srb,
-                "use_sib": g.use_sib,
-                "use_adain": g.use_adain,
-                "refine_steps": g.refine_steps,
-                "literal_lambda_zero": g.literal_lambda_zero,
-            },
-            "sampler": {
-                "steps": self.steps,
-                "beta_start": self.beta_start,
-                "beta_end": self.beta_end,
-            },
-            "scene": {"scene_id": self.scene_id, "canvas": list(self.canvas)},
-            "bench": {"count": self.count},
-            "run": {"seed": self.seed, "jobs": self.jobs},
+        out = {
+            section: {
+                key: getattr(self.guidance if section == "guidance" else self, attr)
+                for key, (attr, _) in keys.items()
+            }
+            for section, keys in _SCHEMA.items()
         }
+        out["scene"]["canvas"] = list(self.canvas)
+        return out
 
 
 def _coerce(section: str, key: str, value, kind):
@@ -154,46 +159,29 @@ def load_config_file(path) -> dict[str, dict]:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
-            values[key] = _coerce(name, key, value, allowed[key])
+            values[key] = _coerce(name, key, value, allowed[key][1])
         sections[name] = values
     return sections
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge defaults <- config file <- flags into a validated RunConfig."""
+    """Lay the config file's values, then the flags, over the dataclass
+    defaults; building the RunConfig validates it."""
     path = getattr(args, "config", None)
     sections = load_config_file(path) if path else {}
-    g = sections.get("guidance", {})
-    s = sections.get("sampler", {})
-    sc = sections.get("scene", {})
-    b = sections.get("bench", {})
-    r = sections.get("run", {})
-
-    def flag(name):
-        return getattr(args, name, None)
-
-    guidance = GuidanceConfig(
-        use_srb=g.get("use_srb", True) and not getattr(args, "no_srb", False),
-        use_sib=g.get("use_sib", True) and not getattr(args, "no_sib", False),
-        use_adain=g.get("use_adain", True) and not getattr(args, "no_adain", False),
-        lambda_=flag("lambda_") if flag("lambda_") is not None else g.get("lambda", 0.5),
-        rho=flag("rho") if flag("rho") is not None else g.get("rho", 0.5),
-        refine_steps=g.get("refine_steps", 3),
-        literal_lambda_zero=g.get("literal_lambda_zero", False),
-    )
-    cfg = RunConfig(
-        guidance=guidance,
-        steps=s.get("steps", 20),
-        beta_start=s.get("beta_start", 1e-3),
-        beta_end=s.get("beta_end", 0.15),
-        canvas=sc.get("canvas", CANVAS),
-        scene_id=flag("scene") if flag("scene") is not None else sc.get("scene_id", 0),
-        seed=flag("seed") if flag("seed") is not None else r.get("seed", 0),
-        count=flag("count") if flag("count") is not None else b.get("count", 10),
-        jobs=flag("jobs") if flag("jobs") is not None else r.get("jobs", 1),
-    )
-    cfg.validate()
-    return cfg
+    for dest, (section, key) in _FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            sections.setdefault(section, {})[key] = value
+    for branch in ("srb", "sib", "adain"):
+        if getattr(args, f"no_{branch}", False):
+            sections.setdefault("guidance", {})[f"use_{branch}"] = False
+    g: dict = {}
+    r: dict = {}
+    for section, values in sections.items():
+        for key, value in values.items():
+            (g if section == "guidance" else r)[_SCHEMA[section][key][0]] = value
+    return RunConfig(guidance=GuidanceConfig(**g), **r)
 
 
 def load_mask(path) -> PolygonMask:
@@ -317,7 +305,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_bench_gen(args) -> int:
     cfg = resolve_config(args)
-    cases = generate_benchmark(per_tier_count=cfg.count, rng_seed=cfg.seed)
+    cases = generate_benchmark(per_tier_count=cfg.count, rng_seed=cfg.seed, canvas=cfg.canvas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -336,7 +324,10 @@ def cmd_bench_run(args) -> int:
     corpus = build_corpus(canvas=cfg.canvas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run_bench(cases, config=cfg.guidance, corpus=corpus, out_dir=out, jobs=cfg.jobs)
+    run_bench(
+        cases, config=cfg.guidance, corpus=corpus, out_dir=out, jobs=cfg.jobs,
+        schedule=cfg.schedule(),
+    )
     write_run_config(out, cfg, "bench-run", {"manifest": args.manifest, "out": args.out})
     print(out / "report.json")
     print(out / "report.csv")
@@ -407,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     knobs = argparse.ArgumentParser(add_help=False)
     knobs.add_argument("--lambda", dest="lambda_", type=float,
-                       help="injected prior strength (default 0.5)")
+                       help=f"injected prior strength (default {GuidanceConfig.lambda_})")
     knobs.add_argument("--rho", type=float,
-                       help="structure share of the merged prior (default 0.5)")
+                       help=f"structure share of the merged prior (default {GuidanceConfig.rho})")
     knobs.add_argument("--no-srb", action="store_true",
                        help="disable the semantic rectification branch")
     knobs.add_argument("--no-sib", action="store_true",
@@ -421,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run guided generation for one mask and text")
     p.add_argument("mask", help="mask polygon JSON file")
     p.add_argument("text", help="text to place (A-Z, 0-9, space)")
-    p.add_argument("--scene", type=int, help="corpus scene id (default 0)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    p.add_argument("--scene", type=int, help=f"corpus scene id (default {RunConfig.scene_id})")
+    p.add_argument("--seed", type=int, help=f"sampling seed (default {RunConfig.seed})")
     p.add_argument("--trace", action="store_true",
                    help="also write per-step decoded frames")
     p.set_defaults(func=cmd_generate)
@@ -435,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-gen", parents=[common],
                        help="write a rotation-tiered benchmark manifest")
-    p.add_argument("--seed", type=int, help="manifest seed (default 0)")
-    p.add_argument("--count", type=int, help="cases per tier (default 10)")
+    p.add_argument("--seed", type=int, help=f"manifest seed (default {RunConfig.seed})")
+    p.add_argument("--count", type=int, help=f"cases per tier (default {RunConfig.count})")
     p.set_defaults(func=cmd_bench_gen)
 
     p = sub.add_parser("bench-run", parents=[common, knobs],
                        help="score every case in a manifest")
     p.add_argument("manifest", help="manifest JSON from bench-gen")
-    p.add_argument("--jobs", type=int, help="parallel case workers (default 1)")
+    p.add_argument("--jobs", type=int, help=f"parallel case workers (default {RunConfig.jobs})")
     p.set_defaults(func=cmd_bench_run)
 
     p = sub.add_parser("report", parents=[common],

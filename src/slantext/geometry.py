@@ -228,15 +228,6 @@ class SimilarityTransform:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.matrix().T + np.array([self.tx, self.ty])
 
-    def invert(self) -> "SimilarityTransform":
-        if self.scale <= 0:
-            raise GeometryError("transform scale must be positive to invert")
-        inv_scale = 1.0 / self.scale
-        c, s = math.cos(-self.angle), math.sin(-self.angle)
-        rot = inv_scale * np.array([[c, -s], [s, c]])
-        t = -rot @ np.array([self.tx, self.ty])
-        return SimilarityTransform(inv_scale, -self.angle, float(t[0]), float(t[1]))
-
 
 @dataclass(frozen=True)
 class FlatLayout:

@@ -116,9 +116,9 @@ def _stamp(canvas: np.ndarray, ox: int, oy: int, iw: int, ih: int,
         canvas[ry0:ry1, rx0:rx1] = np.maximum(canvas[ry0:ry1, rx0:rx1], sub)
 
 
-def render_text_block(h: int, w: int, text: str, font: BitmapFont | None = None) -> GlyphImage:
+def render_text_block(h: int, w: int, text: str) -> GlyphImage:
     """Standalone (h, w) block with `text` laid out across it."""
-    font = font or default_font()
+    font = default_font()
     font.validate(text)
     if h < 1 or w < 1:
         raise ShapeError(f"block size must be positive, got {(h, w)}")
@@ -127,9 +127,9 @@ def render_text_block(h: int, w: int, text: str, font: BitmapFont | None = None)
     return GlyphImage(canvas)
 
 
-def render_flat_glyph(layout: FlatLayout, text: str, font: BitmapFont | None = None) -> GlyphImage:
+def render_flat_glyph(layout: FlatLayout, text: str) -> GlyphImage:
     """Render each layout rect's share of `text` onto the flat canvas."""
-    font = font or default_font()
+    font = default_font()
     font.validate(text)
     h, w = layout.canvas
     canvas = np.zeros((h, w), dtype=np.float64)
@@ -149,13 +149,11 @@ def render_glyph_image(
     segments: list[QuadSegment],
     text: str,
     canvas: tuple[int, int],
-    font: BitmapFont | None = None,
 ) -> GlyphImage:
     """Render each segment's share of `text` flat at the segment's own size,
     then warp it onto the canvas through the segment quad. Overlapping
     segments max-composite."""
-    font = font or default_font()
-    font.validate(text)
+    default_font().validate(text)
     if not segments:
         raise InputError("no segments to render")
     h, w = int(canvas[0]), int(canvas[1])
@@ -167,7 +165,7 @@ def render_glyph_image(
             raise InputError(f"text slice {(a, b)} outside text of length {len(text)}")
         lw = max(1, _round_half_up(seg.width))
         lh = max(1, _round_half_up(seg.height))
-        local = render_text_block(lh, lw, text[a:b], font)
+        local = render_text_block(lh, lw, text[a:b])
         pasted, _ = paste_region_with_mask(blank, LatentGrid(local.data[None]), seg.corners)
         acc = np.maximum(acc, pasted.data[0])
     return GlyphImage(np.clip(acc, 0.0, 1.0))

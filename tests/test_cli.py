@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from slantext.cli import build_parser, load_config_file, main, resolve_config
+import slantext.bench as bench
+import slantext.cli as cli
+from slantext.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from slantext.errors import InputError
 from slantext.geometry import PolygonMask, polygon_area
 from slantext.guidance import GuidanceConfig
@@ -85,6 +87,19 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(InputError):
             load_config_file(tmp_path / "nope.ini")
+
+    def test_to_dict_round_trips_through_config_file(self, tmp_path):
+        cfg = RunConfig(
+            guidance=GuidanceConfig(use_sib=False, lambda_=0.25, rho=1.5,
+                                    refine_steps=4, literal_lambda_zero=True),
+            steps=12, beta_start=2e-3, beta_end=0.2, canvas=(96, 128),
+            scene_id=3, seed=7, count=2, jobs=2,
+        )
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items())
+            for section, values in cfg.to_dict().items()))
+        assert resolve_config(parse(["bench-run", "x.json", "--config", str(ini)])) == cfg
 
     def test_validation_catches_bad_values(self, tmp_path):
         mask = write_mask(tmp_path / "m.json", flat_rect())
@@ -202,6 +217,40 @@ class TestBenchCommands:
         assert not json.loads(
             (out / "run_config.json").read_text())["guidance"]["use_srb"]
 
+    def test_gen_honours_config_canvas(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(kwargs)
+            return bench.generate_benchmark(**kwargs)
+
+        monkeypatch.setattr(cli, "generate_benchmark", spy)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[scene]\ncanvas = [96, 96]\n")
+        assert main(["bench-gen", "--config", str(ini), "--count", "1",
+                     "--out", str(tmp_path / "bg")]) == 0
+        assert [kw["canvas"] for kw in seen] == [(96, 96)]
+
+    def test_run_uses_recorded_schedule(self, tmp_path, monkeypatch):
+        gen = tmp_path / "gen"
+        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+        seen = []
+        real = bench.generate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("schedule"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate", spy)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[sampler]\nsteps = 2\n")
+        out = tmp_path / "scored"
+        assert main(["bench-run", str(gen / "manifest.json"), "--config", str(ini),
+                     "--no-srb", "--no-sib", "--out", str(out)]) == 0
+        assert len(seen) == 3
+        assert all(schedule is not None and schedule.steps == 2 for schedule in seen)
+        assert json.loads((out / "run_config.json").read_text())["sampler"]["steps"] == 2
+
     def test_run_missing_manifest(self, tmp_path, capsys):
         assert main(["bench-run", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x")]) == 1
@@ -259,8 +308,21 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_unexpected_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
-        import slantext.cli as cli
         monkeypatch.setattr(cli, "generate_benchmark",
                             lambda **kw: (_ for _ in ()).throw(RuntimeError("boom")))
         assert main(["bench-gen", "--out", str(tmp_path / "x")]) == 2
+        assert "boom" in capsys.readouterr().err
+
+    def test_unexpected_case_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+        manifest = str(gen / "manifest.json")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bench, "generate", boom)
+        with pytest.raises(RuntimeError):
+            bench.run_bench(bench.load_manifest(manifest))
+        assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 2
         assert "boom" in capsys.readouterr().err
