@@ -127,29 +127,53 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
 
 def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear samples of the grid at fractional (x, y) positions, shaped
-    (C,) + xs.shape."""
+    (C,) + xs.shape; ys has the shape of xs.
+
+    Cell (i, j) holds its value at x = j, y = i.  The grid reads as 0 outside
+    its cells, so a sample within one cell of the edge fades toward 0 and one
+    further out is 0.  With fx = x - floor(x) and fy = y - floor(y), the four
+    corners are added into a zeroed result in a fixed order with the weights
+    (1-fx)*(1-fy), fx*(1-fy), (1-fx)*fy, fx*fy.  The gather reads a copy of
+    the grid with a one-cell zero border, each corner index clipped into that
+    border, so an outside corner adds exactly +0.0 and every sample equals
+    the sum over the inside corners alone, down to the sign of a zero.
+    Positions must be finite.
+    """
     data = g.data
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
+    shape = np.shape(xs)
+    xs = np.asarray(xs, float).ravel()
+    ys = np.asarray(ys, float).ravel()
     c, h, w = data.shape
+    padded = np.zeros((c, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = data
+    flat = padded.reshape(c, -1)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     fx = xs - x0
     fy = ys - y0
-    out = np.zeros((c,) + xs.shape)
-    # out-of-bounds corners contribute 0, so edge samples fade toward 0
-    for dx, dy, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        cx = x0 + dx
-        cy = y0 + dy
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if valid.any():
-            out[:, valid] += data[:, cy[valid], cx[valid]] * wgt[valid]
-    return out
+    gx = 1 - fx
+    gy = 1 - fy
+    # padded column and flat row offset of each corner; x0 + 1 and y0 + 1 are
+    # clipped on their own, so a point far left of the grid still reads the
+    # border and never column 0
+    x0 += 1
+    x1 = x0 + 1
+    np.clip(x0, 0, w + 1, out=x0)
+    np.clip(x1, 0, w + 1, out=x1)
+    y0 += 1
+    y1 = y0 + 1
+    np.clip(y0, 0, h + 1, out=y0)
+    np.clip(y1, 0, h + 1, out=y1)
+    y0 *= w + 2
+    y1 *= w + 2
+    out = np.zeros((c, xs.size))
+    idx = np.empty_like(x0)
+    for cy, cx, wa, wb in ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy)):
+        np.add(cy, cx, out=idx)
+        corner = flat.take(idx, axis=1)
+        corner *= wa * wb
+        out += corner
+    return out.reshape((c,) + shape)
 
 
 def _quad_array(corners) -> np.ndarray:

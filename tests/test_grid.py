@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slantext.errors import ShapeError
 from slantext.grid import (
@@ -15,6 +16,7 @@ from slantext.grid import (
     extract_region,
     masked_blend,
     paste_region_with_mask,
+    sample_at,
 )
 
 
@@ -99,6 +101,106 @@ class TestAdain:
         rng = np.random.default_rng(6)
         with pytest.raises(ShapeError):
             adain(rand_grid(rng, c=2), rand_grid(rng, c=3))
+
+
+def masked_sample_at(data, xs, ys):
+    """Reference bilinear sampler: each corner masked by its own bounds test
+    and gathered by fancy indexing, the out-of-bounds ones skipped."""
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    c, h, w = data.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = xs - x0
+    fy = ys - y0
+    out = np.zeros((c,) + xs.shape)
+    for dx, dy, wgt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (1, 0, fx * (1 - fy)),
+        (0, 1, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        cx = x0 + dx
+        cy = y0 + dy
+        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        if valid.any():
+            out[:, valid] += data[:, cy[valid], cx[valid]] * wgt[valid]
+    return out
+
+
+def coords(n):
+    """Positions along an axis of n cells: cell centres, half-integers, the
+    edges -1, n-1 and n, far outside, and anything in between."""
+    return st.one_of(
+        st.integers(-2, n + 1).map(float),
+        st.integers(-4, 2 * n + 2).map(lambda k: k / 2),
+        st.sampled_from([-1.0, n - 1.0, float(n), -1e3, 1e3]),
+        st.floats(-2.0, n + 2.0),
+    )
+
+
+@st.composite
+def sample_cases(draw):
+    c = draw(st.sampled_from([1, 3]))
+    h = draw(st.integers(1, 5))
+    w = draw(st.integers(1, 5))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((c, h, w))
+    # exact zeros of both signs, so the sign of a zero sample is tested too
+    data[:, ::2, ::2] = 0.0
+    data[:, 1::2, 1::2] = -0.0
+    shape = draw(st.sampled_from([(), (7,), (2, 3, 4)]))
+    xs = draw(hnp.arrays(float, shape, elements=coords(w)))
+    ys = draw(hnp.arrays(float, shape, elements=coords(h)))
+    return LatentGrid(data), xs, ys
+
+
+class TestSampleAt:
+    def assert_matches_oracle(self, g, xs, ys):
+        got = sample_at(g, xs, ys)
+        want = masked_sample_at(g.data, xs, ys)
+        assert got.shape == want.shape == (g.channels,) + np.shape(xs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @given(sample_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_oracle(self, case):
+        self.assert_matches_oracle(*case)
+
+    def test_one_by_one_grid(self):
+        g = LatentGrid(np.array([[[2.0]]]))
+        xs = np.array([0.0, -0.5, 0.5, -1.0, 1.0, 0.25, -1e3])
+        ys = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0])
+        got = sample_at(g, xs, ys)
+        assert np.array_equal(got, [[2.0, 1.0, 1.0, 0.0, 0.0, 0.75, 0.0]])
+        self.assert_matches_oracle(g, xs, ys)
+
+    def test_three_channel_grid(self):
+        rng = np.random.default_rng(15)
+        g = rand_grid(rng, c=3, h=4, w=6)
+        xs = rng.uniform(-2, 8, (5, 6))
+        ys = rng.uniform(-2, 6, (5, 6))
+        self.assert_matches_oracle(g, xs, ys)
+        got = sample_at(g, np.array([2.0, 5.0]), np.array([3.0, 1.0]))
+        assert np.array_equal(got, g.data[:, [3, 1], [2, 5]])
+
+    def test_far_outside_reads_zero(self):
+        # the second corner of a point far left or above is clipped on its
+        # own, so it reads the zero border and never the first row or column
+        g = LatentGrid(np.ones((1, 3, 4)))
+        xs = np.array([-1e3, -1.5, 1e3, 1.0, 1.0, -1e3])
+        ys = np.array([1.0, 1.0, 1.0, -1e3, 1e3, -1e3])
+        assert np.array_equal(sample_at(g, xs, ys), np.zeros((1, 6)))
+
+    def test_negative_zero_grid_samples_positive_zero(self):
+        # the sum starts from +0.0, and +0.0 + -0.0 is +0.0
+        g = LatentGrid(np.full((1, 3, 3), -0.0))
+        xs = np.array([0.0, 1.0, 1.5, -0.5, 3.0])
+        ys = np.array([0.0, 1.0, 0.5, 1.0, 2.0])
+        got = sample_at(g, xs, ys)
+        assert np.array_equal(got, np.zeros((1, 5)))
+        assert not np.signbit(got).any()
+        self.assert_matches_oracle(g, xs, ys)
 
 
 class TestMaskedBlend:
