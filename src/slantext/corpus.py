@@ -55,12 +55,6 @@ class FlatTextCorpus:
     def for_scene(self, scene_id: int) -> list[Exemplar]:
         return [ex for ex in self.exemplars if ex.scene_id == scene_id]
 
-    def scene_text(self, scene_id: int) -> str:
-        for ex in self.exemplars:
-            if ex.scene_id == scene_id:
-                return ex.text
-        raise ConditionError(f"no scene with id {scene_id}")
-
 
 def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS,
                      amp: float = BG_AMP) -> np.ndarray:

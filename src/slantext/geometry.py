@@ -37,15 +37,33 @@ def polygon_area(points) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_properly_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def polygon_centroid(points) -> np.ndarray:
+    """Shoelace centroid of a polygon's vertices."""
+    pts = _as_points(points)
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * cross.sum()
+    cx = float(((x + xn) * cross).sum() / (6.0 * a))
+    cy = float(((y + yn) * cross).sum() / (6.0 * a))
+    return np.array([cx, cy])
 
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+def rotate_points(points, angle: float) -> np.ndarray:
+    """Polygon vertices turned by `angle` radians (positive turns +x toward
+    +y) about their shoelace centroid."""
+    pts = _as_points(points)
+    c = polygon_centroid(pts)
+    rot = np.array(
+        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    )
+    return (pts - c) @ rot.T + c
+
+
+def _orient(a, b, c):
+    """Twice the signed area of triangle abc, over (..., 2) point arrays."""
+    ab_x, ab_y = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    return ab_x * (c[..., 1] - a[..., 1]) - ab_y * (c[..., 0] - a[..., 0])
 
 
 @dataclass(frozen=True)
@@ -60,15 +78,20 @@ class PolygonMask:
             raise GeometryError(f"polygon needs >= 4 vertices, got {pts.shape[0]}")
         if polygon_area(pts) <= 0.0:
             raise GeometryError("polygon must have positive signed area (wrong winding?)")
+        # Edge i against every later edge sharing no vertex with it, one row
+        # of arrays per edge: a proper crossing puts each edge's end points
+        # strictly on different sides of the other's line.
         n = pts.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(i - j) in (1, n - 1):
-                    continue  # adjacent edges share a vertex
-                if _segments_properly_intersect(
-                    pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n]
-                ):
-                    raise GeometryError("polygon is self-intersecting")
+        starts, ends = pts, np.roll(pts, -1, axis=0)
+        for i in range(n - 2):
+            p1, p2 = starts[i], ends[i]
+            stop = n - 1 if i == 0 else n
+            p3, p4 = starts[i + 2 : stop], ends[i + 2 : stop]
+            if np.any(
+                ((_orient(p3, p4, p1) > 0) != (_orient(p3, p4, p2) > 0))
+                & ((_orient(p1, p2, p3) > 0) != (_orient(p1, p2, p4) > 0))
+            ):
+                raise GeometryError("polygon is self-intersecting")
         arr = pts.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
@@ -79,25 +102,14 @@ class PolygonMask:
 
     @property
     def centroid(self) -> np.ndarray:
-        pts = self.vertices
-        x, y = pts[:, 0], pts[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        a = 0.5 * cross.sum()
-        cx = float(((x + xn) * cross).sum() / (6.0 * a))
-        cy = float(((y + yn) * cross).sum() / (6.0 * a))
-        return np.array([cx, cy])
+        return polygon_centroid(self.vertices)
 
     def translated(self, dx: float, dy: float) -> "PolygonMask":
         return PolygonMask(self.vertices + np.array([dx, dy]))
 
-    def rotated(self, angle: float, about=None) -> "PolygonMask":
-        """Rotate vertices by `angle` radians (positive turns +x toward +y)."""
-        c = self.centroid if about is None else np.asarray(about, dtype=np.float64)
-        rot = np.array(
-            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-        )
-        return PolygonMask((self.vertices - c) @ rot.T + c)
+    def rotated(self, angle: float) -> "PolygonMask":
+        """Rotate by `angle` radians about the centroid (see rotate_points)."""
+        return PolygonMask(rotate_points(self.vertices, angle))
 
     def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return _points_in_polygon(self.vertices, xs, ys)
@@ -156,14 +168,6 @@ class OrientedRect:
         if self.size[0] >= self.size[1]:
             return self.angle
         return (self.angle + math.pi / 2.0) % math.pi
-
-    def corners(self) -> np.ndarray:
-        d = np.array([math.cos(self.angle), math.sin(self.angle)])
-        n = np.array([-d[1], d[0]])
-        hu, hv = self.size[0] / 2.0, self.size[1] / 2.0
-        c = self.center
-        return np.array([c - d * hu - n * hv, c + d * hu - n * hv,
-                         c + d * hu + n * hv, c - d * hu + n * hv])
 
 
 @dataclass(frozen=True)

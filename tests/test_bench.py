@@ -22,7 +22,6 @@ from slantext.bench import (
     generate_benchmark,
     levenshtein,
     load_manifest,
-    masks_overlap,
     ned,
     ocr_decode,
     place_mask,
@@ -149,37 +148,6 @@ class TestPlaceMask:
             [[0.0, 0.0], [100.0, 0.0], [100.0, 10.0], [0.0, 10.0]]))
         with pytest.raises(GeometryError):
             place_mask(wide, 0.0)
-
-
-class TestMasksOverlap:
-    def square(self, x, y, s=10.0):
-        return PolygonMask(np.array(
-            [[x, y], [x + s, y], [x + s, y + s], [x, y + s]]))
-
-    def test_hand_cases(self):
-        assert masks_overlap(self.square(0, 0), self.square(5, 5))
-        assert not masks_overlap(self.square(0, 0), self.square(20, 20))
-        assert not masks_overlap(self.square(0, 0), self.square(10, 0))  # edge touch
-        assert masks_overlap(self.square(0, 0), self.square(2, 2, s=3.0))  # containment
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_agrees_with_point_sampling(self, seed):
-        rng = np.random.default_rng(seed)
-        rects = []
-        for _ in range(2):
-            cx, cy = rng.uniform(10, 50, size=2)
-            w, h = rng.uniform(4, 20, size=2)
-            base = PolygonMask(np.array(
-                [[cx - w / 2, cy - h / 2], [cx + w / 2, cy - h / 2],
-                 [cx + w / 2, cy + h / 2], [cx - w / 2, cy + h / 2]]))
-            rects.append(base.rotated(rng.uniform(0, math.pi)))
-        xs, ys = np.meshgrid(np.arange(0, 64, 0.5), np.arange(0, 64, 0.5))
-        both = rects[0].contains(xs, ys) & rects[1].contains(xs, ys)
-        # sampling finds interior points only for non-sliver intersections,
-        # so it can demand True but never refute it
-        if both.any():
-            assert masks_overlap(rects[0], rects[1])
 
 
 class TestGenerateBenchmark:

@@ -307,6 +307,17 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_manifest_seed_is_validation(self, tmp_path, capsys, seed):
+        gen = tmp_path / "gen"
+        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+        manifest = gen / "manifest.json"
+        rows = json.loads(manifest.read_text())
+        rows[0]["seed"] = seed
+        manifest.write_text(json.dumps(rows))
+        assert main(["bench-run", str(manifest), "--out", str(tmp_path / "x")]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_unexpected_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate_benchmark",
                             lambda **kw: (_ for _ in ()).throw(RuntimeError("boom")))

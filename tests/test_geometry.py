@@ -1,10 +1,11 @@
 """Geometry: hulls, min-area rects, boundary fitting, mask division,
 flattening, rasterization."""
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slantext.errors import GeometryError, InputError, LayoutError
@@ -80,6 +81,62 @@ class TestPolygonMask:
         xs = np.array([5.0, 5.0, 20.0])
         ys = np.array([5.0, 6.9, 5.0])
         assert p.contains(xs, ys).tolist() == [True, True, False]
+
+
+def crossing_oracle(verts) -> bool:
+    """Reference crossing rule: every pair of non-adjacent edges, one pair at
+    a time; a pair crosses when each edge's end points fall strictly on
+    different sides of the other's line (`> 0` on both orientations)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def properly_intersect(p1, p2, p3, p4):
+        d1 = orient(p3, p4, p1)
+        d2 = orient(p3, p4, p2)
+        d3 = orient(p1, p2, p3)
+        d4 = orient(p1, p2, p4)
+        return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+    n = len(verts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(i - j) in (1, n - 1):
+                continue  # adjacent edges share a vertex
+            if properly_intersect(verts[i], verts[(i + 1) % n], verts[j], verts[(j + 1) % n]):
+                return True
+    return False
+
+
+def assert_matches_crossing_oracle(verts):
+    verts = np.asarray(verts, dtype=np.float64)
+    area = polygon_area(verts)
+    assume(area != 0.0)
+    if area < 0:
+        verts = verts[::-1]
+    if crossing_oracle(verts):
+        with pytest.raises(GeometryError, match="self-intersecting"):
+            PolygonMask(verts)
+    else:
+        PolygonMask(verts)
+
+
+class TestSelfIntersection:
+    # Small lattices make orient() exactly 0 often: collinear edges, a vertex
+    # touching another edge, a vertex visited twice.
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=4, max_size=12))
+    @example([(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)])  # tip on an edge
+    @example([(0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4)])  # shared vertex
+    @example([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0), (1, 0), (1, 2), (0, 2)])  # collinear
+    @example([(0, 0), (4, 0), (4, 4), (0, 4)])  # square
+    def test_lattice_matches_oracle(self, verts):
+        assert_matches_crossing_oracle(verts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
+    def test_gaussian_matches_oracle(self, n, seed):
+        assert_matches_crossing_oracle(np.random.default_rng(seed).normal(size=(n, 2)))
 
 
 class TestConvexHull:
@@ -349,3 +406,57 @@ class TestRasterizeMask:
         poly = rect_polygon(5, 5, 4, 4)
         with pytest.raises(GeometryError):
             rasterize_mask(poly, 10, 10, downscale=3)
+
+
+def band_vertices(kind, k, size, thickness, bend, tilt):
+    """Closed band of 2k vertices: an annulus sector ("arc") or one sine
+    period ("s"), scaled by `size`, with positive signed area."""
+    t = np.linspace(0.0, 1.0, k)
+    if kind == "arc":
+        th = tilt + math.radians(20.0 + 220.0 * bend) * (t - 0.5)
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+        verts = np.vstack([(size + thickness) * ring, (size - thickness) * ring[::-1]])
+    else:
+        s = size * (t - 0.5)
+        amp = bend * size / (2.0 * math.pi)
+        phase = 2.0 * math.pi * t
+        center = np.stack([s, amp * np.sin(phase)], axis=1)
+        tangent = np.stack([np.full(k, size), 2.0 * math.pi * amp * np.cos(phase)], axis=1)
+        tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+        normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+        rot = np.array([[math.cos(tilt), -math.sin(tilt)], [math.sin(tilt), math.cos(tilt)]])
+        verts = np.vstack([center - thickness * normal, (center + thickness * normal)[::-1]])
+        verts = verts @ rot.T
+    return verts[::-1] if polygon_area(verts) < 0 else verts
+
+
+class TestCurvedBands:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["arc", "s"]),
+        st.integers(4, 128),
+        st.floats(15.0, 120.0),
+        st.floats(2.0, 12.0),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi, math.pi),
+        st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, max_size=11),
+    )
+    def test_only_expected_errors_and_slices_cover_text(
+        self, kind, k, size, thickness, bend, tilt, text
+    ):
+        verts = band_vertices(kind, k, size, thickness, bend, tilt)
+        try:
+            segments = divide_mask(PolygonMask(verts), text)
+            layout = flatten_segments(segments, (64, 128))
+        except (GeometryError, LayoutError):
+            return
+        slices = [seg.text_slice for seg in segments]
+        assert slices[0][0] == 0 and slices[-1][1] == len(text)
+        assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+        assert layout.text_slices == tuple(slices)
+
+    def test_many_vertex_band_constructs_quickly(self):
+        verts = band_vertices("arc", 800, 60.0, 6.0, 1.0, 0.3)
+        start = time.perf_counter()
+        PolygonMask(verts)
+        assert time.perf_counter() - start < 2.0
