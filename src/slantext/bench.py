@@ -154,19 +154,23 @@ def _blocked_sheet(
     sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, int, np.ndarray]], factor: int
 ) -> LatentGrid:
     """Gray sheet of ink stamps, each (x0, y0, ink) on a zero RGB sheet,
-    after one codec round trip."""
+    after one codec round trip, kept at latent resolution: the channel mean
+    of the encoded sheet, which repeated factor x factor equals the decoded
+    sheet's channel mean bitwise.  Sample it with `block=factor`.  The sheet
+    is encoded in RGB because a one-channel block mean reduces in another
+    order and is not bitwise equal."""
     sheet = np.zeros((sheet_h, sheet_w, 3))
     for x0, y0, ink in stamps:
         h, w = ink.shape
         sheet[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
-    codec = LatentCodec(factor)
-    return LatentGrid(codec.decode(codec.encode(sheet)).mean(axis=2)[None])
+    return LatentGrid(LatentCodec(factor).encode(sheet).data.mean(axis=0)[None])
 
 
 @dataclass(frozen=True)
 class _OcrContext:
     """Per cell-shape template context: crisp per-character rows plus a
-    codec-blocked character sheet sampled through tilted slot quads."""
+    codec-blocked character sheet, stored at latent resolution, sampled
+    through tilted slot quads."""
 
     charset: str
     crisp: np.ndarray
@@ -218,21 +222,20 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
     )
 
 
-def _raw_views(ctx: _OcrContext, offsets: np.ndarray) -> np.ndarray:
-    """Template views of every character displaced by every offset, sampled
-    from the blocked sheet; returns (chars, offsets, points)."""
-    px = ctx.slots[:, 0, None, :] + offsets[None, :, 0, None]
-    py = ctx.slots[:, 1, None, :] + offsets[None, :, 1, None]
-    n_ch, n_off, n_pts = px.shape
-    views = sample_at(ctx.grid, px.reshape(-1, n_pts), py.reshape(-1, n_pts))[0]
-    return views.reshape(n_ch, n_off, n_pts)
+def _raw_views(ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, factor: int) -> np.ndarray:
+    """Template views of every character displaced by every offset of the
+    x axis xs and the y axis ys, sampled from the latent sheet; returns
+    (chars, ys, xs, points)."""
+    px = ctx.slots[:, 0, None, None, :] + xs[:, None]
+    py = ctx.slots[:, 1, None, None, :] + ys[:, None, None]
+    return sample_at(ctx.grid, px, py, block=factor)[0]
 
 
 def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Correlation of the unit patch against (chars, offsets, points) template
-    views; returns (chars, offsets)."""
-    n_ch, n_off, n_pts = views.shape
-    return (_normalized_rows(views.reshape(-1, n_pts)) @ unit).reshape(n_ch, n_off)
+    """Correlation of the unit patch against (chars, ys, xs, points) template
+    views; returns (chars, offsets), offsets y-major."""
+    n_ch, n_y, n_x, n_pts = views.shape
+    return (_normalized_rows(views.reshape(-1, n_pts)) @ unit).reshape(n_ch, n_y * n_x)
 
 
 TILT_STEP_DEG = 0.5
@@ -244,11 +247,12 @@ FINE_HALF = 0.75
 FINE_STEP = 0.25
 
 
-def _offset_grid(half_x: float, half_y: float, step: float) -> np.ndarray:
-    xs = np.arange(-half_x, half_x + step / 2, step)
-    ys = np.arange(-half_y, half_y + step / 2, step)
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y axes of a search grid; its offsets run y-major."""
+    return (
+        np.arange(-half_x, half_x + step / 2, step),
+        np.arange(-half_y, half_y + step / 2, step),
+    )
 
 
 def _context_grid(
@@ -345,49 +349,62 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
         return sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
 
     def cell_views(
-        i: int, d: np.ndarray, context: Optional[tuple[LatentGrid, list[np.ndarray]]]
+        i: int,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        context: Optional[tuple[LatentGrid, list[np.ndarray]]],
     ) -> np.ndarray:
-        """Cell i's candidate templates at displacements d.  Given a context
-        sheet of the decoded text, each candidate becomes (decoded text with
-        this cell replaced by the candidate), assembled by linearity from the
-        shared sheet view minus the cell's own stamp plus the candidate's."""
+        """Cell i's candidate templates at the displacements of the x axis dx
+        and the y axis dy.  Given a context sheet of the decoded text, each
+        candidate becomes (decoded text with this cell replaced by the
+        candidate), assembled by linearity from the shared sheet view minus
+        the cell's own stamp plus the candidate's."""
         ctx = contexts[i]
-        views = _raw_views(ctx, d)
+        views = _raw_views(ctx, dx, dy, factor)
         if context is None:
             return views
         ctx_grid, ctx_points = context
         px, py = ctx_points[i]
-        base = sample_at(ctx_grid, px[None] + d[:, 0, None], py[None] + d[:, 1, None])[0]
+        base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=factor)[0]
         comp = base[None] + views
         if decoded[i] in ctx.charset:
             comp = comp - views[ctx.charset.index(decoded[i])][None]
         return comp
 
     def stage(
-        offsets: np.ndarray, context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None
+        xs: np.ndarray,
+        ys: np.ndarray,
+        context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         # Build and drop one cell's views at a time: they are the read's largest
         # arrays, and keeping the last cell's alive raises peak memory.
         per_cell = [
-            _correlate(cell_views(i, anchors[i] + offsets, context), units[i]) for i in live
+            _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
+            for i in live
         ]
         return vote(per_cell), per_cell
 
-    coarse = _offset_grid(SEARCH_X, SEARCH_Y, 1.0)
-    total, _ = stage(coarse)
-    center = coarse[int(np.argmax(total))]
-    fine = center + _offset_grid(FINE_HALF, FINE_HALF, FINE_STEP)
-    total, per_cell = stage(fine)
+    def around(center: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
+        ax, ay = _offset_axes(half, half, FINE_STEP)
+        return center[0] + ax, center[1] + ay
+
+    def offset(xs: np.ndarray, ys: np.ndarray, o: int) -> np.ndarray:
+        return np.array([xs[o % len(xs)], ys[o // len(xs)]])
+
+    xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
+    total, _ = stage(xs, ys)
+    xs, ys = around(offset(xs, ys, int(np.argmax(total))), FINE_HALF)
+    total, per_cell = stage(xs, ys)
     best_off = int(np.argmax(total))
     decoded, confs = read_out(per_cell, best_off)
-    center = fine[best_off]
+    center = offset(xs, ys, best_off)
 
     for _ in range(2):
-        offsets = center + _offset_grid(1.0, 1.0, FINE_STEP)
-        total, per_cell = stage(offsets, _context_grid(frames, decoded, pitch, reach, factor))
+        xs, ys = around(center, 1.0)
+        total, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach, factor))
         best_off = int(np.argmax(total))
         redecoded, confs = read_out(per_cell, best_off)
-        center = offsets[best_off]
+        center = offset(xs, ys, best_off)
         if redecoded == decoded:
             break
         decoded = redecoded
@@ -418,6 +435,11 @@ class BenchCase:
     seed: int
 
     def __post_init__(self):
+        for name in ("case_id", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise InputError(f"case {name} must be a string, got {getattr(self, name)!r}")
+        if isinstance(self.scene_id, bool) or not isinstance(self.scene_id, int):
+            raise InputError(f"case scene_id must be an integer, got {self.scene_id!r}")
         if self.tier not in TIER_NAMES:
             raise InputError(f"unknown tier {self.tier!r}")
         if tier_for_rotation(self.rotation_deg) != self.tier:

@@ -125,9 +125,9 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
     return LatentGrid(a.data * m + b.data * (1.0 - m))
 
 
-def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray, block: int = 1) -> np.ndarray:
     """Bilinear samples of the grid at fractional (x, y) positions, shaped
-    (C,) + xs.shape; ys has the shape of xs.
+    (C,) + the broadcast shape of xs and ys.
 
     Cell (i, j) holds its value at x = j, y = i.  The grid reads as 0 outside
     its cells, so a sample within one cell of the edge fades toward 0 and one
@@ -138,12 +138,25 @@ def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     border, so an outside corner adds exactly +0.0 and every sample equals
     the sum over the inside corners alone, down to the sign of a zero.
     Positions must be finite.
+
+    xs and ys need only broadcast against each other: floors, fractions,
+    clips and row offsets are computed on each one's own shape, and only the
+    index sum, gather and weight product run at the broadcast shape.  So an
+    x axis shaped (..., 1, n) against a y axis shaped (..., m, 1) costs
+    n + m per-axis steps, not n * m, and gives the same samples as the full
+    meshes would.
+
+    With block = f the grid is stored at 1/f resolution: positions are in
+    the grid with every cell repeated f x f, and the samples equal those of
+    that repeated copy bitwise.  A corner index i of the repeated grid,
+    clipped to [-1, f * n], reads padded cell i // f + 1, so -1 and f * n
+    land on the zero border.
     """
     data = g.data
-    shape = np.shape(xs)
-    xs = np.asarray(xs, float).ravel()
-    ys = np.asarray(ys, float).ravel()
     c, h, w = data.shape
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
     padded = np.zeros((c, h + 2, w + 2))
     padded[:, 1:-1, 1:-1] = data
     flat = padded.reshape(c, -1)
@@ -153,27 +166,25 @@ def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     fy = ys - y0
     gx = 1 - fx
     gy = 1 - fy
-    # padded column and flat row offset of each corner; x0 + 1 and y0 + 1 are
-    # clipped on their own, so a point far left of the grid still reads the
-    # border and never column 0
-    x0 += 1
-    x1 = x0 + 1
-    np.clip(x0, 0, w + 1, out=x0)
-    np.clip(x1, 0, w + 1, out=x1)
-    y0 += 1
-    y1 = y0 + 1
-    np.clip(y0, 0, h + 1, out=y0)
-    np.clip(y1, 0, h + 1, out=y1)
-    y0 *= w + 2
-    y1 *= w + 2
-    out = np.zeros((c, xs.size))
-    idx = np.empty_like(x0)
+
+    def padded_cell(i, n):
+        # padded index of corner index i on an axis of n stored cells; each
+        # corner is clipped on its own, so a point far left of the grid still
+        # reads the border and never column 0
+        return np.clip(i, -1, n * block) // block + 1
+
+    x1 = padded_cell(x0 + 1, w)
+    x0 = padded_cell(x0, w)
+    y1 = padded_cell(y0 + 1, h) * (w + 2)
+    y0 = padded_cell(y0, h) * (w + 2)
+    out = np.zeros((c,) + shape)
+    idx = np.empty(shape, np.int64)
     for cy, cx, wa, wb in ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy)):
         np.add(cy, cx, out=idx)
         corner = flat.take(idx, axis=1)
         corner *= wa * wb
         out += corner
-    return out.reshape((c,) + shape)
+    return out
 
 
 def _quad_array(corners) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Benchmark: edit metrics, tier cases, template OCR, batch runner."""
+import hashlib
 import json
 import math
 from functools import lru_cache
@@ -43,6 +44,7 @@ from slantext.diffusion import LatentCodec
 from slantext.errors import GeometryError, InputError
 from slantext.geometry import PolygonMask, divide_mask
 from slantext.glyph import char_cells, render_glyph_image
+from slantext.grid import LatentGrid, sample_at
 from slantext.guidance import GuidanceConfig
 
 
@@ -265,6 +267,64 @@ class TestOcrDecode:
             OcrResult("AB", (0.5,))
 
 
+def full_mesh_views(ctx, offsets, factor):
+    """Template views by the full-size formula: the latent sheet repeated
+    factor x factor (the decoded sheet), sampled on (chars, offsets, points)
+    meshes of every slot point displaced by every (x, y) offset."""
+    sheet = LatentGrid(np.repeat(np.repeat(ctx.grid.data, factor, axis=1), factor, axis=2))
+    px = ctx.slots[:, 0, None, :] + offsets[None, :, 0, None]
+    py = ctx.slots[:, 1, None, :] + offsets[None, :, 1, None]
+    n_ch, n_off, n_pts = px.shape
+    views = sample_at(sheet, px.reshape(-1, n_pts), py.reshape(-1, n_pts))[0]
+    return views.reshape(n_ch, n_off, n_pts)
+
+
+class TestOcrViews:
+    @pytest.mark.parametrize("h,w,tilt_key,reach", [
+        (7, 5, 0, 10), (11, 8, 37, 12), (14, 12, -90, 11), (9, 17, 180, 14),
+    ])
+    def test_axis_views_match_full_mesh(self, h, w, tilt_key, reach):
+        factor = 4
+        ctx = bench._ocr_context(h, w, tilt_key, reach, factor)
+        anchor = np.array([0.37, -1.21])
+        for center, (half_x, half_y, step) in (
+            (np.zeros(2), (bench.SEARCH_X, bench.SEARCH_Y, 1.0)),
+            (np.array([2.0, -3.0]), (bench.FINE_HALF, bench.FINE_HALF, bench.FINE_STEP)),
+            (np.array([2.25, -2.75]), (1.0, 1.0, bench.FINE_STEP)),
+        ):
+            ax, ay = bench._offset_axes(half_x, half_y, step)
+            gx, gy = np.meshgrid(ax, ay)
+            offsets = anchor + (center + np.stack([gx.ravel(), gy.ravel()], axis=1))
+            want = full_mesh_views(ctx, offsets, factor)
+            got = bench._raw_views(
+                ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), factor)
+            assert got.shape == (len(ctx.charset), len(ay), len(ax), want.shape[2])
+            got = got.reshape(want.shape)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_latent_sheet_repeats_to_decoded_sheet(self, factor):
+        rng = np.random.default_rng(factor)
+        stamps = []
+        for x0, y0 in ((3, 5), (17, 2), (30, 9)):
+            ink = rng.standard_normal((7, 5))
+            ink[::2] = 0.0
+            ink[1::3] = -0.0
+            stamps.append((x0, y0, ink))
+        sheet_h, sheet_w = 4 * 5, 4 * 10
+        latent = bench._blocked_sheet(sheet_h, sheet_w, stamps, factor)
+        assert latent.shape == (1, sheet_h // factor, sheet_w // factor)
+        sheet = np.zeros((sheet_h, sheet_w, 3))
+        for x0, y0, ink in stamps:
+            sheet[y0 : y0 + 7, x0 : x0 + 5, :] = ink[:, :, None]
+        codec = LatentCodec(factor)
+        want = codec.decode(codec.encode(sheet)).mean(axis=2)
+        got = np.repeat(np.repeat(latent.data[0], factor, axis=0), factor, axis=1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus()
@@ -345,6 +405,18 @@ class TestRunBench:
         cases = generate_benchmark(per_tier_count=1)
         report = run_bench(cases, corpus=build_corpus(canvas=(96, 96)))
         assert [r.note for r in report.records] == [""] * len(cases)
+
+    @pytest.mark.parametrize("config,digest", [
+        (GuidanceConfig(), "e3d6cac90e776dfa1035ad19011a0344b5dcfef2e85beec08a453774959dc6cc"),
+        (GuidanceConfig(use_srb=False, use_sib=False),
+         "ed4bb592e16c8ffc36bb55105b3e78158961f3914fa2a949abf2fb718d1234f2"),
+    ])
+    def test_report_digest_pinned(self, corpus, tmp_path, config, digest):
+        # report.json of the seed-0, one-case-per-tier run; a change to the
+        # OCR or the sampler that moves any read or score moves this digest
+        cases = generate_benchmark(per_tier_count=1, rng_seed=0)
+        run_bench(cases, config=config, corpus=corpus, out_dir=tmp_path)
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
     def test_fingerprint_tracks_config(self):
         base = config_fingerprint(GuidanceConfig())

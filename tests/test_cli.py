@@ -318,6 +318,19 @@ class TestExitCodes:
         assert main(["bench-run", str(manifest), "--out", str(tmp_path / "x")]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("text", 5), ("case_id", 7), ("scene_id", "3"), ("scene_id", True), ("scene_id", 1.0),
+    ])
+    def test_bad_manifest_field_type_is_validation(self, tmp_path, capsys, key, value):
+        gen = tmp_path / "gen"
+        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+        manifest = gen / "manifest.json"
+        rows = json.loads(manifest.read_text())
+        rows[0][key] = value
+        manifest.write_text(json.dumps(rows))
+        assert main(["bench-run", str(manifest), "--out", str(tmp_path / "x")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_unexpected_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate_benchmark",
                             lambda **kw: (_ for _ in ()).throw(RuntimeError("boom")))

@@ -139,26 +139,52 @@ def coords(n):
     )
 
 
+def signed_zero_grid(draw, c, h, w):
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((c, h, w))
+    # exact zeros of both signs, so the sign of a zero sample is tested too
+    data[:, ::2, ::2] = 0.0
+    data[:, 1::2, 1::2] = -0.0
+    return LatentGrid(data)
+
+
+# (xs shape, ys shape): equal shapes, and shapes that only broadcast
+SHAPE_PAIRS = [
+    ((), ()), ((7,), (7,)), ((2, 3, 4), (2, 3, 4)),
+    ((2, 1, 4), (1, 3, 4)), ((), (7,)), ((7,), ()), ((1, 5), (3, 1)),
+]
+
+
 @st.composite
 def sample_cases(draw):
     c = draw(st.sampled_from([1, 3]))
     h = draw(st.integers(1, 5))
     w = draw(st.integers(1, 5))
-    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((c, h, w))
-    # exact zeros of both signs, so the sign of a zero sample is tested too
-    data[:, ::2, ::2] = 0.0
-    data[:, 1::2, 1::2] = -0.0
-    shape = draw(st.sampled_from([(), (7,), (2, 3, 4)]))
-    xs = draw(hnp.arrays(float, shape, elements=coords(w)))
-    ys = draw(hnp.arrays(float, shape, elements=coords(h)))
-    return LatentGrid(data), xs, ys
+    x_shape, y_shape = draw(st.sampled_from(SHAPE_PAIRS))
+    xs = draw(hnp.arrays(float, x_shape, elements=coords(w)))
+    ys = draw(hnp.arrays(float, y_shape, elements=coords(h)))
+    return signed_zero_grid(draw, c, h, w), xs, ys
+
+
+@st.composite
+def block_cases(draw):
+    """A grid stored at 1/f resolution and positions over its f-times repeated
+    extent, reaching past both edges."""
+    f = draw(st.sampled_from([1, 2, 4]))
+    c = draw(st.sampled_from([1, 3]))
+    h = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 4))
+    x_shape, y_shape = draw(st.sampled_from(SHAPE_PAIRS))
+    xs = draw(hnp.arrays(float, x_shape, elements=coords(w * f)))
+    ys = draw(hnp.arrays(float, y_shape, elements=coords(h * f)))
+    return signed_zero_grid(draw, c, h, w), xs, ys, f
 
 
 class TestSampleAt:
     def assert_matches_oracle(self, g, xs, ys):
         got = sample_at(g, xs, ys)
-        want = masked_sample_at(g.data, xs, ys)
-        assert got.shape == want.shape == (g.channels,) + np.shape(xs)
+        want = masked_sample_at(g.data, *np.broadcast_arrays(xs, ys))
+        assert got.shape == want.shape == (g.channels,) + np.broadcast_shapes(
+            np.shape(xs), np.shape(ys))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -166,6 +192,17 @@ class TestSampleAt:
     @settings(max_examples=300, deadline=None)
     def test_matches_masked_oracle(self, case):
         self.assert_matches_oracle(*case)
+
+    @given(block_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_repeated_grid(self, case):
+        g, xs, ys, f = case
+        repeated = LatentGrid(np.repeat(np.repeat(g.data, f, axis=1), f, axis=2))
+        got = sample_at(g, xs, ys, block=f)
+        want = sample_at(repeated, xs, ys)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_one_by_one_grid(self):
         g = LatentGrid(np.array([[[2.0]]]))
