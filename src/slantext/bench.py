@@ -34,7 +34,6 @@ from .geometry import PolygonMask, divide_mask, rotate_points
 from .glyph import char_cells, default_font, glyph_scale, render_text_block
 from .grid import LatentGrid, quad_points, sample_at
 from .guidance import GuidanceConfig, generate
-from .pnm import write_ppm
 
 # Tier bounds in degrees; hard includes 90 exactly.
 TIERS = (("easy", 0.0, 30.0), ("medium", 30.0, 60.0), ("hard", 60.0, 90.0))
@@ -49,10 +48,6 @@ OCR_SENTINEL = "?"
 
 # Rows 1 and 2 keep every rotation of a corpus-width mask inside the canvas.
 BASE_ROWS = (ROW_YS[1], ROW_YS[2])
-
-# Fixed affine map from sample values to [0, 1] for image dumps.
-PIXEL_SHIFT = 1.0
-PIXEL_RANGE = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +296,10 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 
     frames = [_cell_frame(cell) for cell in cells]
-    units: list[Optional[np.ndarray]] = []
-    for q, h, w, _ in frames:
-        us, vs = _patch_fractions(h, w)
-        patch = _sample_quad(gray, q, us, vs).ravel()
-        patch = patch - patch.mean()
-        norm = math.sqrt(float((patch * patch).sum()))
-        units.append(patch / norm if norm >= 1e-9 else None)
-    live = [i for i, u in enumerate(units) if u is not None]
+    units = _normalized_rows(
+        np.stack([_sample_quad(gray, q, *_patch_fractions(h, w)).ravel() for q, h, w, _ in frames])
+    )
+    live = [i for i in range(len(frames)) if units[i].any()]
     if not live:
         return OcrResult(OCR_SENTINEL * len(frames), (0.0,) * len(frames))
 
@@ -320,18 +311,14 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     anchors = anchors - anchors[live].mean(axis=0)
     reach = int(math.ceil(np.abs(anchors[live]).max())) + max(SEARCH_X, SEARCH_Y) + 2
 
-    contexts: list[Optional[_OcrContext]] = []
-    for i, (q, h, w, angle) in enumerate(frames):
-        if units[i] is None:
-            contexts.append(None)
-            continue
-        contexts.append(_ocr_context(h, w, _tilt_key(angle), reach, factor))
+    contexts = {i: _ocr_context(h, w, _tilt_key(angle), reach, factor)
+                for i, (_, h, w, angle) in enumerate(frames) if i in live}
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
         chars: list[str] = []
         confs: list[float] = []
         for i in range(len(frames)):
-            if units[i] is None:
+            if i not in contexts:
                 chars.append(OCR_SENTINEL)
                 confs.append(0.0)
                 continue
@@ -467,11 +454,7 @@ def default_base_specs() -> list[BaseSpec]:
 
 def base_mask(spec: BaseSpec) -> PolygonMask:
     """Pixel box of the spec's text rect, matching the corpus row layout."""
-    w = CHAR_W * len(spec.text)
-    x0, y0 = -0.5, spec.y - 0.5
-    return PolygonMask(
-        np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + TEXT_H], [x0, y0 + TEXT_H]])
-    )
+    return PolygonMask(_flat_cell_quad(TEXT_H, CHAR_W * len(spec.text), 0, spec.y))
 
 
 def _mask_inside(poly: PolygonMask, canvas: tuple[int, int]) -> bool:
@@ -621,9 +604,7 @@ def _run_case(
     config: GuidanceConfig,
     schedule: NoiseSchedule,
     corpus: FlatTextCorpus,
-    want_image: bool,
-) -> tuple[CaseRecord, Optional[np.ndarray]]:
-    image = None
+) -> CaseRecord:
     try:
         result = generate(
             case.text, case.mask, case.scene_id, case.seed, config,
@@ -646,12 +627,10 @@ def _run_case(
         acc = 1.0 if decoded == case.text else 0.0
         sim = ned(decoded, case.text)
         note = ""
-        if want_image:
-            image = result.image
     except SlantextError as exc:  # an expected failure scores zero, the batch goes on
         decoded, acc, sim = "", 0.0, 0.0
         note = f"{type(exc).__name__}: {exc}"
-    record = CaseRecord(
+    return CaseRecord(
         case_id=case.case_id,
         tier=case.tier,
         rotation_deg=case.rotation_deg,
@@ -661,7 +640,6 @@ def _run_case(
         ned=sim,
         note=note,
     )
-    return record, image
 
 
 def _aggregate(records: Sequence[CaseRecord]) -> tuple[dict, dict]:
@@ -688,7 +666,6 @@ def run_bench(
     corpus: Optional[FlatTextCorpus] = None,
     out_dir=None,
     jobs: int = 1,
-    save_images: bool = False,
     schedule: Optional[NoiseSchedule] = None,
 ) -> BenchReport:
     """Score every case under one guidance config and sampler schedule
@@ -707,18 +684,15 @@ def run_bench(
         config=config,
         schedule=schedule if schedule is not None else linear_schedule(),
         corpus=corpus if corpus is not None else build_corpus(),
-        want_image=save_images,
     )
 
     if jobs == 1:
-        outcomes = [run_case(case) for case in cases]
+        records = [run_case(case) for case in cases]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_case, cases))
+            records = list(pool.map(run_case, cases))
 
-    order = sorted(range(len(outcomes)), key=lambda i: outcomes[i][0].case_id)
-    records = tuple(outcomes[i][0] for i in order)
-    images = {outcomes[i][0].case_id: outcomes[i][1] for i in order}
+    records = tuple(sorted(records, key=lambda r: r.case_id))
     tiers, total = _aggregate(records)
     report = BenchReport(
         records=records,
@@ -729,13 +703,6 @@ def run_bench(
     )
     if out_dir is not None:
         write_report(report, out_dir)
-        if save_images:
-            for case_id, image in images.items():
-                if image is None:
-                    continue
-                case_dir = Path(out_dir) / case_id
-                case_dir.mkdir(parents=True, exist_ok=True)
-                write_ppm(case_dir / "image.ppm", (image + PIXEL_SHIFT) / PIXEL_RANGE)
     return report
 
 

@@ -20,8 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bench import (
-    PIXEL_RANGE,
-    PIXEL_SHIFT,
     TIER_NAMES,
     generate_benchmark,
     load_manifest,
@@ -35,6 +33,10 @@ from .geometry import PolygonMask, divide_mask, flatten_segments
 from .glyph import default_font, render_flat_glyph, render_glyph_image
 from .guidance import GuidanceConfig, generate
 from .pnm import write_pgm, write_ppm
+
+# Fixed affine map from sample values to [0, 1] for image files.
+PIXEL_SHIFT = 1.0
+PIXEL_RANGE = 4.0
 
 # The settings, each declared once: config section -> key -> (field, value
 # type).  [guidance] keys are GuidanceConfig fields, the rest RunConfig
@@ -319,7 +321,7 @@ def cmd_bench_run(args) -> int:
     cfg = resolve_config(args)
     try:
         cases = load_manifest(args.manifest)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest {args.manifest}: {exc}")
     corpus = build_corpus(canvas=cfg.canvas)
     out = Path(args.out)
@@ -335,9 +337,16 @@ def cmd_bench_run(args) -> int:
 
 
 def _load_report(path) -> dict:
+    """A report.json whose total row and tier-name -> row map each hold an
+    integer n and numeric sen_acc and ned."""
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "tiers" not in data or "total" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("tiers"), dict) or "total" not in data:
         raise InputError(f"report {path} is missing tier summaries")
+    for name, row in (("total", data["total"]), *data["tiers"].items()):
+        if not isinstance(row, dict):
+            raise InputError(f"report {path}: the {name} row must be an object")
+        for key, kind in (("n", int), ("sen_acc", float), ("ned", float)):
+            _coerce(f"report {path}: {name}", key, row.get(key), kind)
     return data
 
 
@@ -351,7 +360,7 @@ def cmd_report(args) -> int:
         b = off["total"] if name == "total" else off["tiers"].get(name)
         if a is None or b is None:
             continue
-        rows.append((name, int(a["n"]), a["sen_acc"], b["sen_acc"], a["ned"], b["ned"]))
+        rows.append((name, a["n"], a["sen_acc"], b["sen_acc"], a["ned"], b["ned"]))
 
     header = f"{'tier':<8}{'n':>4}{'sacc on':>9}{'off':>8}{'delta':>8}{'ned on':>9}{'off':>8}{'delta':>8}"
     print(header)

@@ -49,16 +49,13 @@ class FlatTextCorpus:
     canvas: tuple[int, int]
     factor: int
 
-    def scene_ids(self) -> list[int]:
-        return sorted({ex.scene_id for ex in self.exemplars})
-
     def for_scene(self, scene_id: int) -> list[Exemplar]:
         return [ex for ex in self.exemplars if ex.scene_id == scene_id]
 
 
-def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS,
-                     amp: float = BG_AMP) -> np.ndarray:
-    """Smooth plane-wave background, exactly zero-mean per channel.
+def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS) -> np.ndarray:
+    """Smooth plane-wave background of amplitude BG_AMP, exactly zero-mean
+    per channel.
 
     Integer cycle counts over the canvas make the pixel sum cancel."""
     h, w = canvas
@@ -70,7 +67,7 @@ def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS,
     phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
     ys, xs = np.mgrid[0:h, 0:w]
     arg = 2.0 * math.pi * (kx * xs / w + ky * ys / h)
-    return amp * np.cos(arg[:, :, None] + phases[None, None, :])
+    return BG_AMP * np.cos(arg[:, :, None] + phases[None, None, :])
 
 
 def render_scene_image(scene_id: int, text: str, y: int,
@@ -102,22 +99,19 @@ def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
     return FlatTextCorpus(exemplars=tuple(exemplars), canvas=canvas, factor=factor)
 
 
-def make_denoiser(corpus: FlatTextCorpus, scene_id: int,
-                  tau: float = GMM_TAU) -> Denoiser:
+def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
     """Posterior-mean noise predictor over one scene's exemplars.
 
-    Exemplars act as a mixture of narrow gaussians (width tau); the
+    Exemplars act as a mixture of narrow gaussians (width GMM_TAU); the
     predictor weights them by likelihood under the forward process and
     reads the noise off the blended clean estimate."""
     members = corpus.for_scene(scene_id)
     if not members:
         raise ConditionError(f"no exemplars for scene id {scene_id}")
-    if tau <= 0.0:
-        raise InputError(f"tau must be positive, got {tau}")
     stack = np.stack([ex.latent.data for ex in members])  # (M, C, H, W)
 
     def denoise(z: LatentGrid, abar_t: float) -> LatentGrid:
-        var = (1.0 - abar_t) + abar_t * tau * tau
+        var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
         diff = z.data[None] - math.sqrt(abar_t) * stack
         log_w = -np.sum(diff * diff, axis=(1, 2, 3)) / (2.0 * var)
         log_w -= log_w.max()

@@ -103,27 +103,20 @@ def sample(
     denoiser: Denoiser,
     z_init: LatentGrid,
     schedule: NoiseSchedule,
-    eta: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
     hook: Optional[StepHook] = None,
     trace: Optional[TraceFn] = None,
 ) -> LatentGrid:
-    """Run the full reverse chain from z_T to z_0.
+    """Run the full deterministic (eta = 0) reverse chain from z_T to z_0.
 
     The hook, when present, adjusts z_t before each denoiser call; trace
     sees the state after each step, keyed by the step it produced.
     """
-    if eta > 0.0 and rng is None:
-        raise InputError("eta > 0 needs an rng for noise draws")
     z = z_init
     for t in range(schedule.steps, 0, -1):
         if hook is not None:
             z = hook(z, t)
         eps = denoiser(z, float(schedule.alpha_bars[t]))
-        noise = None
-        if eta > 0.0:
-            noise = LatentGrid(rng.standard_normal(z.shape))
-        z = ddim_step(z, eps, t, schedule, eta=eta, noise=noise)
+        z = ddim_step(z, eps, t, schedule)
         if trace is not None:
             trace(t - 1, z)
     return z

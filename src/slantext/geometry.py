@@ -20,6 +20,10 @@ PARALLEL_FILTER_RAD = math.radians(5.0)
 
 PACK_GUTTER = 4.0
 
+# grid steps of the tangent root search, and polyline points of arc lengths
+TANGENT_SAMPLES = 512
+ARC_SAMPLES = 257
+
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -111,9 +115,6 @@ class PolygonMask:
         """Rotate by `angle` radians about the centroid (see rotate_points)."""
         return PolygonMask(rotate_points(self.vertices, angle))
 
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _points_in_polygon(self.vertices, xs, ys)
-
 
 @dataclass(frozen=True)
 class BezierCurve:
@@ -142,9 +143,9 @@ class BezierCurve:
         w = np.stack([s**2, 2 * s * t, t**2], axis=-1)
         return 3.0 * (w @ d)
 
-    def arc_lengths(self, n: int = 257) -> tuple[np.ndarray, np.ndarray]:
-        """(params, cumulative length) along a dense polyline."""
-        ts = np.linspace(0.0, 1.0, n)
+    def arc_lengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(params, cumulative length) along an ARC_SAMPLES-point polyline."""
+        ts = np.linspace(0.0, 1.0, ARC_SAMPLES)
         pts = self.point(ts)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         return ts, np.concatenate([[0.0], np.cumsum(steps)])
@@ -425,23 +426,22 @@ def _angle_diff_mod_pi(a: float, b: float) -> float:
     return min(d, math.pi - d)
 
 
-def _tangent_parallel_params(
-    curve: BezierCurve, rect: OrientedRect, samples: int = 512
-) -> list[float]:
+def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Interior parameters where the curve tangent runs parallel to either
-    rect axis. Sign changes on a dense grid are refined by bisection."""
+    rect axis. Sign changes on a TANGENT_SAMPLES-step grid are refined by
+    bisection."""
     dirs = []
     for a in (rect.angle, rect.angle + math.pi / 2.0):
         dirs.append(np.array([math.cos(a), math.sin(a)]))
-    ts = np.linspace(0.0, 1.0, samples + 1)
+    ts = np.linspace(0.0, 1.0, TANGENT_SAMPLES + 1)
     tang = curve.tangent(ts)
 
     roots: list[float] = []
     for d in dirs:
         f = tang[:, 0] * d[1] - tang[:, 1] * d[0]
-        for i in range(samples):
+        for i in range(TANGENT_SAMPLES):
             if f[i] == 0.0:
-                if 0 < i < samples:
+                if 0 < i < TANGENT_SAMPLES:
                     roots.append(float(ts[i]))
                 continue
             if f[i] * f[i + 1] < 0.0:
@@ -469,14 +469,14 @@ def _tangent_parallel_params(
     return deduped
 
 
-def split_points(curve: BezierCurve, rect: OrientedRect, samples: int = 512) -> list[float]:
+def split_points(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Cut parameters for a center curve: tangent-parallel points, filtered
     so a cut only lands once the tangent has turned at least
     PARALLEL_FILTER_RAD away from the running entry direction."""
     entry = curve.tangent(0.0)
     entry_angle = math.atan2(entry[1], entry[0])
     kept: list[float] = []
-    for r in _tangent_parallel_params(curve, rect, samples):
+    for r in _tangent_parallel_params(curve, rect):
         tng = curve.tangent(r)
         ang = math.atan2(tng[1], tng[0])
         if _angle_diff_mod_pi(ang, entry_angle) < PARALLEL_FILTER_RAD:
@@ -654,24 +654,15 @@ def _points_in_polygon(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.
     return inside
 
 
-def rasterize_mask(region, h: int, w: int, downscale: int = 1) -> RegionMask:
+def rasterize_mask(poly: PolygonMask, h: int, w: int, downscale: int = 1) -> RegionMask:
     """Binary (h/d, w/d) mask: a cell is 1 when its image-space center falls
-    inside the region. Region is a PolygonMask or a list of QuadSegments
-    (union). Pixel (i, j) has its center at (x, y) = (j, i); a coarse cell
-    centers on the mean of the fine pixels it covers."""
+    inside the polygon. Pixel (i, j) has its center at (x, y) = (j, i); a
+    coarse cell centers on the mean of the fine pixels it covers."""
     if downscale < 1 or h % downscale or w % downscale:
         raise GeometryError(f"downscale {downscale} must divide canvas {(h, w)}")
     gh, gw = h // downscale, w // downscale
     js, is_ = np.meshgrid(np.arange(gw), np.arange(gh))
     xs = js * downscale + (downscale - 1) / 2.0
     ys = is_ * downscale + (downscale - 1) / 2.0
-    if isinstance(region, PolygonMask):
-        inside = _points_in_polygon(region.vertices, xs, ys)
-    else:
-        segments = list(region)
-        if not segments:
-            raise GeometryError("no quads to rasterize")
-        inside = np.zeros((gh, gw), dtype=bool)
-        for seg in segments:
-            inside |= _points_in_polygon(seg.corners, xs, ys)
+    inside = _points_in_polygon(poly.vertices, xs, ys)
     return RegionMask(inside.astype(np.float64))

@@ -211,13 +211,16 @@ def _cross(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
-def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray, eps: float = 1e-9):
-    """Invert the corner-blend map: plane points -> (u, v, inside).
+def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Invert the corner-blend map of a parallelogram: plane points ->
+    (u, v, inside).
 
-    Solves the quadratic that makes (p - A - v*F) parallel to (E + v*G)
-    where E, F span the quad edges at A and G is the non-affine residual.
-    For parallelograms G vanishes and the solve is linear.
+    (p - A - v*F) must run parallel to (E + v*G), where E, F span the quad
+    edges at A and G is the non-affine residual.  That is a quadratic in v
+    whose v^2 term cross(F, G) vanishes for a parallelogram, leaving a
+    linear solve; a quad where it does not vanish raises ShapeError.
     """
+    eps = 1e-9
     a, b, c, d = quad
     e = b - a          # u direction at v=0
     f = d - a          # v direction at u=0
@@ -227,21 +230,12 @@ def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray, eps: float = 
 
     # cross(q - vF, E + vG) = cross(q,E) + v*(cross(q,G) - cross(F,E)) - v^2*cross(F,G)
     scale = max(np.abs(quad).max(), 1.0)
-    k2 = -_cross(f[0], f[1], gvec[0], gvec[1])
+    if not abs(_cross(f[0], f[1], gvec[0], gvec[1])) < eps * scale * scale:
+        raise ShapeError("quad must be a parallelogram")
     k1 = _cross(qx, qy, gvec[0], gvec[1]) - _cross(f[0], f[1], e[0], e[1])
     k0 = _cross(qx, qy, e[0], e[1])
-
-    if abs(k2) < eps * scale * scale:
-        denom = np.where(np.abs(k1) < eps * scale * scale, np.nan, k1)
-        v = -k0 / denom
-    else:
-        disc = k1 * k1 - 4.0 * k2 * k0
-        root = np.sqrt(np.maximum(disc, 0.0))
-        v1 = (-k1 + root) / (2.0 * k2)
-        v2 = (-k1 - root) / (2.0 * k2)
-        in1 = (v1 >= -eps) & (v1 <= 1 + eps)
-        v = np.where(in1, v1, v2)
-        v = np.where(disc < -eps, np.nan, v)
+    denom = np.where(np.abs(k1) < eps * scale * scale, np.nan, k1)
+    v = -k0 / denom
 
     dirx = e[0] + v * gvec[0]
     diry = e[1] + v * gvec[1]
@@ -249,11 +243,10 @@ def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray, eps: float = 
     norm2 = np.where(norm2 < eps * scale * scale, np.nan, norm2)
     u = ((qx - v * f[0]) * dirx + (qy - v * f[1]) * diry) / norm2
 
-    tol = 1e-9
     inside = (
         np.isfinite(u) & np.isfinite(v)
-        & (u >= -tol) & (u <= 1 + tol)
-        & (v >= -tol) & (v <= 1 + tol)
+        & (u >= -eps) & (u <= 1 + eps)
+        & (v >= -eps) & (v <= 1 + eps)
     )
     return u, v, inside
 
@@ -274,9 +267,9 @@ def extract_region(g: LatentGrid, corners, out_h: int, out_w: int) -> LatentGrid
 def paste_region_with_mask(
     dst: LatentGrid, src: LatentGrid, corners
 ) -> tuple[LatentGrid, np.ndarray]:
-    """Write `src` into the quad area of `dst`; cells outside the quad keep
-    their dst values. Returns the new grid plus the boolean (H, W) mask of
-    cells that were written."""
+    """Write `src` into the parallelogram `corners` (UL, UR, LR, LL) of `dst`;
+    cells outside it keep their dst values. Returns the new grid plus the
+    boolean (H, W) mask of cells that were written."""
     quad = _quad_array(corners)
     if dst.channels != src.channels:
         raise ShapeError(

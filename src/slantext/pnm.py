@@ -1,13 +1,13 @@
-"""Minimal binary PGM (P5) and PPM (P6) io.
+"""Minimal binary PGM (P5) and PPM (P6) writers.
 
-Float images in [0, 1] map to bytes as round(255 * v) on write and v / 255
-on read, maxval fixed at 255.
+Float images in [0, 1] map to bytes as round(255 * v), clipped, with maxval
+fixed at 255.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import ShapeError
 
 
 def _to_bytes(arr: np.ndarray) -> np.ndarray:
@@ -33,51 +33,3 @@ def write_ppm(path, arr: np.ndarray) -> None:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(_to_bytes(arr).tobytes())
 
-
-def _read_header(f) -> tuple[bytes, int, int]:
-    def token():
-        # skip whitespace and '#' comments, then read one token
-        out = b""
-        while True:
-            c = f.read(1)
-            if not c:
-                raise InputError("truncated PNM header")
-            if c == b"#":
-                while c not in (b"\n", b""):
-                    c = f.read(1)
-                continue
-            if c.isspace():
-                if out:
-                    return out
-                continue
-            out += c
-
-    magic = token()
-    w, h, maxval = int(token()), int(token()), int(token())
-    if w < 1 or h < 1:
-        raise InputError(f"bad PNM size {w}x{h}")
-    if maxval != 255:
-        raise InputError(f"only maxval 255 supported, got {maxval}")
-    return magic, w, h
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h = _read_header(f)
-        if magic != b"P5":
-            raise InputError(f"not a binary PGM file (magic {magic!r})")
-        raw = f.read(w * h)
-    if len(raw) != w * h:
-        raise InputError("truncated PGM pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h = _read_header(f)
-        if magic != b"P6":
-            raise InputError(f"not a binary PPM file (magic {magic!r})")
-        raw = f.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise InputError("truncated PPM pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0

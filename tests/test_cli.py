@@ -39,6 +39,17 @@ def parse(argv):
     return build_parser().parse_args(argv)
 
 
+def edited_manifest(tmp_path, key, value) -> str:
+    """A bench-gen manifest, one case per tier, with row 0's `key` set to `value`."""
+    gen = tmp_path / "gen"
+    assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+    manifest = gen / "manifest.json"
+    rows = json.loads(manifest.read_text())
+    rows[0][key] = value
+    manifest.write_text(json.dumps(rows))
+    return str(manifest)
+
+
 class TestConfigResolution:
     def test_defaults(self, tmp_path):
         mask = write_mask(tmp_path / "m.json", flat_rect())
@@ -298,6 +309,24 @@ class TestReport:
         assert main(["report", str(bad), str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "summaries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,edit", [
+        ("total", lambda p: p["total"].pop("n")),
+        ("total", lambda p: p["total"].pop("ned")),
+        ("medium", lambda p: p["tiers"]["medium"].pop("sen_acc")),
+        ("hard", lambda p: p["tiers"]["hard"].update(ned="high")),
+        ("easy", lambda p: p["tiers"].update(easy=[10, 0.5, 0.5])),
+        ("summaries", lambda p: p.update(tiers=list(p["tiers"].values()))),
+    ], ids=["total_no_n", "total_no_ned", "tier_no_sen_acc", "tier_text_ned",
+            "tier_row_list", "tiers_list"])
+    def test_malformed_rows_are_validation(self, tmp_path, capsys, where, edit):
+        good = self.fake_report(tmp_path / "good.json")
+        payload = json.loads((tmp_path / "good.json").read_text())
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["report", good, str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert where in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_errors_are_validation(self, tmp_path, capsys):
@@ -309,27 +338,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_bad_manifest_seed_is_validation(self, tmp_path, capsys, seed):
-        gen = tmp_path / "gen"
-        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
-        manifest = gen / "manifest.json"
-        rows = json.loads(manifest.read_text())
-        rows[0]["seed"] = seed
-        manifest.write_text(json.dumps(rows))
-        assert main(["bench-run", str(manifest), "--out", str(tmp_path / "x")]) == 1
+        manifest = edited_manifest(tmp_path, "seed", seed)
+        assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("text", 5), ("case_id", 7), ("scene_id", "3"), ("scene_id", True), ("scene_id", 1.0),
     ])
     def test_bad_manifest_field_type_is_validation(self, tmp_path, capsys, key, value):
-        gen = tmp_path / "gen"
-        assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
-        manifest = gen / "manifest.json"
-        rows = json.loads(manifest.read_text())
-        rows[0][key] = value
-        manifest.write_text(json.dumps(rows))
-        assert main(["bench-run", str(manifest), "--out", str(tmp_path / "x")]) == 1
+        manifest = edited_manifest(tmp_path, key, value)
+        assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mask", [[[0, 0], [1]], "abc", [[0, 0], [1, 0], [1, "x"], [0, 1]]],
+                             ids=["ragged", "string", "non_numeric"])
+    def test_bad_manifest_mask_is_validation(self, tmp_path, capsys, mask):
+        manifest = edited_manifest(tmp_path, "mask", mask)
+        assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
+        assert "malformed manifest" in capsys.readouterr().err
 
     def test_unexpected_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate_benchmark",

@@ -14,9 +14,9 @@ from slantext.geometry import (
     FlatLayout,
     OrientedRect,
     PolygonMask,
-    QuadSegment,
     SimilarityTransform,
     _apportion,
+    _points_in_polygon,
     _tangent_parallel_params,
     baseline,
     convex_hull,
@@ -28,6 +28,7 @@ from slantext.geometry import (
     rasterize_mask,
     split_points,
 )
+from slantext.glyph import render_glyph_image
 
 
 def rect_polygon(cx, cy, w, h, angle=0.0):
@@ -80,7 +81,7 @@ class TestPolygonMask:
         p = rect_polygon(5, 5, 4, 4)
         xs = np.array([5.0, 5.0, 20.0])
         ys = np.array([5.0, 6.9, 5.0])
-        assert p.contains(xs, ys).tolist() == [True, True, False]
+        assert _points_in_polygon(p.vertices, xs, ys).tolist() == [True, True, False]
 
 
 def crossing_oracle(verts) -> bool:
@@ -310,8 +311,10 @@ class TestDivideMask:
         band = arc_band()
         segs = divide_mask(band, "ABCDEF")
         mask = rasterize_mask(band, 160, 160)
-        quads = rasterize_mask(segs, 160, 160)
-        covered = (mask.data * quads.data).sum()
+        quads = np.zeros((160, 160))
+        for s in segs:
+            quads = np.maximum(quads, rasterize_mask(PolygonMask(s.corners), 160, 160).data)
+        covered = (mask.data * quads).sum()
         assert covered / mask.data.sum() >= 0.95
 
 
@@ -390,18 +393,6 @@ class TestRasterizeMask:
         assert coarse.data[2:10, 2:14].all()
         assert coarse.data.sum() == 8 * 12
 
-    def test_quad_union(self):
-        a = QuadSegment(
-            corners=np.array([[1.0, 1.0], [5.0, 1.0], [5.0, 4.0], [1.0, 4.0]]),
-            angle=0.0, index=0, text_slice=(0, 1),
-        )
-        b = QuadSegment(
-            corners=np.array([[7.0, 1.0], [11.0, 1.0], [11.0, 4.0], [7.0, 4.0]]),
-            angle=0.0, index=1, text_slice=(1, 2),
-        )
-        mask = rasterize_mask([a, b], 8, 14)
-        assert mask.data.sum() == 2 * (4 * 3)
-
     def test_bad_downscale_raises(self):
         poly = rect_polygon(5, 5, 4, 4)
         with pytest.raises(GeometryError):
@@ -450,6 +441,8 @@ class TestCurvedBands:
             layout = flatten_segments(segments, (64, 128))
         except (GeometryError, LayoutError):
             return
+        # every segment quad passes the parallelogram-only inverse
+        render_glyph_image(segments, text, (64, 128))
         slices = [seg.text_slice for seg in segments]
         assert slices[0][0] == 0 and slices[-1][1] == len(text)
         assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))

@@ -330,6 +330,15 @@ class TestRegions:
         assert np.allclose(out.data[0, 10, 10], 1.0, rtol=0, atol=1e-12)
         assert out.data[0, 0, 0] == 0.0
 
+    def test_paste_rejects_non_parallelogram(self):
+        dst = LatentGrid(np.zeros((1, 16, 16)))
+        src = LatentGrid(np.ones((1, 4, 8)))
+        # trapezoid: F = D - A = (-2, 6) and G = A - B + C - D = (4, 0), so
+        # cross(F, G) = -24, where a parallelogram has 0
+        quad = [(4.5, 4.5), (8.5, 4.5), (10.5, 10.5), (2.5, 10.5)]
+        with pytest.raises(ShapeError, match="parallelogram"):
+            paste_region_with_mask(dst, src, quad)
+
     def test_bad_quad_shape_rejected(self):
         g = LatentGrid(np.zeros((1, 4, 4)))
         with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 """Guidance: branch equations, step weighting, reference alignment, and the
 generate pipeline's determinism and flag semantics."""
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from slantext.corpus import build_corpus, make_denoiser
 from slantext.diffusion import linear_schedule, sample
 from slantext.errors import CharsetError, InputError
-from slantext.geometry import FlatLayout, PolygonMask, QuadSegment, SimilarityTransform
+from slantext.geometry import (
+    FlatLayout,
+    PolygonMask,
+    QuadSegment,
+    SimilarityTransform,
+    polygon_area,
+)
 from slantext.grid import LatentGrid, RegionMask, adain, masked_blend
 from slantext.guidance import (
     GenerationResult,
@@ -44,6 +51,31 @@ def row_mask(y0: int, n_chars: int) -> PolygonMask:
     return PolygonMask(np.array([
         [-0.5, y0 - 0.5], [x1, y0 - 0.5], [x1, y0 + 13.5], [-0.5, y0 + 13.5],
     ]))
+
+
+def positive(verts: np.ndarray) -> PolygonMask:
+    return PolygonMask(verts[::-1] if polygon_area(verts) < 0 else verts)
+
+
+def arc_mask() -> PolygonMask:
+    """A 140-degree arch of radii 14 and 26, 24 vertices per side."""
+    th = np.radians(np.linspace(200.0, 340.0, 24))
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return positive(np.vstack([(31.5, 44.0) + 26.0 * ring, (31.5, 44.0) + 14.0 * ring[::-1]]))
+
+
+def s_curve_mask() -> PolygonMask:
+    """One sine period of amplitude 4 over 50 px, 12 px thick, 32 vertices
+    per side."""
+    s = np.linspace(-25.0, 25.0, 32)
+    k = 2.0 * math.pi / 50.0
+    center = np.stack([s, 4.0 * np.sin(k * s)], axis=1)
+    tangent = np.stack([np.ones_like(s), 4.0 * k * np.cos(k * s)], axis=1)
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+    return positive(
+        np.vstack([center - 6.0 * normal, (center + 6.0 * normal)[::-1]]) + (31.5, 31.5)
+    )
 
 
 class TestGuidanceConfig:
@@ -315,6 +347,19 @@ class TestGeneratePipeline:
         assert len(res.segments) == 1
         assert res.layout is not None
         assert res.image.shape == (64, 64, 3)
+
+    # sha256 of the guided image bytes (float64, numpy 2.4): every cut,
+    # quad inverse and guidance step on a curved mask must stay bitwise put
+    @pytest.mark.parametrize("mask_fn,text,n_segments,digest", [
+        (arc_mask, "CURVED", 2,
+         "58b53874a6b18bff272cee7af3b332a9b7bfa61cc79e6a7e7756e20f80b3ac6b"),
+        (s_curve_mask, "WAVY4", 2,
+         "a8181a319203905117bf60e9837c3803e50a2e7867516efea4828c549b2432fe"),
+    ], ids=["arc", "s_curve"])
+    def test_curved_outputs_pinned(self, corpus, mask_fn, text, n_segments, digest):
+        res = generate(text, mask_fn(), 3, seed=11, corpus=corpus)
+        assert len(res.segments) == n_segments
+        assert hashlib.sha256(res.image.tobytes()).hexdigest() == digest
 
     def test_bad_text_rejected(self, corpus):
         with pytest.raises(CharsetError):

@@ -1,9 +1,15 @@
-"""PGM/PPM io round trips and header handling."""
+"""PGM/PPM writers: header and payload bytes."""
 import numpy as np
 import pytest
 
-from slantext.errors import InputError, ShapeError
-from slantext.pnm import read_pgm, read_ppm, write_pgm, write_ppm
+from slantext.errors import ShapeError
+from slantext.pnm import write_pgm, write_ppm
+
+
+def split_pnm(raw: bytes, header: bytes) -> np.ndarray:
+    """Payload bytes after an exact header, as floats in [0, 1]."""
+    assert raw.startswith(header)
+    return np.frombuffer(raw[len(header):], dtype=np.uint8) / 255.0
 
 
 class TestPgm:
@@ -12,36 +18,18 @@ class TestPgm:
         img = np.rint(rng.uniform(0, 1, (9, 13)) * 255) / 255.0
         p = tmp_path / "x.pgm"
         write_pgm(p, img)
-        assert np.allclose(read_pgm(p), img, atol=1e-12)
+        payload = split_pnm(p.read_bytes(), b"P5\n13 9\n255\n")
+        assert np.allclose(payload.reshape(9, 13), img, atol=1e-12)
 
     def test_byte_mapping(self, tmp_path):
         p = tmp_path / "x.pgm"
         write_pgm(p, np.array([[0.0, 1.0, 0.5]]))
-        raw = p.read_bytes()
-        assert raw.startswith(b"P5\n3 1\n255\n")
-        assert list(raw[-3:]) == [0, 255, 128]
+        assert p.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 255, 128])
 
     def test_out_of_range_clips(self, tmp_path):
         p = tmp_path / "x.pgm"
         write_pgm(p, np.array([[-0.5, 2.0]]))
         assert list(p.read_bytes()[-2:]) == [0, 255]
-
-    def test_comment_in_header(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        p.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")
-        assert read_pgm(p).tolist() == [[0.0, 1.0]]
-
-    def test_rejects_wrong_magic(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        p.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(InputError):
-            read_pgm(p)
-
-    def test_rejects_truncated(self, tmp_path):
-        p = tmp_path / "x.pgm"
-        p.write_bytes(b"P5\n4 4\n255\n\x00")
-        with pytest.raises(InputError):
-            read_pgm(p)
 
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(ShapeError):
@@ -54,14 +42,9 @@ class TestPpm:
         img = np.rint(rng.uniform(0, 1, (5, 7, 3)) * 255) / 255.0
         p = tmp_path / "x.ppm"
         write_ppm(p, img)
-        assert np.allclose(read_ppm(p), img, atol=1e-12)
+        payload = split_pnm(p.read_bytes(), b"P6\n7 5\n255\n")
+        assert np.allclose(payload.reshape(5, 7, 3), img, atol=1e-12)
 
     def test_rejects_wrong_channels(self, tmp_path):
         with pytest.raises(ShapeError):
             write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 4)))
-
-    def test_rejects_bad_maxval(self, tmp_path):
-        p = tmp_path / "x.ppm"
-        p.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
-        with pytest.raises(InputError):
-            read_ppm(p)
