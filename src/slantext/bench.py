@@ -153,12 +153,20 @@ def _blocked_sheet(
     of the encoded sheet, which repeated factor x factor equals the decoded
     sheet's channel mean bitwise.  Sample it with `block=factor`.  The sheet
     is encoded in RGB because a one-channel block mean reduces in another
-    order and is not bitwise equal."""
-    sheet = np.zeros((sheet_h, sheet_w, 3))
-    for x0, y0, ink in stamps:
-        h, w = ink.shape
-        sheet[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
-    return LatentGrid(LatentCodec(factor).encode(sheet).data.mean(axis=0)[None])
+    order and is not bitwise equal.  Only the band of block rows under the
+    stamps is built and encoded: every other block row encodes zeros to +0.0,
+    and each block's mean reads its own f x f pixels alone."""
+    latent = np.zeros((1, sheet_h // factor, sheet_w // factor))
+    if stamps:
+        top = min(y0 for _, y0, _ in stamps) // factor
+        bottom = -(-max(y0 + ink.shape[0] for _, y0, ink in stamps) // factor)
+        band = np.zeros(((bottom - top) * factor, sheet_w, 3))
+        for x0, y0, ink in stamps:
+            h, w = ink.shape
+            y0 -= top * factor  # row in the band
+            band[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
+        latent[0, top:bottom] = LatentCodec(factor).encode(band).data.mean(axis=0)
+    return LatentGrid(latent)
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,30 @@ class _OcrContext:
     slots: np.ndarray
 
 
-def _normalized_rows(rows: np.ndarray) -> np.ndarray:
-    rows = rows - rows.mean(axis=1, keepdims=True)
-    norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+def _normalize_rows(rows: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Center each row of the 2-d rows and scale it to unit length, in place;
+    a row whose centered norm is 1e-9 or less becomes +0.0.  scratch, of the
+    same shape, takes the squares instead of a new array.  Returns rows."""
+    rows -= rows.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.multiply(rows, rows, out=scratch).sum(axis=1, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(norms > 1e-9, rows / norms, 0.0)
+        rows /= norms
+    rows[~(norms[:, 0] > 1e-9)] = 0.0
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Clean h x w render of every character, and its normalised crisp row:
+    the render sampled at the patch points through a flat quad."""
+    us, vs = _patch_fractions(h, w)
+    flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
+    crisp = np.asarray(
+        [_sample_quad(LatentGrid(f[None]), _flat_cell_quad(h, w), us, vs).ravel() for f in flats]
+    )
+    crisp = _normalize_rows(crisp)
+    crisp.flags.writeable = False
+    return flats, crisp
 
 
 @lru_cache(maxsize=8)
@@ -190,20 +217,13 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
     to `reach` pixels, so one codec pass serves the whole search."""
     us, vs = _patch_fractions(h, w)
     chars = default_font().charset
-
-    flats = {ch: render_text_block(h, w, ch).data for ch in chars}
-    crisp = np.asarray(
-        [
-            _sample_quad(LatentGrid(flats[ch][None]), _flat_cell_quad(h, w), us, vs).ravel()
-            for ch in chars
-        ]
-    )
+    flats, crisp = _flat_templates(h, w)
     margin = factor * math.ceil((reach + h + w) / factor)
     stride = factor * math.ceil((2 * reach + h + w + 2 * factor) / factor)
     grid = _blocked_sheet(
         factor * math.ceil((2 * margin + h) / factor),
         2 * margin + stride * len(chars),
-        [(margin + i * stride, margin, flats[ch]) for i, ch in enumerate(chars)],
+        [(margin + i * stride, margin, flat) for i, flat in enumerate(flats)],
         factor,
     )
     slots = np.stack(
@@ -212,25 +232,36 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
             for i in range(len(chars))
         ]
     )
-    return _OcrContext(
-        charset=chars, crisp=_normalized_rows(crisp), grid=grid, slots=slots
-    )
+    return _OcrContext(charset=chars, crisp=crisp, grid=grid, slots=slots)
 
 
-def _raw_views(ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, factor: int) -> np.ndarray:
+def _raw_views(
+    ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, factor: int, out: np.ndarray
+) -> None:
     """Template views of every character displaced by every offset of the
-    x axis xs and the y axis ys, sampled from the latent sheet; returns
-    (chars, ys, xs, points)."""
-    px = ctx.slots[:, 0, None, None, :] + xs[:, None]
-    py = ctx.slots[:, 1, None, None, :] + ys[:, None, None]
-    return sample_at(ctx.grid, px, py, block=factor)[0]
+    x axis xs and the y axis ys, sampled from the latent sheet into out,
+    shaped (ys, xs, chars, points).  Offsets lead, so each gather chunk of
+    sample_at covers whole (chars, points) planes."""
+    px = ctx.slots[:, 0] + xs[:, None, None]
+    py = ctx.slots[:, 1] + ys[:, None, None, None]
+    sample_at(ctx.grid, px, py, block=factor, out=out[None])
 
 
-def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Correlation of the unit patch against (chars, ys, xs, points) template
-    views; returns (chars, offsets), offsets y-major."""
-    n_ch, n_y, n_x, n_pts = views.shape
-    return (_normalized_rows(views.reshape(-1, n_pts)) @ unit).reshape(n_ch, n_y * n_x)
+def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Correlation of the unit patch against (ys, xs, chars, points) template
+    views, which are normalised in place; rows is a buffer of at least
+    views.size values.  Returns (chars, offsets), offsets y-major.
+
+    The gemv reads the rows in (chars, ys, xs) order, through one transposing
+    copy into rows.  OpenBLAS rounds a row's dot product differently with its
+    place in a group of four rows, so another row order can move a
+    correlation by an ulp, and a read can flip on that."""
+    n_y, n_x, n_ch, n_pts = views.shape
+    flat = views.reshape(-1, n_pts)
+    _normalize_rows(flat, scratch=rows[: flat.size].reshape(flat.shape))
+    mat = rows[: views.size].reshape(n_ch, n_y, n_x, n_pts)
+    np.copyto(mat, views.transpose(2, 0, 1, 3))
+    return (mat.reshape(-1, n_pts) @ unit).reshape(n_ch, n_y * n_x)
 
 
 TILT_STEP_DEG = 0.5
@@ -265,7 +296,7 @@ def _context_grid(
         factor * math.ceil((2 * margin + max_h) / factor),
         factor * math.ceil(span / factor),
         [
-            (x0, margin, render_text_block(h, w, ch).data)
+            (x0, margin, _flat_templates(h, w)[0][charset.index(ch)])
             for x0, (_, h, w, _), ch in zip(xs, frames, decoded)
             if ch in charset
         ],
@@ -296,7 +327,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 
     frames = [_cell_frame(cell) for cell in cells]
-    units = _normalized_rows(
+    units = _normalize_rows(
         np.stack([_sample_quad(gray, q, *_patch_fractions(h, w)).ravel() for q, h, w, _ in frames])
     )
     live = [i for i in range(len(frames)) if units[i].any()]
@@ -313,6 +344,17 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
 
     contexts = {i: _ocr_context(h, w, _tilt_key(angle), reach, factor)
                 for i, (_, h, w, angle) in enumerate(frames) if i in live}
+
+    # Two buffers sized for the coarse stage, the largest, serve every cell
+    # of every stage: one holds a cell's views, composed and normalised in
+    # place; the other holds the gemv's rows and starts the allocation, as a
+    # fresh array would.  One allocation holds both: glibc maps it on the
+    # first read and, when it is freed, raises its mmap and trim thresholds
+    # to fit it, so later reads reuse heap pages (160 minor faults per guided
+    # case, against 1,400 with two allocations).
+    xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
+    size = len(xs) * len(ys) * len(default_font().charset) * PATCH_H * PATCH_W
+    row_buf, view_buf = np.empty((2, size))
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
         chars: list[str] = []
@@ -342,31 +384,37 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
         context: Optional[tuple[LatentGrid, list[np.ndarray]]],
     ) -> np.ndarray:
         """Cell i's candidate templates at the displacements of the x axis dx
-        and the y axis dy.  Given a context sheet of the decoded text, each
-        candidate becomes (decoded text with this cell replaced by the
-        candidate), assembled by linearity from the shared sheet view minus
-        the cell's own stamp plus the candidate's."""
+        and the y axis dy, (ys, xs, chars, points) in view_buf.  Given a
+        context sheet of the decoded text, each candidate becomes (decoded
+        text with this cell replaced by the candidate), assembled by linearity
+        from the shared sheet view plus the candidate's minus the cell's own
+        stamp, which is copied out before the sum overwrites it."""
         ctx = contexts[i]
-        views = _raw_views(ctx, dx, dy, factor)
+        shape = (len(dy), len(dx)) + ctx.slots[:, 0].shape
+        views = view_buf[: math.prod(shape)].reshape(shape)
+        _raw_views(ctx, dx, dy, factor, out=views)
         if context is None:
             return views
         ctx_grid, ctx_points = context
         px, py = ctx_points[i]
         base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=factor)[0]
-        comp = base[None] + views
+        own = None
         if decoded[i] in ctx.charset:
-            comp = comp - views[ctx.charset.index(decoded[i])][None]
-        return comp
+            own = views[:, :, ctx.charset.index(decoded[i])].copy()
+        views += base[:, :, None]
+        if own is not None:
+            views -= own[:, :, None]
+        return views
 
     def stage(
         xs: np.ndarray,
         ys: np.ndarray,
         context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        # Build and drop one cell's views at a time: they are the read's largest
-        # arrays, and keeping the last cell's alive raises peak memory.
         per_cell = [
-            _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
+            _correlate(
+                cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i], row_buf
+            )
             for i in live
         ]
         return vote(per_cell), per_cell
@@ -378,7 +426,6 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     def offset(xs: np.ndarray, ys: np.ndarray, o: int) -> np.ndarray:
         return np.array([xs[o % len(xs)], ys[o // len(xs)]])
 
-    xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     total, _ = stage(xs, ys)
     xs, ys = around(offset(xs, ys, int(np.argmax(total))), FINE_HALF)
     total, per_cell = stage(xs, ys)

@@ -7,7 +7,9 @@ buffer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -15,6 +17,10 @@ from .errors import ShapeError
 
 # floor applied to the content std inside adain; style std is used as-is
 STD_FLOOR = 1e-5
+
+# values per sample_at chunk: its index, corner and weight buffers for one
+# chunk stay in a core's L2 cache
+SAMPLE_CHUNK = 1 << 14
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -125,7 +131,13 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
     return LatentGrid(a.data * m + b.data * (1.0 - m))
 
 
-def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray, block: int = 1) -> np.ndarray:
+def sample_at(
+    g: LatentGrid,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    block: int = 1,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Bilinear samples of the grid at fractional (x, y) positions, shaped
     (C,) + the broadcast shape of xs and ys.
 
@@ -151,12 +163,32 @@ def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray, block: int = 1) -> 
     that repeated copy bitwise.  A corner index i of the repeated grid,
     clipped to [-1, f * n], reads padded cell i // f + 1, so -1 and f * n
     land on the zero border.
+
+    The samples are filled in chunks of the leading broadcast axis, each of
+    at most SAMPLE_CHUNK values (one whole leading index when that alone is
+    larger), and every chunk reuses the same index, corner and weight
+    buffers.  Each sample is computed exactly as it would be in one pass, so
+    chunking changes no bit of the result; a 0-d result is one chunk.
+
+    out, if given, must be a writable float64 array of the result's shape.
+    It is overwritten with the samples and returned, and nothing of the
+    result's size is allocated.
     """
     data = g.data
     c, h, w = data.shape
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     shape = np.broadcast_shapes(xs.shape, ys.shape)
+    if out is None:
+        out = np.empty((c,) + shape)
+    elif out.shape != (c,) + shape or out.dtype != np.float64:
+        raise ShapeError(f"out must be float64 {(c,) + shape}, got {out.dtype} {out.shape}")
+    # give both axes and the result the same rank, at least one, so that the
+    # chunks below run over one leading axis
+    ndim = max(len(shape), 1)
+    xs = xs.reshape((1,) * (ndim - xs.ndim) + xs.shape)
+    ys = ys.reshape((1,) * (ndim - ys.ndim) + ys.shape)
+    res = out.reshape((c,) + (1,) * (ndim - len(shape)) + shape)
     padded = np.zeros((c, h + 2, w + 2))
     padded[:, 1:-1, 1:-1] = data
     flat = padded.reshape(c, -1)
@@ -177,13 +209,33 @@ def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray, block: int = 1) -> 
     x0 = padded_cell(x0, w)
     y1 = padded_cell(y0 + 1, h) * (w + 2)
     y0 = padded_cell(y0, h) * (w + 2)
-    out = np.zeros((c,) + shape)
-    idx = np.empty(shape, np.int64)
-    for cy, cx, wa, wb in ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy)):
-        np.add(cy, cx, out=idx)
-        corner = flat.take(idx, axis=1)
-        corner *= wa * wb
-        out += corner
+    corners = ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy))
+
+    lead, rest = res.shape[1], res.shape[2:]
+    per_lead = math.prod(rest)
+    step = max(1, min(lead, SAMPLE_CHUNK // max(per_lead, 1)))
+    idx_buf = np.empty(step * per_lead, np.int64)
+    wgt_buf = np.empty(step * per_lead)
+    corner_buf = np.empty(c * step * per_lead)
+    for i0 in range(0, lead, step):
+        n = min(step, lead - i0)
+        part = (n,) + rest
+        idx = idx_buf[: n * per_lead].reshape(part)
+        wgt = wgt_buf[: n * per_lead].reshape(part)
+        corner = corner_buf[: c * n * per_lead].reshape((c,) + part)
+        acc = res[:, i0 : i0 + n]
+        acc[...] = 0.0
+        for cy, cx, wa, wb in corners:
+            # an axis array with a leading 1 broadcasts over every chunk
+            cy, wb = (a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cy, wb))
+            cx, wa = (a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cx, wa))
+            np.add(cy, cx, out=idx)
+            # every index is in range already; "clip" only skips the copy
+            # that the default mode makes of out
+            flat.take(idx, axis=1, out=corner, mode="clip")
+            np.multiply(wa, wb, out=wgt)
+            corner *= wgt
+            acc += corner
     return out
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,10 +297,14 @@ class TestOcrViews:
             gx, gy = np.meshgrid(ax, ay)
             offsets = anchor + (center + np.stack([gx.ravel(), gy.ravel()], axis=1))
             want = full_mesh_views(ctx, offsets, factor)
-            got = bench._raw_views(
-                ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), factor)
-            assert got.shape == (len(ctx.charset), len(ay), len(ax), want.shape[2])
-            got = got.reshape(want.shape)
+            # the views land in the front of a caller's buffer, offsets outermost
+            shape = (len(ay), len(ax), len(ctx.charset), want.shape[2])
+            buf = np.full(math.prod(shape) + 7, np.nan)
+            got = buf[: math.prod(shape)].reshape(shape)
+            bench._raw_views(
+                ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), factor, got)
+            assert np.isnan(buf[got.size :]).all()
+            got = got.transpose(2, 0, 1, 3).reshape(want.shape)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -323,6 +328,73 @@ class TestOcrViews:
         got = np.repeat(np.repeat(latent.data[0], factor, axis=0), factor, axis=1)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_band_sheets_match_full_sheet_encode(self, factor):
+        # every sheet the OCR builds, captured on its way in: template sheets
+        # over the whole reach range, and context sheets at a fractional
+        # pitch, so their stamps sit off the block grid in x
+        calls = []
+        blocked = bench._blocked_sheet
+
+        def capture(*args):
+            calls.append(args)
+            return blocked(*args)
+
+        with mock.patch.object(bench, "_blocked_sheet", capture):
+            for reach in range(8, 30):
+                h, w = (7, 5) if reach % 2 else (14, 11)
+                bench._ocr_context.__wrapped__(h, w, 0, reach, factor)
+            frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
+            for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
+                bench._context_grid(frames, decoded, pitch, 13, factor)
+        assert len(calls) == 22 + 4
+        assert any(x0 % factor for _, _, stamps, _ in calls for x0, _, _ in stamps) == (factor > 1)
+        for args in calls:
+            got = blocked(*args).data
+            want = full_sheet_oracle(*args)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("h,w,tilt_key", [(7, 5, 0), (11, 8, 37), (14, 12, -90)])
+    def test_correlation_keeps_old_gemv_rows(self, h, w, tilt_key):
+        # OpenBLAS rounds a gemv row differently with its place in a group of
+        # four rows (splitting a coarse cell's matrix by 1, 2 or 5 y-rows moved
+        # correlations by up to 1.1e-16, by 4 rows not at all), and reads flip
+        # on noise that size.  So the correlation must run the gemv on the
+        # rows in their old (chars, ys, xs) order, whatever the view layout.
+        # The search's offset counts (221, 49, 81) are 1 mod 4, like the 37
+        # characters, so a gemv in the views' own row order lands every row
+        # in the same place there; the 6- and 15-offset grids tell it apart.
+        factor = 4
+        ctx = bench._ocr_context(h, w, tilt_key, 14, factor)
+        rng = np.random.default_rng(h * w)
+        unit = bench._normalize_rows(rng.standard_normal((1, ctx.slots.shape[2])))[0]
+        for half_x, half_y, step in (
+            (bench.SEARCH_X, bench.SEARCH_Y, 1.0),
+            (bench.FINE_HALF, bench.FINE_HALF, bench.FINE_STEP),
+            (1.0, 1.0, bench.FINE_STEP),
+            (1.0, 0.5, 1.0),
+            (2.0, 1.0, 1.0),
+        ):
+            ax, ay = bench._offset_axes(half_x, half_y, step)
+            n_y, n_x, (n_ch, n_pts) = len(ay), len(ax), ctx.slots[:, 0].shape
+            views = np.empty((n_y, n_x, n_ch, n_pts))
+            bench._raw_views(ctx, 0.37 + ax, -1.21 + ay, factor, views)
+            old = views.transpose(2, 0, 1, 3).reshape(-1, n_pts)
+            want = (bench._normalize_rows(old.copy()) @ unit).reshape(n_ch, n_y * n_x)
+            got = bench._correlate(views, unit, np.empty(views.size + 3))
+            assert np.array_equal(got, want)
+
+
+def full_sheet_oracle(sheet_h, sheet_w, stamps, factor):
+    """The sheet encode before band encoding: the whole RGB sheet built and
+    encoded, then its channel mean."""
+    sheet = np.zeros((sheet_h, sheet_w, 3))
+    for x0, y0, ink in stamps:
+        h, w = ink.shape
+        sheet[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
+    return LatentCodec(factor).encode(sheet).data.mean(axis=0)[None]
 
 
 @pytest.fixture(scope="module")

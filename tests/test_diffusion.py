@@ -23,7 +23,7 @@ from slantext.diffusion import (
     sample,
 )
 from slantext.errors import ConditionError, InputError, ScheduleError, ShapeError
-from slantext.fontdata import CHARSET
+from slantext.glyph import default_font
 from slantext.grid import LatentGrid
 
 
@@ -195,7 +195,7 @@ class TestCorpus:
 
     def test_charset_fully_covered(self):
         used = set("".join(DEFAULT_SCENE_TEXTS))
-        assert used == set(CHARSET) - {" "}
+        assert used == set(default_font().charset) - {" "}
 
     def test_background_zero_mean_and_smoothness(self):
         for sid in range(8):
