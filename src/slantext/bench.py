@@ -240,8 +240,8 @@ def _raw_views(
 ) -> None:
     """Template views of every character displaced by every offset of the
     x axis xs and the y axis ys, sampled from the latent sheet into out,
-    shaped (ys, xs, chars, points).  Offsets lead, so each gather chunk of
-    sample_at covers whole (chars, points) planes."""
+    shaped (ys, xs, chars, points).  Offsets lead, so sample_at broadcasts
+    over whole (chars, points) planes and fills one y offset per chunk."""
     px = ctx.slots[:, 0] + xs[:, None, None]
     py = ctx.slots[:, 1] + ys[:, None, None, None]
     sample_at(ctx.grid, px, py, block=factor, out=out[None])

@@ -18,8 +18,13 @@ from .errors import ShapeError
 # floor applied to the content std inside adain; style std is used as-is
 STD_FLOOR = 1e-5
 
-# values per sample_at chunk: its index, corner and weight buffers for one
-# chunk stay in a core's L2 cache
+# values per sample_at chunk.  Measured on the bench and generate gathers
+# (BENCH_8.json, "chunk_rule"): every value from 2^10 to 2^15 gives the same
+# times; 2^16 and up take more page faults and more gather time, and one pass
+# over the whole result takes 30-35% more gather time and 2,800-3,000 faults
+# per guided case.  A value below the other gathers, up to 2,835 values,
+# would split them too: one value per chunk made the generate path's 30x
+# slower.
 SAMPLE_CHUNK = 1 << 14
 
 
@@ -164,11 +169,16 @@ def sample_at(
     clipped to [-1, f * n], reads padded cell i // f + 1, so -1 and f * n
     land on the zero border.
 
-    The samples are filled in chunks of the leading broadcast axis, each of
-    at most SAMPLE_CHUNK values (one whole leading index when that alone is
-    larger), and every chunk reuses the same index, corner and weight
-    buffers.  Each sample is computed exactly as it would be in one pass, so
-    chunking changes no bit of the result; a 0-d result is one chunk.
+    The samples are filled in chunks of the leading broadcast axis: as many
+    leading indices as fit in SAMPLE_CHUNK values, but at least one, so a
+    chunk is larger than SAMPLE_CHUNK when one leading index alone is.  Every
+    chunk reuses the same index, corner and weight buffers.  Each sample is
+    computed exactly as it would be in one pass, so chunking changes no bit
+    of the result; a 0-d result is one chunk.  The OCR's template-view
+    gathers hold 16,835 (coarse stage), 9,065 (fine stage) or 11,655
+    (context stage) values per leading index, one y offset, so each of their
+    chunks is one y offset.  Every other gather of the benchmark's
+    workloads holds at most 2,835 values and is one chunk.
 
     out, if given, must be a writable float64 array of the result's shape.
     It is overwritten with the samples and returned, and nothing of the
