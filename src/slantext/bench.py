@@ -28,9 +28,10 @@ from .corpus import (
     build_corpus,
     scene_background,
 )
-from .diffusion import LatentCodec, NoiseSchedule, linear_schedule
+from .diffusion import FACTOR, LatentCodec, NoiseSchedule, linear_schedule
 from .errors import GeometryError, InputError, SlantextError
-from .geometry import PolygonMask, divide_mask, rotate_points
+from .fontdata import GLYPH_H, GLYPH_W
+from .geometry import PolygonMask, rotate_points
 from .glyph import char_cells, default_font, glyph_scale, render_text_block
 from .grid import LatentGrid, quad_points, sample_at
 from .guidance import GuidanceConfig, generate
@@ -39,9 +40,6 @@ from .guidance import GuidanceConfig, generate
 TIERS = (("easy", 0.0, 30.0), ("medium", 30.0, 60.0), ("hard", 60.0, 90.0))
 TIER_NAMES = tuple(name for name, _, _ in TIERS)
 
-# OCR patch resolution matches the font bitmap.
-PATCH_H = 7
-PATCH_W = 5
 CORR_FLOOR = 0.3
 VOTE_FLOOR = 0.6
 OCR_SENTINEL = "?"
@@ -112,10 +110,10 @@ def _cell_frame(cell: np.ndarray) -> tuple[np.ndarray, int, int, float]:
 def _patch_fractions(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample fractions hitting the centers of the glyph's scaled dot grid."""
     k = glyph_scale(h, w, 1)
-    x0 = (w - PATCH_W * k) / 2.0
-    y0 = (h - PATCH_H * k) / 2.0
-    us = (x0 + (np.arange(PATCH_W) + 0.5) * k) / w
-    vs = (y0 + (np.arange(PATCH_H) + 0.5) * k) / h
+    x0 = (w - GLYPH_W * k) / 2.0
+    y0 = (h - GLYPH_H * k) / 2.0
+    us = (x0 + (np.arange(GLYPH_W) + 0.5) * k) / w
+    vs = (y0 + (np.arange(GLYPH_H) + 0.5) * k) / h
     return np.meshgrid(us, vs)
 
 
@@ -146,26 +144,26 @@ def _slot_points(
 
 
 def _blocked_sheet(
-    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, int, np.ndarray]], factor: int
+    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, int, np.ndarray]]
 ) -> LatentGrid:
     """Gray sheet of ink stamps, each (x0, y0, ink) on a zero RGB sheet,
     after one codec round trip, kept at latent resolution: the channel mean
-    of the encoded sheet, which repeated factor x factor equals the decoded
-    sheet's channel mean bitwise.  Sample it with `block=factor`.  The sheet
+    of the encoded sheet, which repeated FACTOR x FACTOR equals the decoded
+    sheet's channel mean bitwise.  Sample it with `block=FACTOR`.  The sheet
     is encoded in RGB because a one-channel block mean reduces in another
     order and is not bitwise equal.  Only the band of block rows under the
     stamps is built and encoded: every other block row encodes zeros to +0.0,
-    and each block's mean reads its own f x f pixels alone."""
-    latent = np.zeros((1, sheet_h // factor, sheet_w // factor))
+    and each block's mean reads its own FACTOR x FACTOR pixels alone."""
+    latent = np.zeros((1, sheet_h // FACTOR, sheet_w // FACTOR))
     if stamps:
-        top = min(y0 for _, y0, _ in stamps) // factor
-        bottom = -(-max(y0 + ink.shape[0] for _, y0, ink in stamps) // factor)
-        band = np.zeros(((bottom - top) * factor, sheet_w, 3))
+        top = min(y0 for _, y0, _ in stamps) // FACTOR
+        bottom = -(-max(y0 + ink.shape[0] for _, y0, ink in stamps) // FACTOR)
+        band = np.zeros(((bottom - top) * FACTOR, sheet_w, 3))
         for x0, y0, ink in stamps:
             h, w = ink.shape
-            y0 -= top * factor  # row in the band
+            y0 -= top * FACTOR  # row in the band
             band[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
-        latent[0, top:bottom] = LatentCodec(factor).encode(band).data.mean(axis=0)
+        latent[0, top:bottom] = LatentCodec().encode(band).data.mean(axis=0)
     return LatentGrid(latent)
 
 
@@ -208,7 +206,7 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]
 
 
 @lru_cache(maxsize=8)
-def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _OcrContext:
+def _ocr_context(h: int, w: int, tilt_key: int, reach: int) -> _OcrContext:
     """Build templates for one cell shape.  Every character gets a clean
     render sampled through a flat quad, plus sampling geometry over a shared
     codec-blocked sheet: one sheet stamping each character in its own
@@ -218,13 +216,12 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
     us, vs = _patch_fractions(h, w)
     chars = default_font().charset
     flats, crisp = _flat_templates(h, w)
-    margin = factor * math.ceil((reach + h + w) / factor)
-    stride = factor * math.ceil((2 * reach + h + w + 2 * factor) / factor)
+    margin = FACTOR * math.ceil((reach + h + w) / FACTOR)
+    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
     grid = _blocked_sheet(
-        factor * math.ceil((2 * margin + h) / factor),
+        FACTOR * math.ceil((2 * margin + h) / FACTOR),
         2 * margin + stride * len(chars),
         [(margin + i * stride, margin, flat) for i, flat in enumerate(flats)],
-        factor,
     )
     slots = np.stack(
         [
@@ -235,16 +232,14 @@ def _ocr_context(h: int, w: int, tilt_key: int, reach: int, factor: int) -> _Ocr
     return _OcrContext(charset=chars, crisp=crisp, grid=grid, slots=slots)
 
 
-def _raw_views(
-    ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, factor: int, out: np.ndarray
-) -> None:
+def _raw_views(ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:
     """Template views of every character displaced by every offset of the
     x axis xs and the y axis ys, sampled from the latent sheet into out,
     shaped (ys, xs, chars, points).  Offsets lead, so sample_at broadcasts
     over whole (chars, points) planes and fills one y offset per chunk."""
     px = ctx.slots[:, 0] + xs[:, None, None]
     py = ctx.slots[:, 1] + ys[:, None, None, None]
-    sample_at(ctx.grid, px, py, block=factor, out=out[None])
+    sample_at(ctx.grid, px, py, block=FACTOR, out=out[None])
 
 
 def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -282,25 +277,24 @@ def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray,
 
 
 def _context_grid(
-    frames: Sequence[tuple], decoded: str, pitch: float, reach: int, factor: int
+    frames: Sequence[tuple], decoded: str, pitch: float, reach: int
 ) -> tuple[LatentGrid, list[np.ndarray]]:
     """Blocked sheet holding the currently decoded text at cell pitch, plus
     each cell's tilted sampling points over its own slot."""
     charset = default_font().charset
     max_h = max(h for _, h, _, _ in frames)
     max_w = max(w for _, _, w, _ in frames)
-    margin = factor * math.ceil((reach + max_h + max_w) / factor)
+    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
     span = margin + (len(frames) - 1) * pitch + max_w + margin
     xs = [margin + int(round(i * pitch)) for i in range(len(frames))]
     grid = _blocked_sheet(
-        factor * math.ceil((2 * margin + max_h) / factor),
-        factor * math.ceil(span / factor),
+        FACTOR * math.ceil((2 * margin + max_h) / FACTOR),
+        FACTOR * math.ceil(span / FACTOR),
         [
             (x0, margin, _flat_templates(h, w)[0][charset.index(ch)])
             for x0, (_, h, w, _), ch in zip(xs, frames, decoded)
             if ch in charset
         ],
-        factor,
     )
     points = [
         _slot_points(h, w, x0, margin, _tilt_key(angle), *_patch_fractions(h, w))
@@ -309,7 +303,7 @@ def _context_grid(
     return grid, points
 
 
-def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) -> OcrResult:
+def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     """Read one character per cell by normalized cross-correlation against
     templates of the default font; a best correlation under the floor
     decodes as '?'.
@@ -342,7 +336,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     anchors = anchors - anchors[live].mean(axis=0)
     reach = int(math.ceil(np.abs(anchors[live]).max())) + max(SEARCH_X, SEARCH_Y) + 2
 
-    contexts = {i: _ocr_context(h, w, _tilt_key(angle), reach, factor)
+    contexts = {i: _ocr_context(h, w, _tilt_key(angle), reach)
                 for i, (_, h, w, angle) in enumerate(frames) if i in live}
 
     # Two buffers sized for the coarse stage, the largest, serve every cell
@@ -353,7 +347,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
     # to fit it, so later reads reuse heap pages (160 minor faults per guided
     # case, against 1,400 with two allocations).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
-    size = len(xs) * len(ys) * len(default_font().charset) * PATCH_H * PATCH_W
+    size = len(xs) * len(ys) * len(default_font().charset) * GLYPH_H * GLYPH_W
     row_buf, view_buf = np.empty((2, size))
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
@@ -392,12 +386,12 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
         ctx = contexts[i]
         shape = (len(dy), len(dx)) + ctx.slots[:, 0].shape
         views = view_buf[: math.prod(shape)].reshape(shape)
-        _raw_views(ctx, dx, dy, factor, out=views)
+        _raw_views(ctx, dx, dy, out=views)
         if context is None:
             return views
         ctx_grid, ctx_points = context
         px, py = ctx_points[i]
-        base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=factor)[0]
+        base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=FACTOR)[0]
         own = None
         if decoded[i] in ctx.charset:
             own = views[:, :, ctx.charset.index(decoded[i])].copy()
@@ -435,7 +429,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray], factor: int = 4) 
 
     for _ in range(2):
         xs, ys = around(center, 1.0)
-        total, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach, factor))
+        total, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach))
         best_off = int(np.argmax(total))
         redecoded, confs = read_out(per_cell, best_off)
         center = offset(xs, ys, best_off)
@@ -476,6 +470,8 @@ class BenchCase:
             raise InputError(f"case scene_id must be an integer, got {self.scene_id!r}")
         if self.tier not in TIER_NAMES:
             raise InputError(f"unknown tier {self.tier!r}")
+        if isinstance(self.rotation_deg, bool) or not isinstance(self.rotation_deg, (int, float)):
+            raise InputError(f"case rotation_deg must be a number, got {self.rotation_deg!r}")
         if tier_for_rotation(self.rotation_deg) != self.tier:
             raise InputError(
                 f"rotation {self.rotation_deg} outside tier {self.tier!r} bounds"
@@ -539,7 +535,6 @@ def place_mask(
 
 
 def generate_benchmark(
-    base_specs: Optional[Sequence[BaseSpec]] = None,
     per_tier_count: int = 10,
     rng_seed: int = 0,
     canvas: tuple[int, int] = CANVAS,
@@ -548,9 +543,7 @@ def generate_benchmark(
     uniform inside each tier's bounds, base rows cycled across cases."""
     if per_tier_count < 1:
         raise InputError("per_tier_count must be at least 1")
-    specs = list(base_specs) if base_specs is not None else default_base_specs()
-    if not specs:
-        raise InputError("need at least one base spec")
+    specs = default_base_specs()
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
 
     cases: list[BenchCase] = []
@@ -657,16 +650,13 @@ def _run_case(
             case.text, case.mask, case.scene_id, case.seed, config,
             corpus=corpus, schedule=schedule,
         )
-        segments = result.segments
-        if segments is None:  # unguided runs never divide the mask
-            segments = divide_mask(case.mask, case.text)
-        cells = char_cells(segments, case.text)
+        cells = char_cells(result.segments, case.text)
         # Score against the scene plate: the referee knows the background just
         # as it knows the cell geometry, so placement is what gets graded.
         # The plate goes through the codec so the subtraction leaves pure ink.
-        codec = LatentCodec(corpus.factor)
+        codec = LatentCodec()
         plate = codec.decode(codec.encode(scene_background(case.scene_id, corpus.canvas)))
-        decoded = ocr_decode(result.image - plate, cells, corpus.factor).decoded
+        decoded = ocr_decode(result.image - plate, cells).decoded
         # A read is trusted only when most cells found a character; stray
         # fringes under a steeply rotated mask are not placed text.
         if 2 * sum(c != OCR_SENTINEL for c in decoded) < len(decoded):

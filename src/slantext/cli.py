@@ -27,7 +27,7 @@ from .bench import (
     save_manifest,
 )
 from .corpus import CANVAS, build_corpus
-from .diffusion import LatentCodec, NoiseSchedule, linear_schedule
+from .diffusion import FACTOR, LatentCodec, NoiseSchedule, linear_schedule
 from .errors import InputError, SlantextError
 from .geometry import PolygonMask, divide_mask, flatten_segments
 from .glyph import default_font, render_flat_glyph, render_glyph_image
@@ -92,9 +92,10 @@ class RunConfig:
 
     def __post_init__(self):
         h, w = self.canvas
-        if h < 64 or w < 64 or h % 4 or w % 4:
+        if h < 64 or w < 64 or h % FACTOR or w % FACTOR:
             raise InputError(
-                f"canvas must be at least 64x64 with sides divisible by 4, got {self.canvas}"
+                f"canvas must be at least 64x64 with sides divisible by {FACTOR},"
+                f" got {self.canvas}"
             )
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
@@ -235,8 +236,8 @@ def _render_canvas(mask: PolygonMask, base: tuple[int, int]) -> tuple[int, int]:
     """Smallest codec-aligned canvas covering both the base size and the
     mask, so decompose can debug-render shapes bigger than a scene."""
     hi = mask.vertices.max(axis=0)
-    w = max(base[1], 4 * math.ceil((hi[0] + 2.5) / 4))
-    h = max(base[0], 4 * math.ceil((hi[1] + 2.5) / 4))
+    w = max(base[1], FACTOR * math.ceil((hi[0] + 2.5) / FACTOR))
+    h = max(base[0], FACTOR * math.ceil((hi[1] + 2.5) / FACTOR))
     return (int(h), int(w))
 
 
@@ -253,7 +254,7 @@ def cmd_generate(args) -> int:
     corpus = build_corpus(canvas=cfg.canvas)
     trace = None
     if args.trace:
-        codec = LatentCodec(corpus.factor)
+        codec = LatentCodec()
         trace_dir = out / "trace"
         trace_dir.mkdir(exist_ok=True)
 
@@ -265,15 +266,13 @@ def cmd_generate(args) -> int:
         text, mask, cfg.scene_id, cfg.seed,
         config=cfg.guidance, corpus=corpus, schedule=cfg.schedule(), trace=trace,
     )
-    # an unguided run skips decomposition; the layout artifact is still due
-    segments = result.segments if result.segments is not None else divide_mask(mask, text)
-    layout = result.layout if result.layout is not None else flatten_segments(segments, cfg.canvas)
-
     image_path = out / "image.ppm"
     write_ppm(image_path, (result.image + PIXEL_SHIFT) / PIXEL_RANGE)
     layout_path = out / "layout.json"
     layout_path.write_text(
-        json.dumps(_layout_payload(text, segments, layout), indent=2, sort_keys=True) + "\n"
+        json.dumps(
+            _layout_payload(text, result.segments, result.layout), indent=2, sort_keys=True
+        ) + "\n"
     )
     write_run_config(out, cfg, "generate", {"mask": args.mask, "out": args.out})
     print(image_path)

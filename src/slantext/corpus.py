@@ -47,7 +47,6 @@ class Exemplar:
 class FlatTextCorpus:
     exemplars: tuple
     canvas: tuple[int, int]
-    factor: int
 
     def for_scene(self, scene_id: int) -> list[Exemplar]:
         return [ex for ex in self.exemplars if ex.scene_id == scene_id]
@@ -86,9 +85,8 @@ def render_scene_image(scene_id: int, text: str, y: int,
 
 def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
                  rows: tuple = ROW_YS,
-                 canvas: tuple[int, int] = CANVAS,
-                 factor: int = 4) -> FlatTextCorpus:
-    codec = LatentCodec(factor)
+                 canvas: tuple[int, int] = CANVAS) -> FlatTextCorpus:
+    codec = LatentCodec()
     exemplars = []
     for sid, text in enumerate(scene_texts):
         for row, y in enumerate(rows):
@@ -96,7 +94,7 @@ def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
             exemplars.append(Exemplar(
                 scene_id=sid, text=text, row=row, y=y, latent=codec.encode(img),
             ))
-    return FlatTextCorpus(exemplars=tuple(exemplars), canvas=canvas, factor=factor)
+    return FlatTextCorpus(exemplars=tuple(exemplars), canvas=canvas)
 
 
 def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:

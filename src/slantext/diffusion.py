@@ -22,6 +22,10 @@ StepHook = Callable[[LatentGrid, int], LatentGrid]
 # trace: (t, z_t_after_step) -> None
 TraceFn = Callable[[int, LatentGrid], None]
 
+# Side of the pixel block one latent cell stands for; canvas sides must be
+# multiples of it.
+FACTOR = 4
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -122,32 +126,25 @@ def sample(
     return z
 
 
-@dataclass(frozen=True)
 class LatentCodec:
-    """Pixel image (H, W, 3) <-> latent (3, H/f, W/f).
+    """Pixel image (H, W, 3) <-> latent (3, H/FACTOR, W/FACTOR).
 
-    Encoding averages f x f blocks per channel; decoding repeats each
-    latent cell back out, so encode(decode(z)) recovers z up to rounding.
+    Encoding averages FACTOR x FACTOR blocks per channel; decoding repeats
+    each latent cell back out, so encode(decode(z)) recovers z up to
+    rounding.
     """
-
-    factor: int = 4
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ShapeError(f"codec factor must be >= 1, got {self.factor}")
 
     def encode(self, image: np.ndarray) -> LatentGrid:
         img = np.asarray(image, dtype=np.float64)
         if img.ndim != 3 or img.shape[2] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got shape {img.shape}")
         h, w, _ = img.shape
-        f = self.factor
+        f = FACTOR
         if h % f or w % f:
             raise ShapeError(f"image size {(h, w)} not divisible by factor {f}")
         blocks = img.reshape(h // f, f, w // f, f, 3).mean(axis=(1, 3))
         return LatentGrid(blocks.transpose(2, 0, 1))
 
     def decode(self, z: LatentGrid) -> np.ndarray:
-        f = self.factor
         img = z.data.transpose(1, 2, 0)
-        return np.repeat(np.repeat(img, f, axis=0), f, axis=1)
+        return np.repeat(np.repeat(img, FACTOR, axis=0), FACTOR, axis=1)

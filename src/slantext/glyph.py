@@ -16,12 +16,11 @@ from .grid import LatentGrid, paste_region_with_mask
 
 
 class BitmapFont:
-    """Fixed-cell font backed by per-row bit patterns."""
+    """Fixed-cell font backed by the per-row bit patterns of FONT_ROWS."""
 
-    def __init__(self, rows: dict[str, tuple] | None = None):
-        rows = FONT_ROWS if rows is None else rows
+    def __init__(self):
         self._bitmaps: dict[str, np.ndarray] = {}
-        for ch, pattern in rows.items():
+        for ch, pattern in FONT_ROWS.items():
             if len(ch) != 1:
                 raise CharsetError(f"font keys must be single characters, got {ch!r}")
             if len(pattern) != GLYPH_H:

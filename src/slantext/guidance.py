@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus import INK_AMP, FlatTextCorpus, build_corpus, make_denoiser
 from .diffusion import (
+    FACTOR,
     Denoiser,
     LatentCodec,
     NoiseSchedule,
@@ -167,16 +168,15 @@ def build_reference(denoiser: Denoiser, schedule: NoiseSchedule,
     return sample(denoiser, z_init, schedule)
 
 
-def _px_to_latent(v: np.ndarray, factor: int) -> np.ndarray:
-    # latent cell J centers on pixel J*f + (f-1)/2
-    return (v - (factor - 1) / 2.0) / factor
+def _px_to_latent(v: np.ndarray) -> np.ndarray:
+    # latent cell J centers on pixel J*FACTOR + (FACTOR-1)/2
+    return (v - (FACTOR - 1) / 2.0) / FACTOR
 
 
 def align_reference(
     z_ref: LatentGrid,
     layout: FlatLayout,
     segments: list[QuadSegment],
-    factor: int,
 ) -> tuple[LatentGrid, RegionMask]:
     """Carry reference content from each flat layout rect into its segment
     quad, all at latent resolution. Returns the aligned latent (zero where
@@ -192,29 +192,24 @@ def align_reference(
             [x + w - 0.5, y + h - 0.5],
             [x - 0.5, y + h - 0.5],
         ])
-        out_h = max(1, int(round(h / factor)))
-        out_w = max(1, int(round(w / factor)))
-        patch = extract_region(z_ref, _px_to_latent(rect_quad, factor), out_h, out_w)
-        canvas, written = paste_region_with_mask(
-            canvas, patch, _px_to_latent(seg.corners, factor)
-        )
+        out_h = max(1, int(round(h / FACTOR)))
+        out_w = max(1, int(round(w / FACTOR)))
+        patch = extract_region(z_ref, _px_to_latent(rect_quad), out_h, out_w)
+        canvas, written = paste_region_with_mask(canvas, patch, _px_to_latent(seg.corners))
         valid = np.maximum(valid, written.astype(np.float64))
     return canvas, RegionMask(valid)
 
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Everything one guided run produces."""
+    """Everything one run produces: the sample, its decoded image, and the
+    mask's segments and flat layout."""
 
-    text: str
-    scene_id: int
-    seed: int
-    config: GuidanceConfig
     z0: LatentGrid
     image: np.ndarray
     guided: bool
-    segments: Optional[list] = None
-    layout: Optional[FlatLayout] = None
+    segments: list[QuadSegment]
+    layout: FlatLayout
 
 
 def generate(
@@ -228,7 +223,8 @@ def generate(
     trace: Optional[TraceFn] = None,
 ) -> GenerationResult:
     """Full pipeline: decompose the mask, build branch priors, run guided
-    sampling, decode to pixels.
+    sampling, decode to pixels.  The mask is divided and flattened on every
+    run; only an active config turns the segments into priors.
 
     Seeds split into two fixed streams, one for the main chain's noise and
     one for the reference sample, so toggling the semantic branch never
@@ -242,22 +238,19 @@ def generate(
         raise InputError("text must be non-empty")
 
     h, w = corpus.canvas
-    f = corpus.factor
-    codec = LatentCodec(f)
-    latent_shape = (3, h // f, w // f)
+    codec = LatentCodec()
+    latent_shape = (3, h // FACTOR, w // FACTOR)
     denoiser = make_denoiser(corpus, scene_id)
+    segments = divide_mask(mask, text)
+    layout = flatten_segments(segments, (h, w))
 
     main_ss, ref_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(main_ss)
     z_init = LatentGrid(rng.standard_normal(latent_shape))
 
     hook = None
-    segments = None
-    layout = None
     if config.active:
-        segments = divide_mask(mask, text)
-        layout = flatten_segments(segments, (h, w))
-        lat_mask = rasterize_mask(mask, h, w, downscale=f)
+        lat_mask = rasterize_mask(mask, h, w, downscale=FACTOR)
         z_glyph = None
         z_ref = None
         ref_mask = None
@@ -268,16 +261,12 @@ def generate(
         if config.use_srb:
             ref_rng = np.random.default_rng(ref_ss)
             z_flat = build_reference(denoiser, schedule, ref_rng, latent_shape)
-            z_ref, written = align_reference(z_flat, layout, segments, f)
+            z_ref, written = align_reference(z_flat, layout, segments)
             ref_mask = RegionMask(lat_mask.data * written.data)
         hook = make_guidance_hook(config, schedule, lat_mask, z_ref, ref_mask, z_glyph)
 
     z0 = sample(denoiser, z_init, schedule, hook=hook, trace=trace)
     return GenerationResult(
-        text=text,
-        scene_id=scene_id,
-        seed=seed,
-        config=config,
         z0=z0,
         image=codec.decode(z0),
         guided=hook is not None,

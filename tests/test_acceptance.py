@@ -238,7 +238,7 @@ def test_criterion_03_step_weight_schedule():
 def test_criterion_04_inactive_guidance_is_plain_sampling(corpus):
     text, scene_id = "CAT", 0
     mask = flat_text_mask(text)
-    codec = LatentCodec(corpus.factor)
+    codec = LatentCodec()
     schedule = linear_schedule()
     denoiser = make_denoiser(corpus, scene_id)
     start = time.perf_counter()

@@ -41,7 +41,7 @@ from slantext.corpus import (
     render_scene_image,
     scene_background,
 )
-from slantext.diffusion import LatentCodec
+from slantext.diffusion import FACTOR, LatentCodec
 from slantext.errors import GeometryError, InputError
 from slantext.geometry import PolygonMask, divide_mask
 from slantext.glyph import char_cells, render_glyph_image
@@ -193,8 +193,6 @@ class TestGenerateBenchmark:
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             generate_benchmark(per_tier_count=0)
-        with pytest.raises(InputError):
-            generate_benchmark(base_specs=[])
 
     def test_manifest_round_trip(self, tmp_path):
         cases = generate_benchmark(per_tier_count=2, rng_seed=5)
@@ -252,7 +250,7 @@ class TestOcrDecode:
     def test_blocked_scene_round_trip(self):
         # the runner's referee path: codec round trip, then the known
         # background plate comes off before decoding
-        codec = LatentCodec(4)
+        codec = LatentCodec()
         image = codec.decode(codec.encode(render_scene_image(0, "BLAZE", 16)))
         plate = codec.decode(codec.encode(scene_background(0)))
         mask = base_mask(BaseSpec(0, "BLAZE", 16))
@@ -268,11 +266,11 @@ class TestOcrDecode:
             OcrResult("AB", (0.5,))
 
 
-def full_mesh_views(ctx, offsets, factor):
+def full_mesh_views(ctx, offsets):
     """Template views by the full-size formula: the latent sheet repeated
-    factor x factor (the decoded sheet), sampled on (chars, offsets, points)
+    FACTOR x FACTOR (the decoded sheet), sampled on (chars, offsets, points)
     meshes of every slot point displaced by every (x, y) offset."""
-    sheet = LatentGrid(np.repeat(np.repeat(ctx.grid.data, factor, axis=1), factor, axis=2))
+    sheet = LatentGrid(np.repeat(np.repeat(ctx.grid.data, FACTOR, axis=1), FACTOR, axis=2))
     px = ctx.slots[:, 0, None, :] + offsets[None, :, 0, None]
     py = ctx.slots[:, 1, None, :] + offsets[None, :, 1, None]
     n_ch, n_off, n_pts = px.shape
@@ -285,8 +283,7 @@ class TestOcrViews:
         (7, 5, 0, 10), (11, 8, 37, 12), (14, 12, -90, 11), (9, 17, 180, 14),
     ])
     def test_axis_views_match_full_mesh(self, h, w, tilt_key, reach):
-        factor = 4
-        ctx = bench._ocr_context(h, w, tilt_key, reach, factor)
+        ctx = bench._ocr_context(h, w, tilt_key, reach)
         anchor = np.array([0.37, -1.21])
         for center, (half_x, half_y, step) in (
             (np.zeros(2), (bench.SEARCH_X, bench.SEARCH_Y, 1.0)),
@@ -296,19 +293,19 @@ class TestOcrViews:
             ax, ay = bench._offset_axes(half_x, half_y, step)
             gx, gy = np.meshgrid(ax, ay)
             offsets = anchor + (center + np.stack([gx.ravel(), gy.ravel()], axis=1))
-            want = full_mesh_views(ctx, offsets, factor)
+            want = full_mesh_views(ctx, offsets)
             # the views land in the front of a caller's buffer, offsets outermost
             shape = (len(ay), len(ax), len(ctx.charset), want.shape[2])
             buf = np.full(math.prod(shape) + 7, np.nan)
             got = buf[: math.prod(shape)].reshape(shape)
-            bench._raw_views(
-                ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), factor, got)
+            bench._raw_views(ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), got)
             assert np.isnan(buf[got.size :]).all()
             got = got.transpose(2, 0, 1, 3).reshape(want.shape)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("factor", [1, 2, 4])
+    # one case, at the codec's factor; the id keeps the factor it ran at
+    @pytest.mark.parametrize("factor", [FACTOR])
     def test_latent_sheet_repeats_to_decoded_sheet(self, factor):
         rng = np.random.default_rng(factor)
         stamps = []
@@ -318,18 +315,18 @@ class TestOcrViews:
             ink[1::3] = -0.0
             stamps.append((x0, y0, ink))
         sheet_h, sheet_w = 4 * 5, 4 * 10
-        latent = bench._blocked_sheet(sheet_h, sheet_w, stamps, factor)
+        latent = bench._blocked_sheet(sheet_h, sheet_w, stamps)
         assert latent.shape == (1, sheet_h // factor, sheet_w // factor)
         sheet = np.zeros((sheet_h, sheet_w, 3))
         for x0, y0, ink in stamps:
             sheet[y0 : y0 + 7, x0 : x0 + 5, :] = ink[:, :, None]
-        codec = LatentCodec(factor)
+        codec = LatentCodec()
         want = codec.decode(codec.encode(sheet)).mean(axis=2)
         got = np.repeat(np.repeat(latent.data[0], factor, axis=0), factor, axis=1)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("factor", [1, 2, 4])
+    @pytest.mark.parametrize("factor", [FACTOR])
     def test_band_sheets_match_full_sheet_encode(self, factor):
         # every sheet the OCR builds, captured on its way in: template sheets
         # over the whole reach range, and context sheets at a fractional
@@ -344,12 +341,12 @@ class TestOcrViews:
         with mock.patch.object(bench, "_blocked_sheet", capture):
             for reach in range(8, 30):
                 h, w = (7, 5) if reach % 2 else (14, 11)
-                bench._ocr_context.__wrapped__(h, w, 0, reach, factor)
+                bench._ocr_context.__wrapped__(h, w, 0, reach)
             frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
             for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
-                bench._context_grid(frames, decoded, pitch, 13, factor)
+                bench._context_grid(frames, decoded, pitch, 13)
         assert len(calls) == 22 + 4
-        assert any(x0 % factor for _, _, stamps, _ in calls for x0, _, _ in stamps) == (factor > 1)
+        assert any(x0 % factor for _, _, stamps in calls for x0, _, _ in stamps)
         for args in calls:
             got = blocked(*args).data
             want = full_sheet_oracle(*args)
@@ -366,8 +363,7 @@ class TestOcrViews:
         # The search's offset counts (221, 49, 81) are 1 mod 4, like the 37
         # characters, so a gemv in the views' own row order lands every row
         # in the same place there; the 6- and 15-offset grids tell it apart.
-        factor = 4
-        ctx = bench._ocr_context(h, w, tilt_key, 14, factor)
+        ctx = bench._ocr_context(h, w, tilt_key, 14)
         rng = np.random.default_rng(h * w)
         unit = bench._normalize_rows(rng.standard_normal((1, ctx.slots.shape[2])))[0]
         for half_x, half_y, step in (
@@ -380,21 +376,21 @@ class TestOcrViews:
             ax, ay = bench._offset_axes(half_x, half_y, step)
             n_y, n_x, (n_ch, n_pts) = len(ay), len(ax), ctx.slots[:, 0].shape
             views = np.empty((n_y, n_x, n_ch, n_pts))
-            bench._raw_views(ctx, 0.37 + ax, -1.21 + ay, factor, views)
+            bench._raw_views(ctx, 0.37 + ax, -1.21 + ay, views)
             old = views.transpose(2, 0, 1, 3).reshape(-1, n_pts)
             want = (bench._normalize_rows(old.copy()) @ unit).reshape(n_ch, n_y * n_x)
             got = bench._correlate(views, unit, np.empty(views.size + 3))
             assert np.array_equal(got, want)
 
 
-def full_sheet_oracle(sheet_h, sheet_w, stamps, factor):
+def full_sheet_oracle(sheet_h, sheet_w, stamps):
     """The sheet encode before band encoding: the whole RGB sheet built and
     encoded, then its channel mean."""
     sheet = np.zeros((sheet_h, sheet_w, 3))
     for x0, y0, ink in stamps:
         h, w = ink.shape
         sheet[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
-    return LatentCodec(factor).encode(sheet).data.mean(axis=0)[None]
+    return LatentCodec().encode(sheet).data.mean(axis=0)[None]
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +401,19 @@ def corpus():
 @pytest.fixture(scope="module")
 def tiny_cases():
     return generate_benchmark(per_tier_count=1, rng_seed=2)
+
+
+# (cases per tier, config, sha256 of report.json) for seed-0 manifests.  The
+# 30-case rows are the full default manifest, guided and with both branches
+# off, the same reports BENCH_8.json records under 0/full and 0/both_off.
+PINNED_REPORTS = [
+    (1, GuidanceConfig(), "e3d6cac90e776dfa1035ad19011a0344b5dcfef2e85beec08a453774959dc6cc"),
+    (1, GuidanceConfig(use_srb=False, use_sib=False),
+     "ed4bb592e16c8ffc36bb55105b3e78158961f3914fa2a949abf2fb718d1234f2"),
+    (10, GuidanceConfig(), "91125e0f177039e7c86c750fe05c78e4035963bfb37e92d8eb5a788320c257d3"),
+    (10, GuidanceConfig(use_srb=False, use_sib=False),
+     "e1d2624a0e3544798904fa6e1c432f58c6368e36a73052970e7224eee1be09bf"),
+]
 
 
 class TestRunBench:
@@ -468,7 +477,8 @@ class TestRunBench:
             calls.append(args)
             return geometry.divide_mask(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "divide_mask", counting)
+        # bench holds no divide_mask of its own; one it gained would count too
+        monkeypatch.setattr(bench, "divide_mask", counting, raising=False)
         monkeypatch.setattr(guidance, "divide_mask", counting)
         run_bench(tiny_cases[:1], config=GuidanceConfig(), corpus=corpus)
         assert len(calls) == 1
@@ -478,15 +488,12 @@ class TestRunBench:
         report = run_bench(cases, corpus=build_corpus(canvas=(96, 96)))
         assert [r.note for r in report.records] == [""] * len(cases)
 
-    @pytest.mark.parametrize("config,digest", [
-        (GuidanceConfig(), "e3d6cac90e776dfa1035ad19011a0344b5dcfef2e85beec08a453774959dc6cc"),
-        (GuidanceConfig(use_srb=False, use_sib=False),
-         "ed4bb592e16c8ffc36bb55105b3e78158961f3914fa2a949abf2fb718d1234f2"),
-    ])
-    def test_report_digest_pinned(self, corpus, tmp_path, config, digest):
-        # report.json of the seed-0, one-case-per-tier run; a change to the
-        # OCR or the sampler that moves any read or score moves this digest
-        cases = generate_benchmark(per_tier_count=1, rng_seed=0)
+    @pytest.mark.parametrize("per_tier_count,config,digest", PINNED_REPORTS,
+                             ids=[f"config{i}-{d}" for i, (_, _, d) in enumerate(PINNED_REPORTS)])
+    def test_report_digest_pinned(self, corpus, tmp_path, per_tier_count, config, digest):
+        # report.json of a seed-0 run; a change to the OCR or the sampler
+        # that moves any read or score moves this digest
+        cases = generate_benchmark(per_tier_count=per_tier_count, rng_seed=0)
         run_bench(cases, config=config, corpus=corpus, out_dir=tmp_path)
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 

@@ -158,7 +158,7 @@ class TestLatentCodec:
     def test_encode_shape_and_block_mean(self):
         img = np.zeros((8, 8, 3))
         img[0:4, 0:4, 0] = 1.0
-        z = LatentCodec(4).encode(img)
+        z = LatentCodec().encode(img)
         assert z.shape == (3, 2, 2)
         assert z.data[0, 0, 0] == 1.0
         assert z.data[0].sum() == 1.0
@@ -167,20 +167,21 @@ class TestLatentCodec:
     def test_encode_decode_encode_is_identity(self):
         rng = np.random.default_rng(5)
         z = grid(rng.standard_normal((3, 6, 7)))
-        codec = LatentCodec(4)
+        codec = LatentCodec()
         again = codec.encode(codec.decode(z))
         assert again.data == pytest.approx(z.data, abs=1e-12)
 
     def test_decode_repeats_blocks(self):
         z = grid(np.arange(4.0).reshape(1, 2, 2).repeat(3, axis=0))
-        img = LatentCodec(2).decode(z)
-        assert img.shape == (4, 4, 3)
-        assert img[0:2, 0:2, 0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert img[2:4, 2:4, 1].tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        img = LatentCodec().decode(z)
+        assert img.shape == (8, 8, 3)
+        assert (img[0:4, 0:4, 0] == 0.0).all()
+        assert (img[0:4, 4:8, 2] == 1.0).all()
+        assert (img[4:8, 4:8, 1] == 3.0).all()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
-            LatentCodec(4).encode(np.zeros((10, 8, 3)))
+            LatentCodec().encode(np.zeros((10, 8, 3)))
 
 
 class TestCorpus:
@@ -235,7 +236,7 @@ class TestMixtureDenoiser:
         step, so the chain must land on it exactly."""
         corpus = build_corpus()
         only = corpus.exemplars[0]
-        solo = FlatTextCorpus(exemplars=(only,), canvas=CANVAS, factor=4)
+        solo = FlatTextCorpus(exemplars=(only,), canvas=CANVAS)
         den = make_denoiser(solo, only.scene_id)
         s = linear_schedule(20)
         rng = np.random.default_rng(42)

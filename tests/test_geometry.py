@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slantext.errors import GeometryError, InputError, LayoutError
+from slantext.corpus import build_corpus
+from slantext.errors import GeometryError, InputError, LayoutError, SlantextError
 from slantext.geometry import (
     BezierCurve,
     FlatLayout,
@@ -29,6 +30,7 @@ from slantext.geometry import (
     split_points,
 )
 from slantext.glyph import render_glyph_image
+from slantext.guidance import generate
 
 
 def rect_polygon(cx, cy, w, h, angle=0.0):
@@ -421,6 +423,11 @@ def band_vertices(kind, k, size, thickness, bend, tilt):
     return verts[::-1] if polygon_area(verts) < 0 else verts
 
 
+@pytest.fixture(scope="module")
+def wide_corpus():
+    return build_corpus(canvas=(64, 128))
+
+
 class TestCurvedBands:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -433,9 +440,18 @@ class TestCurvedBands:
         st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, max_size=11),
     )
     def test_only_expected_errors_and_slices_cover_text(
-        self, kind, k, size, thickness, bend, tilt, text
+        self, wide_corpus, kind, k, size, thickness, bend, tilt, text
     ):
         verts = band_vertices(kind, k, size, thickness, bend, tilt)
+        # guided generation on the band, centred on the canvas, fails if at
+        # all as a SlantextError: any other exception escapes the test
+        try:
+            result = generate(text, PolygonMask(verts + (63.5, 31.5)), 0, 0, corpus=wide_corpus)
+        except SlantextError:
+            result = None
+        if result is not None:
+            assert result.image.shape == (64, 128, 3)
+            assert np.isfinite(result.image).all()
         try:
             segments = divide_mask(PolygonMask(verts), text)
             layout = flatten_segments(segments, (64, 128))

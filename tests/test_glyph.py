@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from slantext import glyph
 from slantext.errors import CharsetError, InputError, ShapeError
 from slantext.fontdata import FONT_ROWS, GLYPH_H, GLYPH_W
 from slantext.geometry import FlatLayout, QuadSegment, SimilarityTransform
@@ -47,11 +48,11 @@ class TestBitmapFont:
         with pytest.raises(CharsetError, match="'#'"):
             default_font().validate("AB#")
 
-    def test_bad_rows_rejected(self):
-        with pytest.raises(CharsetError):
-            BitmapFont({"X": (0, 0, 0)})
-        with pytest.raises(CharsetError):
-            BitmapFont({"X": (0x20, 0, 0, 0, 0, 0, 0)})
+    def test_bad_rows_rejected(self, monkeypatch):
+        for rows in ({"X": (0, 0, 0)}, {"X": (0x20, 0, 0, 0, 0, 0, 0)}, {"XY": FONT_ROWS["A"]}):
+            monkeypatch.setattr(glyph, "FONT_ROWS", rows)
+            with pytest.raises(CharsetError):
+                BitmapFont()
 
     def test_all_glyphs_distinct(self):
         font = default_font()

@@ -14,6 +14,8 @@ from slantext.geometry import (
     PolygonMask,
     QuadSegment,
     SimilarityTransform,
+    divide_mask,
+    flatten_segments,
     polygon_area,
 )
 from slantext.grid import LatentGrid, RegionMask, adain, masked_blend
@@ -236,7 +238,7 @@ class TestAlignReference:
                               [15.5, 31.5], [-0.5, 31.5]]),
             angle=0.0, index=0, text_slice=(0, 1),
         )
-        aligned, valid = align_reference(z_ref, layout, [seg], factor=4)
+        aligned, valid = align_reference(z_ref, layout, [seg])
         assert np.array_equal(aligned.data[:, 4:8, 0:4], z_ref.data[:, 0:4, 0:4])
         assert valid.data[4:8, 0:4].all()
         assert valid.data.sum() == 16
@@ -251,7 +253,7 @@ class TestAlignReference:
             angle=0.0, index=0, text_slice=(0, 1),
         )
         with pytest.raises(InputError):
-            align_reference(grid(np.zeros((3, 16, 16))), layout, [seg], 4)
+            align_reference(grid(np.zeros((3, 16, 16))), layout, [seg])
 
 
 class TestBuildReference:
@@ -347,6 +349,18 @@ class TestGeneratePipeline:
         assert len(res.segments) == 1
         assert res.layout is not None
         assert res.image.shape == (64, 64, 3)
+
+    def test_unguided_run_carries_decomposition(self, corpus):
+        mask = arc_mask()
+        res = generate("CURVED", mask, 3, seed=11,
+                       config=GuidanceConfig(use_srb=False, use_sib=False), corpus=corpus)
+        assert not res.guided
+        want = divide_mask(mask, "CURVED")
+        assert len(res.segments) == len(want) == 2
+        for got, seg in zip(res.segments, want):
+            assert np.array_equal(got.corners, seg.corners)
+            assert (got.angle, got.index, got.text_slice) == (seg.angle, seg.index, seg.text_slice)
+        assert res.layout == flatten_segments(want, corpus.canvas)
 
     # sha256 of the guided image bytes (float64, numpy 2.4): every cut,
     # quad inverse and guidance step on a curved mask must stay bitwise put
