@@ -206,23 +206,33 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]
 
 
 @lru_cache(maxsize=8)
-def _ocr_context(h: int, w: int, tilt_key: int, reach: int) -> _OcrContext:
-    """Build templates for one cell shape.  Every character gets a clean
-    render sampled through a flat quad, plus sampling geometry over a shared
-    codec-blocked sheet: one sheet stamping each character in its own
-    block-aligned slot, read through a quad tilted like the cell.  Offsetting
-    a slot quad over the sheet reproduces any cell-to-content displacement up
-    to `reach` pixels, so one codec pass serves the whole search."""
-    us, vs = _patch_fractions(h, w)
-    chars = default_font().charset
-    flats, crisp = _flat_templates(h, w)
+def _template_sheet(h: int, w: int, reach: int) -> tuple[LatentGrid, int, int]:
+    """Codec-blocked sheet stamping every character's clean h x w render in
+    its own block-aligned slot, with the slots' margin and stride.  It does
+    not depend on the cell tilt, so cells of one shape at any tilt share it."""
+    flats, _ = _flat_templates(h, w)
     margin = FACTOR * math.ceil((reach + h + w) / FACTOR)
     stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
     grid = _blocked_sheet(
         FACTOR * math.ceil((2 * margin + h) / FACTOR),
-        2 * margin + stride * len(chars),
+        2 * margin + stride * len(flats),
         [(margin + i * stride, margin, flat) for i, flat in enumerate(flats)],
     )
+    return grid, margin, stride
+
+
+@lru_cache(maxsize=8)
+def _ocr_context(h: int, w: int, tilt_key: int, reach: int) -> _OcrContext:
+    """Build templates for one cell shape.  Every character gets a clean
+    render sampled through a flat quad, plus sampling geometry over the
+    shared template sheet, read through a quad tilted like the cell.
+    Offsetting a slot quad over the sheet reproduces any cell-to-content
+    displacement up to `reach` pixels, so one codec pass serves the whole
+    search."""
+    us, vs = _patch_fractions(h, w)
+    chars = default_font().charset
+    _, crisp = _flat_templates(h, w)
+    grid, margin, stride = _template_sheet(h, w, reach)
     slots = np.stack(
         [
             _slot_points(h, w, margin + i * stride, margin, tilt_key, us, vs)

@@ -24,6 +24,12 @@ PACK_GUTTER = 4.0
 TANGENT_SAMPLES = 512
 ARC_SAMPLES = 257
 
+# Most (row, column) pairs one array pass of the crossing check or the
+# even-odd raster holds: each of their temporaries is then 128 KiB.  Four
+# times as many raised the peak RSS of 240 curved generate cases by 3.8%
+# and built masks no faster; see BENCH_10.json `pair_block`.
+PAIR_BLOCK = 2**14
+
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -82,19 +88,25 @@ class PolygonMask:
             raise GeometryError(f"polygon needs >= 4 vertices, got {pts.shape[0]}")
         if polygon_area(pts) <= 0.0:
             raise GeometryError("polygon must have positive signed area (wrong winding?)")
-        # Edge i against every later edge sharing no vertex with it, one row
-        # of arrays per edge: a proper crossing puts each edge's end points
-        # strictly on different sides of the other's line.
+        # Edge i against every later edge j >= i + 2 but the pair (0, n-1),
+        # which shares vertex 0: a proper crossing puts each edge's end
+        # points strictly on different sides of the other's line.  A block
+        # of rows i0 <= i < i1 meets the columns j >= i0 + 2, and its upper
+        # triangle keeps j >= i + 2.
         n = pts.shape[0]
         starts, ends = pts, np.roll(pts, -1, axis=0)
-        for i in range(n - 2):
-            p1, p2 = starts[i], ends[i]
-            stop = n - 1 if i == 0 else n
-            p3, p4 = starts[i + 2 : stop], ends[i + 2 : stop]
-            if np.any(
+        rows = max(1, PAIR_BLOCK // n)
+        for i0 in range(0, n - 2, rows):
+            i1 = min(i0 + rows, n - 2)
+            p1, p2 = starts[i0:i1, None], ends[i0:i1, None]
+            p3, p4 = starts[i0 + 2 :], ends[i0 + 2 :]
+            cross = np.triu(
                 ((_orient(p3, p4, p1) > 0) != (_orient(p3, p4, p2) > 0))
                 & ((_orient(p1, p2, p3) > 0) != (_orient(p1, p2, p4) > 0))
-            ):
+            )
+            if i0 == 0:
+                cross[0, -1] = False
+            if cross.any():
                 raise GeometryError("polygon is self-intersecting")
         arr = pts.copy()
         arr.flags.writeable = False
@@ -253,12 +265,14 @@ class FlatLayout:
 
 
 def convex_hull(points) -> np.ndarray:
-    """Monotone-chain hull, counter-clockwise in (x, y) math orientation."""
+    """Monotone-chain hull, counter-clockwise in (x, y) math orientation.
+    The chain runs over Python floats, whose products and differences are
+    the same IEEE doubles as numpy's."""
     pts = np.unique(_as_points(points), axis=0)
     if pts.shape[0] < 3:
         raise GeometryError("hull needs at least 3 distinct points")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    pts = pts[order].tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -428,8 +442,8 @@ def _angle_diff_mod_pi(a: float, b: float) -> float:
 
 def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Interior parameters where the curve tangent runs parallel to either
-    rect axis. Sign changes on a TANGENT_SAMPLES-step grid are refined by
-    bisection."""
+    rect axis. Exact zeros and sign changes on a TANGENT_SAMPLES-step grid
+    are found as arrays; each sign change is refined by scalar bisection."""
     dirs = []
     for a in (rect.angle, rect.angle + math.pi / 2.0):
         dirs.append(np.array([math.cos(a), math.sin(a)]))
@@ -439,26 +453,22 @@ def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[flo
     roots: list[float] = []
     for d in dirs:
         f = tang[:, 0] * d[1] - tang[:, 1] * d[0]
-        for i in range(TANGENT_SAMPLES):
-            if f[i] == 0.0:
-                if 0 < i < TANGENT_SAMPLES:
-                    roots.append(float(ts[i]))
-                continue
-            if f[i] * f[i + 1] < 0.0:
-                lo, hi = float(ts[i]), float(ts[i + 1])
-                flo = float(f[i])
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    tm = curve.tangent(mid)
-                    fm = float(tm[0] * d[1] - tm[1] * d[0])
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if (fm > 0) == (flo > 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                roots.append(0.5 * (lo + hi))
+        roots.extend(ts[1:TANGENT_SAMPLES][f[1:TANGENT_SAMPLES] == 0.0].tolist())
+        for i in np.flatnonzero(f[:-1] * f[1:] < 0.0):
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            flo = float(f[i])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                tm = curve.tangent(mid)
+                fm = float(tm[0] * d[1] - tm[1] * d[0])
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
 
     eps = 1e-4
     roots = sorted(r for r in roots if eps < r < 1.0 - eps)
@@ -472,7 +482,23 @@ def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[flo
 def split_points(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Cut parameters for a center curve: tangent-parallel points, filtered
     so a cut only lands once the tangent has turned at least
-    PARALLEL_FILTER_RAD away from the running entry direction."""
+    PARALLEL_FILTER_RAD away from the running entry direction.
+
+    A cubic's tangent 3 * sum_i b_i(t) d_i mixes the control differences
+    d_0, d_1, d_2 with Bernstein weights b_i(t) >= 0.  When every d_i is
+    longer than 1e-9 and lies within PARALLEL_FILTER_RAD / 2 of d_0, every
+    tangent lies in that cone about the entry direction 3 * d_0, so the
+    filter rejects every root and no search runs.  The other half of the
+    angle covers rounding: the d_i all point into the cone, so the mix
+    cannot cancel."""
+    d = np.diff(curve.control, axis=0).tolist()
+    x0, y0 = d[0]
+    if all(
+        math.hypot(x, y) > 1e-9
+        and abs(math.atan2(x0 * y - y0 * x, x0 * x + y0 * y)) <= PARALLEL_FILTER_RAD / 2.0
+        for x, y in d
+    ):
+        return []
     entry = curve.tangent(0.0)
     entry_angle = math.atan2(entry[1], entry[0])
     kept: list[float] = []
@@ -641,16 +667,23 @@ def flatten_segments(
 
 
 def _points_in_polygon(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over query points."""
-    inside = np.zeros(xs.shape, dtype=bool)
-    n = verts.shape[0]
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        crosses = (y1 > ys) != (y2 > ys)
+    """Even-odd crossing test over query points, shaped like xs and ys
+    broadcast.  A block of edges meets every point at once; a point's hit
+    count parity is the XOR of its hits."""
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    inside = np.zeros(shape, dtype=bool)
+    x1, y1 = verts[:, 0], verts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    edges = max(1, PAIR_BLOCK // max(1, math.prod(shape)))
+    # a block's edges run along a new leading axis, the points behind it
+    at = (slice(None),) + (None,) * len(shape)
+    for k in range(0, verts.shape[0], edges):
+        e = slice(k, k + edges)
+        ex1, ey1, ex2, ey2 = x1[e][at], y1[e][at], x2[e][at], y2[e][at]
+        crosses = (ey1 > ys) != (ey2 > ys)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (xs < np.where(crosses, xint, np.inf))
+            xint = ex1 + (ys - ey1) * (ex2 - ex1) / (ey2 - ey1)
+            inside ^= np.logical_xor.reduce(crosses & (xs < xint), axis=0)
     return inside
 
 
@@ -661,8 +694,8 @@ def rasterize_mask(poly: PolygonMask, h: int, w: int, downscale: int = 1) -> Reg
     if downscale < 1 or h % downscale or w % downscale:
         raise GeometryError(f"downscale {downscale} must divide canvas {(h, w)}")
     gh, gw = h // downscale, w // downscale
-    js, is_ = np.meshgrid(np.arange(gw), np.arange(gh))
-    xs = js * downscale + (downscale - 1) / 2.0
-    ys = is_ * downscale + (downscale - 1) / 2.0
+    # every cell of a row shares its y, so the crossings are per row
+    xs = np.arange(gw)[None, :] * downscale + (downscale - 1) / 2.0
+    ys = np.arange(gh)[:, None] * downscale + (downscale - 1) / 2.0
     inside = _points_in_polygon(poly.vertices, xs, ys)
     return RegionMask(inside.astype(np.float64))

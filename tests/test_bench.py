@@ -341,7 +341,7 @@ class TestOcrViews:
         with mock.patch.object(bench, "_blocked_sheet", capture):
             for reach in range(8, 30):
                 h, w = (7, 5) if reach % 2 else (14, 11)
-                bench._ocr_context.__wrapped__(h, w, 0, reach)
+                bench._template_sheet.__wrapped__(h, w, reach)
             frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
             for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
                 bench._context_grid(frames, decoded, pitch, 13)
@@ -352,6 +352,16 @@ class TestOcrViews:
             want = full_sheet_oracle(*args)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_tilts_share_template_sheet(self):
+        # the sheet depends on the cell shape and reach, not the tilt: cells
+        # at other tilts read the same sheet through their own slot points
+        sheet, margin, stride = bench._template_sheet(11, 8, 13)
+        fresh = bench._template_sheet.__wrapped__(11, 8, 13)
+        assert np.array_equal(sheet.data, fresh[0].data) and (margin, stride) == fresh[1:]
+        flat, tilted = bench._ocr_context(11, 8, 0, 13), bench._ocr_context(11, 8, 37, 13)
+        assert flat.grid is sheet and tilted.grid is sheet
+        assert not np.array_equal(flat.slots, tilted.slots)
 
     @pytest.mark.parametrize("h,w,tilt_key", [(7, 5, 0), (11, 8, 37), (14, 12, -90)])
     def test_correlation_keeps_old_gemv_rows(self, h, w, tilt_key):

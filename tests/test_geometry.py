@@ -2,12 +2,14 @@
 flattening, rasterization."""
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from slantext import geometry
 from slantext.corpus import build_corpus
 from slantext.errors import GeometryError, InputError, LayoutError, SlantextError
 from slantext.geometry import (
@@ -16,6 +18,8 @@ from slantext.geometry import (
     OrientedRect,
     PolygonMask,
     SimilarityTransform,
+    PARALLEL_FILTER_RAD,
+    _angle_diff_mod_pi,
     _apportion,
     _points_in_polygon,
     _tangent_parallel_params,
@@ -111,17 +115,26 @@ def crossing_oracle(verts) -> bool:
     return False
 
 
+# PAIR_BLOCK values for the array passes: one row or edge per block; blocks
+# of 2-6 rows that split the 4-12 vertex polygons below, or of 3 edges over
+# the 256 pixel centres of a 16 x 16 raster; and the default
+BLOCKS = [1, 24, 800, geometry.PAIR_BLOCK]
+
+
 def assert_matches_crossing_oracle(verts):
     verts = np.asarray(verts, dtype=np.float64)
     area = polygon_area(verts)
     assume(area != 0.0)
     if area < 0:
         verts = verts[::-1]
-    if crossing_oracle(verts):
-        with pytest.raises(GeometryError, match="self-intersecting"):
-            PolygonMask(verts)
-    else:
-        PolygonMask(verts)
+    crosses = crossing_oracle(verts)
+    for block in BLOCKS:
+        with mock.patch.object(geometry, "PAIR_BLOCK", block):
+            if crosses:
+                with pytest.raises(GeometryError, match="self-intersecting"):
+                    PolygonMask(verts)
+            else:
+                PolygonMask(verts)
 
 
 class TestSelfIntersection:
@@ -141,8 +154,117 @@ class TestSelfIntersection:
     def test_gaussian_matches_oracle(self, n, seed):
         assert_matches_crossing_oracle(np.random.default_rng(seed).normal(size=(n, 2)))
 
+    @pytest.mark.parametrize("verts", [
+        [(3, 0), (5, 1), (5, 6), (3, 5), (2, 6), (4, 0)],  # crosses at (0, n-2) only
+        [(5, 2), (4, 0), (5, 5), (3, 4), (0, 4), (3, 0)],  # crosses at (1, n-1) only
+    ])
+    def test_pairs_beside_the_wrap_pair_are_checked(self, verts):
+        # the pair (0, n-1) is skipped as adjacent, but not the rest of row 0
+        # or of column n-1, whichever block holds them
+        assert crossing_oracle(np.asarray(verts, dtype=np.float64))
+        for block in BLOCKS:
+            with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                with pytest.raises(GeometryError, match="self-intersecting"):
+                    PolygonMask(verts)
+
+
+def even_odd_oracle(verts, xs, ys):
+    """Reference even-odd rule: one edge at a time over all query points."""
+    inside = np.zeros(xs.shape, dtype=bool)
+    n = verts.shape[0]
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        crosses = (y1 > ys) != (y2 > ys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (xs < np.where(crosses, xint, np.inf))
+    return inside
+
+
+# half-pixel lattice on a 16 x 16 canvas: the pixel centres at downscale 1
+# (integers) and 4 (1.5 + 4k) are on it, and so are horizontal edges
+half_lattice = st.lists(
+    st.tuples(st.integers(-2, 34), st.integers(-2, 34)).map(lambda p: (p[0] / 2, p[1] / 2)),
+    min_size=3, max_size=14,
+)
+
+
+class TestEvenOdd:
+    @settings(max_examples=300, deadline=None)
+    @given(half_lattice)
+    @example([(1.0, 1.0), (5.0, 1.0), (5.0, 5.0), (1.0, 5.0)])  # edges through centres
+    @example([(0.0, 2.0), (8.0, 2.0), (8.0, 2.0), (4.0, 9.0)])  # repeated vertex
+    def test_points_match_oracle(self, verts):
+        # any vertex list, self-crossing ones too, at every pixel centre
+        verts = np.asarray(verts, dtype=np.float64)
+        xs, ys = np.meshgrid(np.arange(16.0), np.arange(16.0))
+        want = even_odd_oracle(verts, xs, ys)
+        for block in BLOCKS:
+            with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                assert np.array_equal(_points_in_polygon(verts, xs, ys), want)
+                # a row and a column broadcast to the same points
+                assert np.array_equal(_points_in_polygon(verts, xs[:1], ys[:, :1]), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(half_lattice.filter(lambda v: len(set(v)) >= 4))
+    def test_rasterize_matches_oracle(self, verts):
+        # a star-shaped polygon: the lattice points in angle order about the
+        # canvas centre, so most draws are simple
+        verts = np.asarray(sorted(set(verts), key=lambda p: math.atan2(p[1] - 8, p[0] - 8)))
+        assume(polygon_area(verts) > 0.0)
+        try:
+            poly = PolygonMask(verts)
+        except GeometryError:
+            assume(False)
+        for d in (1, 4):
+            js, is_ = np.meshgrid(np.arange(16 // d), np.arange(16 // d))
+            want = even_odd_oracle(poly.vertices, js * d + (d - 1) / 2.0, is_ * d + (d - 1) / 2.0)
+            for block in BLOCKS:
+                with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                    got = rasterize_mask(poly, 16, 16, downscale=d).data
+                assert np.array_equal(got, want.astype(np.float64))
+
+
+def hull_oracle(points):
+    """Reference monotone chain over numpy rows."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
 
 class TestConvexHull:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=30),
+        st.sampled_from([1.0, 0.1, 1e-3, -7.3]),
+    )
+    @example([(0, 0), (1, 1), (2, 2), (3, 3), (3, 0), (3, 0), (0, 3)], 0.1)  # runs, duplicate
+    def test_matches_numpy_row_chain(self, pts, scale):
+        # lattice points repeat and line up often; scaled, their differences
+        # and products round
+        pts = np.asarray(pts, dtype=np.float64) * scale
+        want = hull_oracle(pts)
+        if want.shape[0] < 3:
+            with pytest.raises(GeometryError):
+                convex_hull(pts)
+            return
+        assert np.array_equal(convex_hull(pts), want)
+
     def test_square_with_interior(self):
         pts = np.array([[0, 0], [10, 0], [10, 10], [0, 10],
                         [5, 5], [2, 7], [8, 3]], dtype=float)
@@ -275,6 +397,136 @@ class TestSplitPoints:
         rect = OrientedRect(center=np.array([15.0, 7.5]), size=(30.0, 5.0),
                             angle=math.atan2(15.0, 30.0))
         assert split_points(line, rect) == []
+
+
+def full_search_oracle(curve, rect):
+    """Reference split_points: the per-sample scan and scalar bisection of
+    `_tangent_parallel_params`, then the entry-direction filter, on every
+    curve."""
+    ts = np.linspace(0.0, 1.0, geometry.TANGENT_SAMPLES + 1)
+    tang = curve.tangent(ts)
+    roots = []
+    for a in (rect.angle, rect.angle + math.pi / 2.0):
+        d = np.array([math.cos(a), math.sin(a)])
+        f = tang[:, 0] * d[1] - tang[:, 1] * d[0]
+        for i in range(geometry.TANGENT_SAMPLES):
+            if f[i] == 0.0:
+                if 0 < i < geometry.TANGENT_SAMPLES:
+                    roots.append(float(ts[i]))
+                continue
+            if f[i] * f[i + 1] < 0.0:
+                lo, hi = float(ts[i]), float(ts[i + 1])
+                flo = float(f[i])
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    tm = curve.tangent(mid)
+                    fm = float(tm[0] * d[1] - tm[1] * d[0])
+                    if fm == 0.0:
+                        lo = hi = mid
+                        break
+                    if (fm > 0) == (flo > 0):
+                        lo, flo = mid, fm
+                    else:
+                        hi = mid
+                roots.append(0.5 * (lo + hi))
+    deduped = []
+    for r in sorted(r for r in roots if 1e-4 < r < 1.0 - 1e-4):
+        if not deduped or r - deduped[-1] > 1e-4:
+            deduped.append(r)
+    entry = curve.tangent(0.0)
+    entry_angle = math.atan2(entry[1], entry[0])
+    kept = []
+    for r in deduped:
+        tng = curve.tangent(r)
+        ang = math.atan2(tng[1], tng[0])
+        if _angle_diff_mod_pi(ang, entry_angle) < PARALLEL_FILTER_RAD:
+            continue
+        kept.append(r)
+        entry_angle = ang
+    return kept
+
+
+def turned_curve(start, tilt, lengths, turns):
+    """Cubic whose control differences have the given lengths and turn by
+    the given angles from the first one, which runs at `tilt`."""
+    p = [np.asarray(start, dtype=np.float64)]
+    for length, turn in zip(lengths, (0.0,) + tuple(turns)):
+        p.append(p[-1] + length * np.array([math.cos(tilt + turn), math.sin(tilt + turn)]))
+    return BezierCurve(np.array(p))
+
+
+def assert_matches_full_search(curve, rect, searched):
+    calls = []
+    real = geometry._tangent_parallel_params
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(geometry, "_tangent_parallel_params", spy):
+        got = split_points(curve, rect)
+    assert got == full_search_oracle(curve, rect)
+    assert bool(calls) == searched
+
+
+class TestSplitSearch:
+    CONE = PARALLEL_FILTER_RAD / 2.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(-math.pi, math.pi),
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(0.5, 200.0), min_size=3, max_size=3),
+        st.floats(-50.0, 50.0),
+    )
+    def test_straight_baseline_at_any_tilt_skips_search(self, tilt, rect_angle, lengths, x0):
+        # the baselines of rotated rectangles: the sampled cross product is
+        # rounding noise, with zeros and sign flips, and no root survives;
+        # the rect runs along the line or at any other angle
+        curve = turned_curve((x0, 7.0), tilt, lengths, (0.0, 0.0))
+        for angle in (tilt % math.pi, rect_angle % math.pi):
+            rect = OrientedRect(center=np.zeros(2), size=(40.0, 10.0), angle=angle)
+            assert_matches_full_search(curve, rect, searched=False)
+
+    @pytest.mark.parametrize("factor,searched", [(0.9, False), (1.1, True), (2.0, True)])
+    @pytest.mark.parametrize("shape", ["bend", "back", "s"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(1.0, 80.0), min_size=3, max_size=3),
+        st.sampled_from([1.0, -1.0]),
+    )
+    def test_turns_around_the_cone_edge(self, factor, searched, shape, tilt, lengths, side):
+        # the widest turn of d_1, d_2 from d_0 is `factor` times the cone's
+        # half angle, to either side; near the edge, both sides must agree
+        turn = side * factor * self.CONE
+        turns = {"bend": (turn / 2.0, turn), "back": (turn, turn / 3.0), "s": (-turn / 2.0, turn)}[shape]
+        curve = turned_curve((3.0, -2.0), tilt, lengths, turns)
+        for angle in (tilt % math.pi, (tilt + turn) % math.pi):
+            rect = OrientedRect(center=np.zeros(2), size=(40.0, 10.0), angle=angle)
+            assert_matches_full_search(curve, rect, searched)
+
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_zero_length_difference_runs_full_search(self, zero):
+        lengths = [30.0, 30.0, 30.0]
+        lengths[zero] = 0.0
+        curve = turned_curve((0.0, 0.0), 0.3, lengths, (0.0, 0.0))
+        rect = OrientedRect(center=np.zeros(2), size=(90.0, 10.0), angle=0.3)
+        assert_matches_full_search(curve, rect, searched=True)
+
+    def test_root_on_a_grid_sample_is_kept(self):
+        # symmetric about t = 0.5, so the tangent there is exactly
+        # horizontal: an exact zero of the sampled cross product, not a sign
+        # change, and 45 degrees from the entry direction
+        curve = BezierCurve(np.array([[0.0, 0.0], [10.0, -10.0], [20.0, -10.0], [30.0, 0.0]]))
+        rect = OrientedRect(center=np.zeros(2), size=(30.0, 8.0), angle=0.0)
+        assert_matches_full_search(curve, rect, searched=True)
+        assert split_points(curve, rect) == [0.5]
+
+    def test_s_curve_cuts_match_full_search(self):
+        curve, rect = TestSplitPoints.S_CURVE, TestSplitPoints.AXES
+        assert_matches_full_search(curve, rect, searched=True)
+        assert len(split_points(curve, rect)) == 1
 
 
 class TestDivideMask:
