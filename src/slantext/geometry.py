@@ -70,6 +70,14 @@ def rotate_points(points, angle: float) -> np.ndarray:
     return (pts - c) @ rot.T + c
 
 
+def pixel_box(x, y, w, h) -> np.ndarray:
+    """(UL, UR, LR, LL) corners of the w x h pixel rect whose top-left pixel
+    is (x, y): pixels are centred on integers, so the edges lie half a pixel
+    outside the outer pixel centres."""
+    x0, x1, y0, y1 = x - 0.5, x + w - 0.5, y - 0.5, y + h - 0.5
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
 def _orient(a, b, c):
     """Twice the signed area of triangle abc, over (..., 2) point arrays."""
     ab_x, ab_y = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]

@@ -31,6 +31,7 @@ from .geometry import (
     QuadSegment,
     divide_mask,
     flatten_segments,
+    pixel_box,
     rasterize_mask,
 )
 from .glyph import default_font, render_glyph_image
@@ -186,15 +187,9 @@ def align_reference(
     canvas = LatentGrid(np.zeros(z_ref.shape))
     valid = np.zeros((z_ref.height, z_ref.width), dtype=np.float64)
     for (x, y, w, h), seg in zip(layout.rects, segments):
-        rect_quad = np.array([
-            [x - 0.5, y - 0.5],
-            [x + w - 0.5, y - 0.5],
-            [x + w - 0.5, y + h - 0.5],
-            [x - 0.5, y + h - 0.5],
-        ])
         out_h = max(1, int(round(h / FACTOR)))
         out_w = max(1, int(round(w / FACTOR)))
-        patch = extract_region(z_ref, _px_to_latent(rect_quad), out_h, out_w)
+        patch = extract_region(z_ref, _px_to_latent(pixel_box(x, y, w, h)), out_h, out_w)
         canvas, written = paste_region_with_mask(canvas, patch, _px_to_latent(seg.corners))
         valid = np.maximum(valid, written.astype(np.float64))
     return canvas, RegionMask(valid)

@@ -343,8 +343,8 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("text", 5), ("case_id", 7), ("scene_id", "3"), ("scene_id", True), ("scene_id", 1.0),
-        ("rotation_deg", True), ("rotation_deg", "10"),
+        ("text", 5), ("text", ""), ("case_id", 7), ("scene_id", "3"), ("scene_id", True),
+        ("scene_id", 1.0), ("rotation_deg", True), ("rotation_deg", "10"),
     ])
     def test_bad_manifest_field_type_is_validation(self, tmp_path, capsys, key, value):
         manifest = edited_manifest(tmp_path, key, value)
