@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,6 +33,7 @@ from .diffusion import LatentCodec, NoiseSchedule, linear_schedule
 from .errors import GeometryError, InputError, SlantextError
 from .geometry import PolygonMask, pixel_box
 from .glyph import char_cells
+from .grid import LatentGrid
 from .guidance import GuidanceConfig, generate
 from .ocr import OCR_SENTINEL, ocr_decode
 
@@ -266,6 +267,14 @@ def config_fingerprint(config: GuidanceConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@lru_cache(maxsize=len(DEFAULT_SCENE_TEXTS))
+def _scene_latent(scene_id: int, canvas: tuple[int, int]) -> LatentGrid:
+    """A scene's background, encoded once for every case on the scene.  The
+    cache holds the read-only latent, FACTOR^2 times smaller than the
+    decoded plate; decoding it again costs a few per cent of the encode."""
+    return LatentCodec().encode(scene_background(scene_id, canvas))
+
+
 def _run_case(
     case: BenchCase,
     *,
@@ -282,8 +291,7 @@ def _run_case(
         # Score against the scene plate: the referee knows the background just
         # as it knows the cell geometry, so placement is what gets graded.
         # The plate goes through the codec so the subtraction leaves pure ink.
-        codec = LatentCodec()
-        plate = codec.decode(codec.encode(scene_background(case.scene_id, corpus.canvas)))
+        plate = LatentCodec().decode(_scene_latent(case.scene_id, tuple(corpus.canvas)))
         decoded = ocr_decode(result.image - plate, cells).decoded
         # A read is trusted only when most cells found a character; stray
         # fringes under a steeply rotated mask are not placed text.

@@ -20,8 +20,7 @@ PARALLEL_FILTER_RAD = math.radians(5.0)
 
 PACK_GUTTER = 4.0
 
-# grid steps of the tangent root search, and polyline points of arc lengths
-TANGENT_SAMPLES = 512
+# polyline points of arc lengths
 ARC_SAMPLES = 257
 
 # Most (row, column) pairs one array pass of the crossing check or the
@@ -303,33 +302,34 @@ def convex_hull(points) -> np.ndarray:
 
 def min_area_rect(points) -> OrientedRect:
     """Smallest-area enclosing rectangle via rotating calipers: the optimum
-    is aligned with some hull edge, so each edge direction is tried."""
-    pts = _as_points(points)
-    hull = convex_hull(pts)
-    best = None
-    n = hull.shape[0]
-    for i in range(n):
-        edge = hull[(i + 1) % n] - hull[i]
-        norm = np.linalg.norm(edge)
-        if norm < 1e-12:
-            continue
-        d = edge / norm
-        nvec = np.array([-d[1], d[0]])
-        pu = hull @ d
-        pv = hull @ nvec
-        su = pu.max() - pu.min()
-        sv = pv.max() - pv.min()
-        area = su * sv
-        if best is None or area < best[0] - 1e-12:
-            cu = (pu.max() + pu.min()) / 2.0
-            cv = (pv.max() + pv.min()) / 2.0
-            center = d * cu + nvec * cv
-            best = (area, center, su, sv, math.atan2(d[1], d[0]))
-    if best is None:
+    is aligned with some hull edge, so each edge direction is tried, all in
+    one stack.  Each edge's squared length is a batched (1, 2) @ (2, 1) dot
+    and its projections a batched (n, 2) @ (2, 1) gemv, which round as
+    `np.linalg.norm(edge)` and `hull @ d` on one edge do; one gemm or an
+    elementwise sum would round differently.  The first edge wins a tie."""
+    hull = convex_hull(_as_points(points))
+    edges = np.roll(hull, -1, axis=0) - hull
+    norm = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0]
+    keep = norm[:, 0] >= 1e-12
+    d = edges[keep] / norm[keep]
+    m = d.shape[0]
+    if m == 0:
         raise GeometryError("degenerate point set for min-area rect")
-    _, center, su, sv, angle = best
-    angle = angle % math.pi
-    return OrientedRect(center=center, size=(float(su), float(sv)), angle=float(angle))
+    # rows 0..m-1 project on the edge directions, rows m.. on their normals
+    axes = np.concatenate([d, np.stack([-d[:, 1], d[:, 0]], axis=1)])
+    proj = np.matmul(hull[None], axes[:, :, None])[:, :, 0]
+    hi, lo = proj.max(axis=1), proj.min(axis=1)
+    span = hi - lo
+    areas = (span[:m] * span[m:]).tolist()
+    best = 0
+    for i, area in enumerate(areas):
+        if area < areas[best] - 1e-12:
+            best = i
+    mid = (hi + lo) / 2.0
+    center = axes[best] * mid[best] + axes[m + best] * mid[m + best]
+    angle = math.atan2(d[best, 1], d[best, 0]) % math.pi
+    size = (float(span[best]), float(span[m + best]))
+    return OrientedRect(center=center, size=size, angle=float(angle))
 
 
 def _cyclic_slice(n: int, i: int, j: int) -> list[int]:
@@ -450,33 +450,31 @@ def _angle_diff_mod_pi(a: float, b: float) -> float:
 
 def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Interior parameters where the curve tangent runs parallel to either
-    rect axis. Exact zeros and sign changes on a TANGENT_SAMPLES-step grid
-    are found as arrays; each sign change is refined by scalar bisection."""
-    dirs = []
-    for a in (rect.angle, rect.angle + math.pi / 2.0):
-        dirs.append(np.array([math.cos(a), math.sin(a)]))
-    ts = np.linspace(0.0, 1.0, TANGENT_SAMPLES + 1)
-    tang = curve.tangent(ts)
-
+    rect axis u, solved in closed form.  With c_i = d_i x u for the control
+    differences d_i, the tangent's cross product with u is (over 3)
+    c_0 s^2 + 2 c_1 s t + c_2 t^2 = A t^2 + B t + C.  The roots are q / A
+    and C / q with q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2, which never
+    subtracts nearly equal terms (Numerical Recipes 5.6); A == 0 leaves the
+    linear root -C / B.  When A, B and C are all within 1e-12 of zero,
+    relative to the longest d_i, they are rounding noise: the tangent runs
+    along u throughout and no root is taken."""
+    d = np.diff(curve.control, axis=0).tolist()
+    noise = 1e-12 * max(math.hypot(x, y) for x, y in d)
     roots: list[float] = []
-    for d in dirs:
-        f = tang[:, 0] * d[1] - tang[:, 1] * d[0]
-        roots.extend(ts[1:TANGENT_SAMPLES][f[1:TANGENT_SAMPLES] == 0.0].tolist())
-        for i in np.flatnonzero(f[:-1] * f[1:] < 0.0):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            flo = float(f[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                tm = curve.tangent(mid)
-                fm = float(tm[0] * d[1] - tm[1] * d[0])
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
+    for a in (rect.angle, rect.angle + math.pi / 2.0):
+        ux, uy = math.cos(a), math.sin(a)
+        c0, c1, c2 = (x * uy - y * ux for x, y in d)
+        qa, qb, qc = c0 - 2.0 * c1 + c2, 2.0 * (c1 - c0), c0
+        if max(abs(qa), abs(qb), abs(qc)) <= noise:
+            continue
+        if qa == 0.0:
+            roots.extend([-qc / qb] if qb else [])
+            continue
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            # q == 0 leaves only the double root t = 0, outside the window
+            roots.extend([q / qa, qc / q] if q else [])
 
     eps = 1e-4
     roots = sorted(r for r in roots if eps < r < 1.0 - eps)
@@ -490,7 +488,9 @@ def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[flo
 def split_points(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     """Cut parameters for a center curve: tangent-parallel points, filtered
     so a cut only lands once the tangent has turned at least
-    PARALLEL_FILTER_RAD away from the running entry direction.
+    PARALLEL_FILTER_RAD away from the running entry direction.  The first
+    entry direction is the first control difference longer than 1e-9: the
+    tangent's limit as t -> 0+, also where tangent(0) is zero.
 
     A cubic's tangent 3 * sum_i b_i(t) d_i mixes the control differences
     d_0, d_1, d_2 with Bernstein weights b_i(t) >= 0.  When every d_i is
@@ -507,8 +507,8 @@ def split_points(curve: BezierCurve, rect: OrientedRect) -> list[float]:
         for x, y in d
     ):
         return []
-    entry = curve.tangent(0.0)
-    entry_angle = math.atan2(entry[1], entry[0])
+    x0, y0 = next((v for v in d if math.hypot(*v) > 1e-9), d[0])
+    entry_angle = math.atan2(y0, x0)
     kept: list[float] = []
     for r in _tangent_parallel_params(curve, rect):
         tng = curve.tangent(r)

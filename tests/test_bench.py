@@ -28,7 +28,8 @@ from slantext.bench import (
     tier_for_rotation,
     write_report,
 )
-from slantext.corpus import CANVAS, CHAR_W, TEXT_H, build_corpus
+from slantext.corpus import CANVAS, CHAR_W, TEXT_H, build_corpus, scene_background
+from slantext.diffusion import LatentCodec
 from slantext.errors import GeometryError, InputError
 from slantext.geometry import PolygonMask
 from slantext.guidance import GuidanceConfig
@@ -290,6 +291,15 @@ class TestRunBench:
         monkeypatch.setattr(guidance, "divide_mask", counting)
         run_bench(tiny_cases[:1], config=GuidanceConfig(), corpus=corpus)
         assert len(calls) == 1
+
+    def test_scene_latent_is_encoded_once_per_scene_and_canvas(self):
+        codec = LatentCodec()
+        for canvas in (CANVAS, (96, 96)):
+            latent = bench._scene_latent(3, canvas)
+            assert bench._scene_latent(3, canvas) is latent
+            assert not latent.data.flags.writeable
+            want = codec.encode(scene_background(3, canvas))
+            assert latent.data.tobytes() == want.data.tobytes()
 
     def test_non_default_canvas_scores_without_error(self):
         cases = generate_benchmark(per_tier_count=1)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slantext import geometry
+from slantext.bench import generate_benchmark
 from slantext.corpus import build_corpus
 from slantext.errors import GeometryError, InputError, LayoutError, SlantextError
 from slantext.geometry import (
@@ -337,6 +338,93 @@ class TestMinAreaRect:
         assert rect.center == pytest.approx([32.0, 32.0], abs=1e-9)
 
 
+def calipers_oracle(points):
+    """Reference min_area_rect: one edge at a time, a norm and two gemvs per
+    edge, and the first edge within 1e-12 of the running best keeps it."""
+    hull = convex_hull(points)
+    best = None
+    n = hull.shape[0]
+    for i in range(n):
+        edge = hull[(i + 1) % n] - hull[i]
+        norm = np.linalg.norm(edge)
+        if norm < 1e-12:
+            continue
+        d = edge / norm
+        nvec = np.array([-d[1], d[0]])
+        pu = hull @ d
+        pv = hull @ nvec
+        su = pu.max() - pu.min()
+        sv = pv.max() - pv.min()
+        area = su * sv
+        if best is None or area < best[0] - 1e-12:
+            cu = (pu.max() + pu.min()) / 2.0
+            cv = (pv.max() + pv.min()) / 2.0
+            center = d * cu + nvec * cv
+            best = (area, center, su, sv, math.atan2(d[1], d[0]))
+    if best is None:
+        raise GeometryError("degenerate point set for min-area rect")
+    _, center, su, sv, angle = best
+    return OrientedRect(center=center, size=(float(su), float(sv)), angle=float(angle % math.pi))
+
+
+def assert_calipers_match(points):
+    try:
+        want = calipers_oracle(points)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            min_area_rect(points)
+        return
+    got = min_area_rect(points)
+    assert got.center.tobytes() == want.center.tobytes()
+    assert [x.hex() for x in got.size] == [x.hex() for x in want.size]
+    assert got.angle.hex() == want.angle.hex()
+
+
+class TestCalipersBitwise:
+    # The stacked products must round as the per-edge norm and gemvs do:
+    # these rects pick the text axis of every mask, so a last-bit change
+    # moves divide_mask's cuts and the generated images.
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+            min_size=3, max_size=40,
+        )
+    )
+    @example([(0.0, 0.0), (0.0, 1e-38), (1e-38, 0.0)])  # every edge under 1e-12
+    def test_point_clouds(self, pts):
+        # collinear and degenerate clouds must raise on both sides
+        assert_calipers_match(np.asarray(pts))
+
+    def test_square_ties_go_to_the_first_edge(self):
+        # all four edges give area 100: the first hull edge, (0,0)->(10,0), wins
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0], [4.0, 6.0]])
+        assert_calipers_match(pts)
+        rect = min_area_rect(pts)
+        assert rect.angle == 0.0 and rect.size == (10.0, 10.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    def test_gate_rectangles(self, seed):
+        for case in generate_benchmark(per_tier_count=10, rng_seed=seed):
+            assert_calipers_match(case.mask.vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["arc", "s"]),
+        st.integers(4, 128),
+        st.floats(15.0, 120.0),
+        st.floats(2.0, 12.0),
+        st.floats(0.0, 1.0),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_curved_bands(self, kind, k, size, thickness, bend, tilt):
+        assert_calipers_match(band_vertices(kind, k, size, thickness, bend, tilt) + (31.5, 31.5))
+
+    def test_arc_band(self):
+        assert_calipers_match(arc_band().vertices)
+
+
 class TestBoundaryFit:
     def test_arc_band_boundaries_follow_circles(self):
         band = arc_band()
@@ -399,19 +487,19 @@ class TestSplitPoints:
         assert split_points(line, rect) == []
 
 
-def full_search_oracle(curve, rect):
-    """Reference split_points: the per-sample scan and scalar bisection of
-    `_tangent_parallel_params`, then the entry-direction filter, on every
-    curve."""
-    ts = np.linspace(0.0, 1.0, geometry.TANGENT_SAMPLES + 1)
+def scan_oracle(curve, rect):
+    """Reference turn search: the tangent's cross product with each rect
+    axis on a 512-step grid, exact zeros kept, each sign change refined by
+    60 scalar bisections, then the (1e-4, 1 - 1e-4) window and the dedupe."""
+    ts = np.linspace(0.0, 1.0, 512 + 1)
     tang = curve.tangent(ts)
     roots = []
     for a in (rect.angle, rect.angle + math.pi / 2.0):
         d = np.array([math.cos(a), math.sin(a)])
         f = tang[:, 0] * d[1] - tang[:, 1] * d[0]
-        for i in range(geometry.TANGENT_SAMPLES):
+        for i in range(512):
             if f[i] == 0.0:
-                if 0 < i < geometry.TANGENT_SAMPLES:
+                if 0 < i < 512:
                     roots.append(float(ts[i]))
                 continue
             if f[i] * f[i + 1] < 0.0:
@@ -433,10 +521,18 @@ def full_search_oracle(curve, rect):
     for r in sorted(r for r in roots if 1e-4 < r < 1.0 - 1e-4):
         if not deduped or r - deduped[-1] > 1e-4:
             deduped.append(r)
-    entry = curve.tangent(0.0)
+    return deduped
+
+
+def full_search_oracle(curve, rect):
+    """Reference split_points: `scan_oracle` on every curve, then the
+    entry-direction filter, entered along the first control difference
+    longer than 1e-9."""
+    diffs = np.diff(curve.control, axis=0)
+    entry = next((v for v in diffs if np.hypot(*v) > 1e-9), diffs[0])
     entry_angle = math.atan2(entry[1], entry[0])
     kept = []
-    for r in deduped:
+    for r in scan_oracle(curve, rect):
         tng = curve.tangent(r)
         ang = math.atan2(tng[1], tng[0])
         if _angle_diff_mod_pi(ang, entry_angle) < PARALLEL_FILTER_RAD:
@@ -444,6 +540,12 @@ def full_search_oracle(curve, rect):
         kept.append(r)
         entry_angle = ang
     return kept
+
+
+def assert_roots_close(got, want):
+    # the closed form and the bisection land within a few ulps of each other
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-15 for g, w in zip(got, want))
 
 
 def turned_curve(start, tilt, lengths, turns):
@@ -465,7 +567,7 @@ def assert_matches_full_search(curve, rect, searched):
 
     with mock.patch.object(geometry, "_tangent_parallel_params", spy):
         got = split_points(curve, rect)
-    assert got == full_search_oracle(curve, rect)
+    assert_roots_close(got, full_search_oracle(curve, rect))
     assert bool(calls) == searched
 
 
@@ -513,6 +615,7 @@ class TestSplitSearch:
         curve = turned_curve((0.0, 0.0), 0.3, lengths, (0.0, 0.0))
         rect = OrientedRect(center=np.zeros(2), size=(90.0, 10.0), angle=0.3)
         assert_matches_full_search(curve, rect, searched=True)
+        assert split_points(curve, rect) == []
 
     def test_root_on_a_grid_sample_is_kept(self):
         # symmetric about t = 0.5, so the tangent there is exactly
@@ -527,6 +630,82 @@ class TestSplitSearch:
         curve, rect = TestSplitPoints.S_CURVE, TestSplitPoints.AXES
         assert_matches_full_search(curve, rect, searched=True)
         assert len(split_points(curve, rect)) == 1
+
+    def test_entry_runs_along_the_first_long_difference(self):
+        # tangent(0) is zero here; its limit as t -> 0+ runs along d_1 at
+        # 0.3 rad, so roots whose tangent runs that way are no turn, although
+        # they lie 0.3 rad from atan2(0, 0) = 0
+        curve = turned_curve((0.0, 0.0), 0.3, [0.0, 30.0, 30.0], (0.0, 0.0))
+        rect = OrientedRect(center=np.zeros(2), size=(90.0, 10.0), angle=0.3)
+        with mock.patch.object(geometry, "_tangent_parallel_params", lambda c, r: [0.25, 0.5]):
+            assert split_points(curve, rect) == []
+
+
+# The tangent's cross product with the x axis, over 3, has Bernstein
+# coefficients c_i = -d_i,y: A = c_0 - 2 c_1 + c_2, B = 2 (c_1 - c_0) and
+# C = c_0.  The d_i run 10 along x, so the tangent is never vertical.
+X_AXIS = OrientedRect(center=np.zeros(2), size=(40.0, 10.0), angle=0.0)
+
+
+def cross_curve(c, scale=1.0):
+    ys = np.cumsum([0.0] + [-scale * ci for ci in c])
+    return BezierCurve(np.stack([10.0 * np.arange(4), ys], axis=1))
+
+
+class TestClosedFormTurns:
+    def test_double_root_between_samples(self):
+        # (s - 2t)^2 touches zero at t = 1/3 and never changes sign
+        curve = cross_curve((1.0, -2.0, 4.0))
+        assert scan_oracle(curve, X_AXIS) == []
+        assert_roots_close(_tangent_parallel_params(curve, X_AXIS), [1.0 / 3.0])
+
+    def test_two_roots_inside_one_sample_interval(self):
+        # 2^26 (t - 2457/8192)(t - 2459/8192): both roots lie in
+        # [153/512, 154/512], where the grid samples share a sign
+        a, b = 2457 / 8192, 2459 / 8192
+        c0 = 2457 * 2459
+        c1 = c0 - 8192 * (2457 + 2459) // 2
+        curve = cross_curve((c0, c1, 2**26 + 2 * c1 - c0), scale=2.0**-22)
+        assert scan_oracle(curve, X_AXIS) == []
+        assert _tangent_parallel_params(curve, X_AXIS) == [a, b]
+
+    def test_linear_tangent_cross(self):
+        # A == 0 exactly: the root of B t + C
+        curve = cross_curve((1.0, -0.5, -2.0))
+        assert_roots_close(_tangent_parallel_params(curve, X_AXIS), [1.0 / 3.0])
+        assert_roots_close(_tangent_parallel_params(curve, X_AXIS), scan_oracle(curve, X_AXIS))
+
+    def test_small_root_beside_a_far_one_keeps_its_digits(self):
+        # A = 2^-40, B = -1, C = 3/8: B^2 >> 4AC, so -B - sqrt(B^2 - 4AC)
+        # cancels; the far root lies near 2^40
+        curve = cross_curve((0.375, -0.125, 2.0**-40 - 0.625))
+        want = scan_oracle(curve, X_AXIS)
+        assert len(want) == 1
+        assert_roots_close(_tangent_parallel_params(curve, X_AXIS), want)
+        # the textbook (-B - sqrt(D)) / 2A loses the digits the closed form keeps
+        disc = 1.0 - 4.0 * 2.0**-40 * 0.375
+        assert abs((1.0 - math.sqrt(disc)) / 2.0**-39 - want[0]) > 1e-14
+
+    def test_tangent_along_the_axis_has_no_roots(self):
+        # the cross product is exactly zero at every sample, so the scan
+        # keeps a root every 1/512 that the filter has to drop
+        line = cross_curve((0.0, 0.0, 0.0))
+        assert len(scan_oracle(line, X_AXIS)) > 400
+        assert _tangent_parallel_params(line, X_AXIS) == []
+
+    @pytest.mark.parametrize("lengths", [[0.0, 30.0, 30.0], [30.0, 30.0, 30.0], [10.0, 20.0, 40.0]])
+    def test_rounding_noise_along_the_axis_has_no_roots(self, lengths):
+        # straight baselines against a rect along them: the cross product is
+        # rounding noise that flips sign along the curve, and at some tilts
+        # the noise quadratic has roots inside the window
+        for tilt in np.linspace(0.05, 3.1, 40):
+            curve = turned_curve((0.0, 0.0), tilt, lengths, (0.0, 0.0))
+            rect = OrientedRect(center=np.zeros(2), size=(90.0, 10.0), angle=float(tilt))
+            assert _tangent_parallel_params(curve, rect) == []
+        # the spurious-cut case: the scan keeps hundreds of noise roots
+        curve = turned_curve((0.0, 0.0), 0.3, [0.0, 30.0, 30.0], (0.0, 0.0))
+        rect = OrientedRect(center=np.zeros(2), size=(90.0, 10.0), angle=0.3)
+        assert len(scan_oracle(curve, rect)) > 100
 
 
 class TestDivideMask:
