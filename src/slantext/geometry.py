@@ -275,11 +275,12 @@ def convex_hull(points) -> np.ndarray:
     """Monotone-chain hull, counter-clockwise in (x, y) math orientation.
     The chain runs over Python floats, whose products and differences are
     the same IEEE doubles as numpy's."""
+    # np.unique(axis=0) returns the distinct rows sorted by x, then y: the
+    # order the chain walks in
     pts = np.unique(_as_points(points), axis=0)
     if pts.shape[0] < 3:
         raise GeometryError("hull needs at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order].tolist()
+    pts = pts.tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -490,23 +491,8 @@ def split_points(curve: BezierCurve, rect: OrientedRect) -> list[float]:
     so a cut only lands once the tangent has turned at least
     PARALLEL_FILTER_RAD away from the running entry direction.  The first
     entry direction is the first control difference longer than 1e-9: the
-    tangent's limit as t -> 0+, also where tangent(0) is zero.
-
-    A cubic's tangent 3 * sum_i b_i(t) d_i mixes the control differences
-    d_0, d_1, d_2 with Bernstein weights b_i(t) >= 0.  When every d_i is
-    longer than 1e-9 and lies within PARALLEL_FILTER_RAD / 2 of d_0, every
-    tangent lies in that cone about the entry direction 3 * d_0, so the
-    filter rejects every root and no search runs.  The other half of the
-    angle covers rounding: the d_i all point into the cone, so the mix
-    cannot cancel."""
+    tangent's limit as t -> 0+, also where tangent(0) is zero."""
     d = np.diff(curve.control, axis=0).tolist()
-    x0, y0 = d[0]
-    if all(
-        math.hypot(x, y) > 1e-9
-        and abs(math.atan2(x0 * y - y0 * x, x0 * x + y0 * y)) <= PARALLEL_FILTER_RAD / 2.0
-        for x, y in d
-    ):
-        return []
     x0, y0 = next((v for v in d if math.hypot(*v) > 1e-9), d[0])
     entry_angle = math.atan2(y0, x0)
     kept: list[float] = []

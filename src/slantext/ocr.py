@@ -116,18 +116,6 @@ def _blocked_sheet(
     return LatentGrid(latent)
 
 
-@dataclass(frozen=True)
-class _OcrContext:
-    """Per cell-shape template context: crisp per-character rows plus a
-    codec-blocked character sheet, stored at latent resolution, sampled
-    through tilted slot quads."""
-
-    charset: str
-    crisp: np.ndarray
-    grid: LatentGrid
-    slots: np.ndarray
-
-
 def _normalize_rows(rows: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Center each row of the 2-d rows and scale it to unit length, in place;
     a row whose centered norm is 1e-9 or less becomes +0.0.  scratch, of the
@@ -154,51 +142,63 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     return flats, crisp
 
 
-@lru_cache(maxsize=8)
-def _template_sheet(h: int, w: int, reach: int) -> tuple[LatentGrid, int, int]:
-    """Codec-blocked sheet stamping every character's clean h x w render in
-    its own block-aligned slot, with the slots' margin and stride.  It does
-    not depend on the cell tilt, so cells of one shape at any tilt share it."""
-    flats, _ = _flat_templates(h, w)
-    margin = FACTOR * math.ceil((reach + h + w) / FACTOR)
-    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
+def _text_sheet(
+    shapes: Sequence[tuple[int, int]],
+    inks: Sequence[Optional[np.ndarray]],
+    pitch: float,
+    reach: int,
+) -> tuple[LatentGrid, tuple[tuple[int, int], ...]]:
+    """Blocked sheet of one slot per (h, w) shape, laid out left to right at
+    the pitch, each stamped with its ink (None leaves the slot blank), and
+    the slots' top-left corners.  The margin keeps every slot point turned
+    by any tilt and displaced up to `reach` pixels on the sheet."""
+    max_h = max(h for h, _ in shapes)
+    max_w = max(w for _, w in shapes)
+    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
+    span = margin + (len(shapes) - 1) * pitch + max_w + margin
+    corners = tuple((margin + int(round(i * pitch)), margin) for i in range(len(shapes)))
     grid = _blocked_sheet(
-        FACTOR * math.ceil((2 * margin + h) / FACTOR),
-        2 * margin + stride * len(flats),
-        [(margin + i * stride, margin, flat) for i, flat in enumerate(flats)],
+        FACTOR * math.ceil((2 * margin + max_h) / FACTOR),
+        FACTOR * math.ceil(span / FACTOR),
+        [(x0, y0, ink) for (x0, y0), ink in zip(corners, inks) if ink is not None],
     )
-    return grid, margin, stride
+    return grid, corners
 
 
 @lru_cache(maxsize=8)
-def _ocr_context(h: int, w: int, tilt_key: int, reach: int) -> _OcrContext:
-    """Build templates for one cell shape.  Every character gets a clean
-    render sampled through a flat quad, plus sampling geometry over the
-    shared template sheet, read through a quad tilted like the cell.
-    Offsetting a slot quad over the sheet reproduces any cell-to-content
-    displacement up to `reach` pixels, so one codec pass serves the whole
-    search."""
+def _template_sheet(h: int, w: int, reach: int) -> tuple[LatentGrid, tuple[tuple[int, int], ...]]:
+    """Text sheet of every character's clean h x w render, in block-aligned
+    slots one stride apart, and the slots' corners.  It does not depend on
+    the cell tilt, so cells of one shape at any tilt share it."""
+    flats, _ = _flat_templates(h, w)
+    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
+    return _text_sheet([(h, w)] * len(flats), flats, stride, reach)
+
+
+@lru_cache(maxsize=8)
+def _template_slots(h: int, w: int, tilt_key: int, reach: int) -> np.ndarray:
+    """(chars, 2, points) sampling positions of every character's slot on
+    the template sheet, read through a quad tilted like the cell.  Offsetting
+    them reproduces any cell-to-content displacement up to `reach` pixels,
+    so one codec pass serves the whole search."""
     us, vs = _patch_fractions(h, w)
-    chars = default_font().charset
-    _, crisp = _flat_templates(h, w)
-    grid, margin, stride = _template_sheet(h, w, reach)
-    slots = np.stack(
-        [
-            _slot_points(h, w, margin + i * stride, margin, tilt_key, us, vs)
-            for i in range(len(chars))
-        ]
-    )
-    return _OcrContext(charset=chars, crisp=crisp, grid=grid, slots=slots)
+    _, corners = _template_sheet(h, w, reach)
+    slots = np.stack([_slot_points(h, w, x0, y0, tilt_key, us, vs) for x0, y0 in corners])
+    slots.flags.writeable = False
+    return slots
 
 
-def _raw_views(ctx: _OcrContext, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:
+def _raw_views(
+    sheet: LatentGrid, slots: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray
+) -> None:
     """Template views of every character displaced by every offset of the
-    x axis xs and the y axis ys, sampled from the latent sheet into out,
-    shaped (ys, xs, chars, points).  Offsets lead, so sample_at broadcasts
-    over whole (chars, points) planes and fills one y offset per chunk."""
-    px = ctx.slots[:, 0] + xs[:, None, None]
-    py = ctx.slots[:, 1] + ys[:, None, None, None]
-    sample_at(ctx.grid, px, py, block=FACTOR, out=out[None])
+    x axis xs and the y axis ys, sampled from the latent sheet through the
+    (chars, 2, points) slots into out, shaped (ys, xs, chars, points).
+    Offsets lead, so sample_at broadcasts over whole (chars, points) planes
+    and fills one y offset per chunk."""
+    px = slots[:, 0] + xs[:, None, None]
+    py = slots[:, 1] + ys[:, None, None, None]
+    sample_at(sheet, px, py, block=FACTOR, out=out[None])
 
 
 def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -218,7 +218,6 @@ def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndar
     return (mat.reshape(-1, n_pts) @ unit).reshape(n_ch, n_y * n_x)
 
 
-
 def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """x and y axes of a search grid; its offsets run y-major."""
     return (
@@ -230,26 +229,22 @@ def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray,
 def _context_grid(
     frames: Sequence[tuple], decoded: str, pitch: float, reach: int
 ) -> tuple[LatentGrid, list[np.ndarray]]:
-    """Blocked sheet holding the currently decoded text at cell pitch, plus
+    """Text sheet holding the currently decoded text at cell pitch, plus
     each cell's tilted sampling points over its own slot."""
     charset = default_font().charset
-    max_h = max(h for _, h, _, _ in frames)
-    max_w = max(w for _, _, w, _ in frames)
-    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
-    span = margin + (len(frames) - 1) * pitch + max_w + margin
-    xs = [margin + int(round(i * pitch)) for i in range(len(frames))]
-    grid = _blocked_sheet(
-        FACTOR * math.ceil((2 * margin + max_h) / FACTOR),
-        FACTOR * math.ceil(span / FACTOR),
+    shapes = [(h, w) for _, h, w, _ in frames]
+    grid, corners = _text_sheet(
+        shapes,
         [
-            (x0, margin, _flat_templates(h, w)[0][charset.index(ch)])
-            for x0, (_, h, w, _), ch in zip(xs, frames, decoded)
-            if ch in charset
+            _flat_templates(h, w)[0][charset.index(ch)] if ch in charset else None
+            for (h, w), ch in zip(shapes, decoded)
         ],
+        pitch,
+        reach,
     )
     points = [
-        _slot_points(h, w, x0, margin, _tilt_key(angle), *_patch_fractions(h, w))
-        for x0, (_, h, w, angle) in zip(xs, frames)
+        _slot_points(h, w, x0, y0, _tilt_key(angle), *_patch_fractions(h, w))
+        for (x0, y0), (_, h, w, angle) in zip(corners, frames)
     ]
     return grid, points
 
@@ -287,8 +282,13 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     anchors = anchors - anchors[live].mean(axis=0)
     reach = int(math.ceil(np.abs(anchors[live]).max())) + max(SEARCH_X, SEARCH_Y) + 2
 
-    contexts = {i: _ocr_context(h, w, _tilt_key(angle), reach)
-                for i, (_, h, w, angle) in enumerate(frames) if i in live}
+    charset = default_font().charset
+    # each live cell's template sheet and its slot points on that sheet
+    templates = {
+        i: (_template_sheet(h, w, reach)[0], _template_slots(h, w, _tilt_key(angle), reach))
+        for i, (_, h, w, angle) in enumerate(frames)
+        if i in live
+    }
 
     # Two buffers sized for the coarse stage, the largest, serve every cell
     # of every stage: one holds a cell's views, composed and normalised in
@@ -298,23 +298,19 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     # to fit it, so later reads reuse heap pages (160 minor faults per guided
     # case, against 1,400 with two allocations).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
-    size = len(xs) * len(ys) * len(default_font().charset) * GLYPH_H * GLYPH_W
+    size = len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W
     row_buf, view_buf = np.empty((2, size))
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
-        chars: list[str] = []
-        confs: list[float] = []
-        for i in range(len(frames)):
-            if i not in contexts:
-                chars.append(OCR_SENTINEL)
-                confs.append(0.0)
-                continue
-            ctx = contexts[i]
-            scores = np.maximum(ctx.crisp @ units[i], per_cell[live.index(i)][:, best_off])
+        chars = [OCR_SENTINEL] * len(frames)
+        confs = [0.0] * len(frames)
+        for i, corr in zip(live, per_cell):
+            _, h, w, _ = frames[i]
+            scores = np.maximum(_flat_templates(h, w)[1] @ units[i], corr[:, best_off])
             best = int(np.argmax(scores))
-            top = float(scores[best])
-            chars.append(ctx.charset[best] if top >= CORR_FLOOR else OCR_SENTINEL)
-            confs.append(top)
+            confs[i] = float(scores[best])
+            if confs[i] >= CORR_FLOOR:
+                chars[i] = charset[best]
         return "".join(chars), confs
 
     def vote(per_cell: list[np.ndarray]) -> np.ndarray:
@@ -334,18 +330,18 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         text with this cell replaced by the candidate), assembled by linearity
         from the shared sheet view plus the candidate's minus the cell's own
         stamp, which is copied out before the sum overwrites it."""
-        ctx = contexts[i]
-        shape = (len(dy), len(dx)) + ctx.slots[:, 0].shape
+        sheet, slots = templates[i]
+        shape = (len(dy), len(dx)) + slots[:, 0].shape
         views = view_buf[: math.prod(shape)].reshape(shape)
-        _raw_views(ctx, dx, dy, out=views)
+        _raw_views(sheet, slots, dx, dy, out=views)
         if context is None:
             return views
         ctx_grid, ctx_points = context
         px, py = ctx_points[i]
         base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=FACTOR)[0]
         own = None
-        if decoded[i] in ctx.charset:
-            own = views[:, :, ctx.charset.index(decoded[i])].copy()
+        if decoded[i] in charset:
+            own = views[:, :, charset.index(decoded[i])].copy()
         views += base[:, :, None]
         if own is not None:
             views -= own[:, :, None]

@@ -80,39 +80,62 @@ class TestOcrDecode:
             OcrResult("AB", (0.5,))
 
 
-def full_mesh_views(ctx, offsets):
+def full_mesh_views(sheet, slots, offsets):
     """Template views by the full-size formula: the latent sheet repeated
     FACTOR x FACTOR (the decoded sheet), sampled on (chars, offsets, points)
     meshes of every slot point displaced by every (x, y) offset."""
-    sheet = LatentGrid(np.repeat(np.repeat(ctx.grid.data, FACTOR, axis=1), FACTOR, axis=2))
-    px = ctx.slots[:, 0, None, :] + offsets[None, :, 0, None]
-    py = ctx.slots[:, 1, None, :] + offsets[None, :, 1, None]
+    sheet = LatentGrid(np.repeat(np.repeat(sheet.data, FACTOR, axis=1), FACTOR, axis=2))
+    px = slots[:, 0, None, :] + offsets[None, :, 0, None]
+    py = slots[:, 1, None, :] + offsets[None, :, 1, None]
     n_ch, n_off, n_pts = px.shape
     views = sample_at(sheet, px.reshape(-1, n_pts), py.reshape(-1, n_pts))[0]
     return views.reshape(n_ch, n_off, n_pts)
 
 
+# (h, w, tilt_key, reach) cell shapes, and the search grids of ocr_decode:
+# (center, (half_x, half_y, step)) for the coarse, fine and context stages
+VIEW_CASES = [(7, 5, 0, 10), (11, 8, 37, 12), (14, 12, -90, 11), (9, 17, 180, 14)]
+SEARCH_GRIDS = (
+    (np.zeros(2), (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0)),
+    (np.array([2.0, -3.0]), (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP)),
+    (np.array([2.25, -2.75]), (1.0, 1.0, ocr.FINE_STEP)),
+)
+ANCHOR = np.array([0.37, -1.21])
+
+
+def search_axes(center, grid):
+    ax, ay = ocr._offset_axes(*grid)
+    return ANCHOR[0] + (center[0] + ax), ANCHOR[1] + (center[1] + ay)
+
+
+def wide_template_sheet(h, w, reach):
+    """The template sheet at its former width, 2 * margin + stride * chars:
+    the text sheet's layout with zero columns past the last slot's margin."""
+    flats, _ = ocr._flat_templates(h, w)
+    margin = FACTOR * math.ceil((reach + h + w) / FACTOR)
+    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
+    return ocr._blocked_sheet(
+        FACTOR * math.ceil((2 * margin + h) / FACTOR),
+        2 * margin + stride * len(flats),
+        [(margin + i * stride, margin, flat) for i, flat in enumerate(flats)],
+    )
+
+
 class TestOcrViews:
-    @pytest.mark.parametrize("h,w,tilt_key,reach", [
-        (7, 5, 0, 10), (11, 8, 37, 12), (14, 12, -90, 11), (9, 17, 180, 14),
-    ])
+    @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES)
     def test_axis_views_match_full_mesh(self, h, w, tilt_key, reach):
-        ctx = ocr._ocr_context(h, w, tilt_key, reach)
-        anchor = np.array([0.37, -1.21])
-        for center, (half_x, half_y, step) in (
-            (np.zeros(2), (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0)),
-            (np.array([2.0, -3.0]), (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP)),
-            (np.array([2.25, -2.75]), (1.0, 1.0, ocr.FINE_STEP)),
-        ):
-            ax, ay = ocr._offset_axes(half_x, half_y, step)
+        sheet, _ = ocr._template_sheet(h, w, reach)
+        slots = ocr._template_slots(h, w, tilt_key, reach)
+        for center, grid in SEARCH_GRIDS:
+            ax, ay = ocr._offset_axes(*grid)
             gx, gy = np.meshgrid(ax, ay)
-            offsets = anchor + (center + np.stack([gx.ravel(), gy.ravel()], axis=1))
-            want = full_mesh_views(ctx, offsets)
+            offsets = ANCHOR + (center + np.stack([gx.ravel(), gy.ravel()], axis=1))
+            want = full_mesh_views(sheet, slots, offsets)
             # the views land in the front of a caller's buffer, offsets outermost
-            shape = (len(ay), len(ax), len(ctx.charset), want.shape[2])
+            shape = (len(ay), len(ax)) + slots[:, 0].shape
             buf = np.full(math.prod(shape) + 7, np.nan)
             got = buf[: math.prod(shape)].reshape(shape)
-            ocr._raw_views(ctx, anchor[0] + (center[0] + ax), anchor[1] + (center[1] + ay), got)
+            ocr._raw_views(sheet, slots, *search_axes(center, grid), got)
             assert np.isnan(buf[got.size :]).all()
             got = got.transpose(2, 0, 1, 3).reshape(want.shape)
             assert np.array_equal(got, want)
@@ -167,15 +190,33 @@ class TestOcrViews:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES)
+    def test_views_ignore_columns_past_the_last_slot(self, h, w, tilt_key, reach):
+        # the template sheet used to run stride * chars wide; the text sheet
+        # ends one margin past the last slot, and every slot point stays
+        # inside it, so the views are the same bits, signs of zero included
+        sheet, _ = ocr._template_sheet(h, w, reach)
+        wide = wide_template_sheet(h, w, reach)
+        assert wide.data.shape[2] > sheet.data.shape[2]
+        assert np.array_equal(wide.data[:, :, : sheet.data.shape[2]], sheet.data)
+        slots = ocr._template_slots(h, w, tilt_key, reach)
+        for center, grid in SEARCH_GRIDS:
+            xs, ys = search_axes(center, grid)
+            shape = (len(ys), len(xs)) + slots[:, 0].shape
+            got, want = np.empty(shape), np.empty(shape)
+            ocr._raw_views(sheet, slots, xs, ys, got)
+            ocr._raw_views(wide, slots, xs, ys, want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_tilts_share_template_sheet(self):
         # the sheet depends on the cell shape and reach, not the tilt: cells
         # at other tilts read the same sheet through their own slot points
-        sheet, margin, stride = ocr._template_sheet(11, 8, 13)
+        sheet, corners = ocr._template_sheet(11, 8, 13)
         fresh = ocr._template_sheet.__wrapped__(11, 8, 13)
-        assert np.array_equal(sheet.data, fresh[0].data) and (margin, stride) == fresh[1:]
-        flat, tilted = ocr._ocr_context(11, 8, 0, 13), ocr._ocr_context(11, 8, 37, 13)
-        assert flat.grid is sheet and tilted.grid is sheet
-        assert not np.array_equal(flat.slots, tilted.slots)
+        assert np.array_equal(sheet.data, fresh[0].data) and corners == fresh[1]
+        flat, tilted = ocr._template_slots(11, 8, 0, 13), ocr._template_slots(11, 8, 37, 13)
+        assert not np.array_equal(flat, tilted)
 
     @pytest.mark.parametrize("h,w,tilt_key", [(7, 5, 0), (11, 8, 37), (14, 12, -90)])
     def test_correlation_keeps_old_gemv_rows(self, h, w, tilt_key):
@@ -187,9 +228,10 @@ class TestOcrViews:
         # The search's offset counts (221, 49, 81) are 1 mod 4, like the 37
         # characters, so a gemv in the views' own row order lands every row
         # in the same place there; the 6- and 15-offset grids tell it apart.
-        ctx = ocr._ocr_context(h, w, tilt_key, 14)
+        sheet, _ = ocr._template_sheet(h, w, 14)
+        slots = ocr._template_slots(h, w, tilt_key, 14)
         rng = np.random.default_rng(h * w)
-        unit = ocr._normalize_rows(rng.standard_normal((1, ctx.slots.shape[2])))[0]
+        unit = ocr._normalize_rows(rng.standard_normal((1, slots.shape[2])))[0]
         for half_x, half_y, step in (
             (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0),
             (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP),
@@ -198,9 +240,9 @@ class TestOcrViews:
             (2.0, 1.0, 1.0),
         ):
             ax, ay = ocr._offset_axes(half_x, half_y, step)
-            n_y, n_x, (n_ch, n_pts) = len(ay), len(ax), ctx.slots[:, 0].shape
+            n_y, n_x, (n_ch, n_pts) = len(ay), len(ax), slots[:, 0].shape
             views = np.empty((n_y, n_x, n_ch, n_pts))
-            ocr._raw_views(ctx, 0.37 + ax, -1.21 + ay, views)
+            ocr._raw_views(sheet, slots, 0.37 + ax, -1.21 + ay, views)
             old = views.transpose(2, 0, 1, 3).reshape(-1, n_pts)
             want = (ocr._normalize_rows(old.copy()) @ unit).reshape(n_ch, n_y * n_x)
             got = ocr._correlate(views, unit, np.empty(views.size + 3))
