@@ -1,4 +1,7 @@
-"""Template OCR: round trips, template views and sheets, correlation rows."""
+"""Template OCR: round trips, template views and sheets, correlation rows,
+the array-pass set-up against the per-slot and per-cell code it replaced,
+and the pinned reads of the seed-0 benchmark."""
+import hashlib
 import math
 from unittest import mock
 
@@ -6,13 +9,15 @@ import numpy as np
 import pytest
 
 from slantext import bench, ocr
-from slantext.bench import BaseSpec, base_mask
+from slantext.bench import BaseSpec, base_mask, generate_benchmark, run_bench
 from slantext.corpus import CANVAS, CHAR_W, TEXT_H, render_scene_image, scene_background
 from slantext.diffusion import FACTOR, LatentCodec
 from slantext.errors import InputError
-from slantext.geometry import PolygonMask, divide_mask
-from slantext.glyph import char_cells, render_glyph_image
-from slantext.grid import LatentGrid, sample_at
+from slantext.fontdata import GLYPH_H, GLYPH_W
+from slantext.geometry import PolygonMask, divide_mask, pixel_box, rotate_points
+from slantext.glyph import char_cells, default_font, glyph_scale, render_glyph_image
+from slantext.grid import LatentGrid, quad_points, sample_at
+from slantext.guidance import GuidanceConfig
 from slantext.ocr import OCR_SENTINEL, OcrResult, ocr_decode
 
 
@@ -74,6 +79,25 @@ class TestOcrDecode:
     def test_bad_cell_shape(self):
         with pytest.raises(InputError):
             ocr_decode(np.zeros(CANVAS), [np.zeros((3, 2))])
+
+    def test_empty_cell_list(self):
+        with pytest.raises(InputError, match="at least one cell"):
+            ocr_decode(np.zeros(CANVAS), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner(self, bad):
+        _, cells = self.cat_setup()
+        cells[1] = cells[1].copy()
+        cells[1][2, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            ocr_decode(np.zeros(CANVAS), cells)
+
+    def test_overflowing_edge_and_non_numeric_corner(self):
+        huge = np.array([[-1e308, 0.0], [1e308, 0.0], [1e308, 5.0], [-1e308, 5.0]])
+        with pytest.raises(InputError, match="finite"):
+            ocr_decode(np.zeros(CANVAS), [huge])
+        with pytest.raises(InputError, match="numbers"):
+            ocr_decode(np.zeros(CANVAS), [[["a", 0], [1, 0], [1, 1], [0, 1]]])
 
     def test_result_validates_lengths(self):
         with pytest.raises(InputError):
@@ -165,9 +189,10 @@ class TestOcrViews:
 
     @pytest.mark.parametrize("factor", [FACTOR])
     def test_band_sheets_match_full_sheet_encode(self, factor):
-        # every sheet the OCR builds, captured on its way in: template sheets
-        # over the whole reach range, and context sheets at a fractional
-        # pitch, so their stamps sit off the block grid in x
+        # every sheet the OCR encodes, captured on its way in: the template
+        # tile bands of two shapes (template sheets at any reach are pasted
+        # from them, with no encode of their own), and context sheets at a
+        # fractional pitch, so their stamps sit off the block grid in x
         calls = []
         blocked = ocr._blocked_sheet
 
@@ -175,14 +200,19 @@ class TestOcrViews:
             calls.append(args)
             return blocked(*args)
 
+        shapes = ((7, 5), (14, 11))
+        for h, w in shapes:
+            ocr._template_tiles(h, w)  # cached before the capture starts
         with mock.patch.object(ocr, "_blocked_sheet", capture):
+            for h, w in shapes:
+                ocr._template_tiles.__wrapped__(h, w)
             for reach in range(8, 30):
                 h, w = (7, 5) if reach % 2 else (14, 11)
                 ocr._template_sheet.__wrapped__(h, w, reach)
             frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
             for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
                 ocr._context_grid(frames, decoded, pitch, 13)
-        assert len(calls) == 22 + 4
+        assert len(calls) == 2 + 4
         assert any(x0 % factor for _, _, stamps in calls for x0, _, _ in stamps)
         for args in calls:
             got = blocked(*args).data
@@ -247,6 +277,174 @@ class TestOcrViews:
             want = (ocr._normalize_rows(old.copy()) @ unit).reshape(n_ch, n_y * n_x)
             got = ocr._correlate(views, unit, np.empty(views.size + 3))
             assert np.array_equal(got, want)
+
+
+def old_patch_fractions(h, w):
+    """The patch fractions as (GLYPH_H, GLYPH_W) meshes, as they were before
+    the set-up ran in array passes."""
+    k = glyph_scale(h, w, 1)
+    us = ((w - GLYPH_W * k) / 2.0 + (np.arange(GLYPH_W) + 0.5) * k) / w
+    vs = ((h - GLYPH_H * k) / 2.0 + (np.arange(GLYPH_H) + 0.5) * k) / h
+    return np.meshgrid(us, vs)
+
+
+def old_slot_points(h, w, ox, oy, tilt_key):
+    """One slot's (2, points) sampling positions, the per-slot way: its own
+    pixel box turned about its own centroid, then the corner blend."""
+    cell = rotate_points(pixel_box(ox, oy, w, h), math.radians(tilt_key * ocr.TILT_STEP_DEG))
+    px, py = quad_points(cell, *old_patch_fractions(h, w))
+    return np.stack([px.ravel(), py.ravel()])
+
+
+def old_text_sheet(shapes, inks, pitch, reach):
+    """Sheet size, stamps and slot corners as the text sheet laid them out:
+    one slot per (h, w) shape at the pitch, a None ink left blank."""
+    max_h = max(h for h, _ in shapes)
+    max_w = max(w for _, w in shapes)
+    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
+    span = margin + (len(shapes) - 1) * pitch + max_w + margin
+    corners = tuple((margin + int(round(i * pitch)), margin) for i in range(len(shapes)))
+    sheet_h = FACTOR * math.ceil((2 * margin + max_h) / FACTOR)
+    sheet_w = FACTOR * math.ceil(span / FACTOR)
+    stamps = [(x0, y0, ink) for (x0, y0), ink in zip(corners, inks) if ink is not None]
+    return sheet_h, sheet_w, stamps, corners
+
+
+def old_template_layout(h, w, reach, inks):
+    """The template sheet's layout: the text sheet at pitch = stride."""
+    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
+    return old_text_sheet([(h, w)] * len(inks), inks, stride, reach)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# tilt keys at 0, +-45, 90 and +-360 degrees, beside random ones
+EDGE_TILTS = (0, 90, -90, 180, 720, -720)
+
+
+class TestSetUpBitwise:
+    def test_slot_points_match_per_slot_path(self):
+        rng = np.random.default_rng(14)
+        n_chars = len(default_font().charset)
+        for n in range(320):
+            h, w = int(rng.integers(3, 31)), int(rng.integers(2, 31))
+            reach = int(rng.integers(8, 41))
+            tilt_key = EDGE_TILTS[n] if n < len(EDGE_TILTS) else int(rng.integers(-720, 721))
+            stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
+            _, _, corners = ocr._sheet_layout([(h, w)] * n_chars, stride, reach)
+            got = ocr._slot_points(h, w, corners, tilt_key)
+            want = np.stack([old_slot_points(h, w, x0, y0, tilt_key) for x0, y0 in corners])
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES + [(7, 5, 720, 30), (9, 6, -720, 8)])
+    def test_template_slots_match_per_slot_path(self, h, w, tilt_key, reach):
+        slots = ocr._template_slots(h, w, tilt_key, reach)
+        assert not slots.flags.writeable
+        _, corners = ocr._template_sheet(h, w, reach)
+        want = np.stack([old_slot_points(h, w, x0, y0, tilt_key) for x0, y0 in corners])
+        assert_bitwise(slots, want)
+
+    def test_context_grid_matches_per_cell_path(self):
+        rng = np.random.default_rng(7)
+        charset = default_font().charset
+        letters = charset + "? "
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            frames = [
+                (None, int(h), int(w), float(angle))
+                for h, w, angle in zip(
+                    rng.integers(5, 24, n), rng.integers(4, 22, n), rng.uniform(-3.2, 3.2, n)
+                )
+            ]
+            decoded = "".join(letters[int(i)] for i in rng.integers(0, len(letters), n))
+            pitch = float(np.mean([w for _, _, w, _ in frames]))
+            reach = int(rng.integers(8, 41))
+            grid, points = ocr._context_grid(frames, decoded, pitch, reach)
+            shapes = [(h, w) for _, h, w, _ in frames]
+            inks = [
+                ocr._flat_templates(h, w)[0][charset.index(ch)] if ch in charset else None
+                for (h, w), ch in zip(shapes, decoded)
+            ]
+            sheet_h, sheet_w, stamps, corners = old_text_sheet(shapes, inks, pitch, reach)
+            assert_bitwise(grid.data, ocr._blocked_sheet(sheet_h, sheet_w, stamps).data)
+            assert len(points) == n
+            for (x0, y0), (_, h, w, angle), got in zip(corners, frames, points):
+                assert_bitwise(got, old_slot_points(h, w, x0, y0, ocr._tilt_key(angle)))
+
+    def test_cell_units_match_per_cell_gather(self):
+        # cells of mixed shapes and tilts, some reaching past the image edge
+        rng = np.random.default_rng(3)
+        gray = LatentGrid(rng.standard_normal((1, 48, 64)))
+        for _ in range(30):
+            cells = []
+            for _ in range(int(rng.integers(1, 9))):
+                x, y = rng.uniform(-6.0, 66.0), rng.uniform(-6.0, 50.0)
+                box = pixel_box(x, y, rng.uniform(2.0, 25.0), rng.uniform(3.0, 25.0))
+                cells.append(rotate_points(box, rng.uniform(-3.2, 3.2)))
+            frames = [ocr._cell_frame(cell) for cell in cells]
+            got = ocr._cell_units(gray, frames)
+            want = ocr._normalize_rows(np.stack([
+                sample_at(gray, *quad_points(q, *old_patch_fractions(h, w)))[0].ravel()
+                for q, h, w, _ in frames
+            ]))
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("h,w", [(7, 5), (11, 8), (14, 12), (23, 21), (3, 2)])
+    def test_crisp_rows_match_per_character_gather(self, h, w):
+        flats, crisp = ocr._flat_templates(h, w)
+        assert not crisp.flags.writeable
+        box = pixel_box(0, 0, w, h)
+        want = ocr._normalize_rows(np.asarray([
+            sample_at(LatentGrid(f[None]), *quad_points(box, *old_patch_fractions(h, w)))[0].ravel()
+            for f in flats
+        ]))
+        assert_bitwise(crisp, want)
+
+    def test_patch_fractions_are_cached_and_read_only(self):
+        us, vs = ocr._patch_fractions(11, 8)
+        assert ocr._patch_fractions(11, 8)[0] is us
+        assert not (us.flags.writeable or vs.flags.writeable)
+        old_us, old_vs = old_patch_fractions(11, 8)
+        assert_bitwise(us, old_us.ravel())
+        assert_bitwise(vs, old_vs.ravel())
+
+    @pytest.mark.parametrize("h", range(5, 24))
+    def test_pasted_template_sheets_match_full_sheet_encode(self, h):
+        # 18 widths at 4 reaches per height: the sheet pasted from the
+        # encoded tiles against the whole RGB sheet built and encoded
+        for w in range(4, 22):
+            flats, _ = ocr._flat_templates(h, w)
+            for reach in (8, 13, 21, 30):
+                sheet_h, sheet_w, stamps, corners = old_template_layout(h, w, reach, flats)
+                sheet, got_corners = ocr._template_sheet.__wrapped__(h, w, reach)
+                assert got_corners == corners
+                assert_bitwise(sheet.data, full_sheet_oracle(sheet_h, sheet_w, stamps))
+
+
+# Every OCR read of the seed-0 benchmark, 30 cases guided and 30 with both
+# branches off: a sha256 over one line per ocr_decode call, the decoded
+# string, a colon, and every confidence in float.hex joined by commas.
+PINNED_READS = "0b8fdaef19ba6c927a9c3b33902cbe6a529fe656f3dcd14bb8109ec00f6a40ca"
+
+
+def test_ocr_reads_pinned(monkeypatch):
+    lines = []
+
+    def record(image, cells):
+        result = ocr.ocr_decode(image, cells)
+        lines.append(result.decoded + ":" + ",".join(c.hex() for c in result.confidences))
+        return result
+
+    monkeypatch.setattr(bench, "ocr_decode", record)
+    cases = generate_benchmark(rng_seed=0)
+    for config in (GuidanceConfig(), GuidanceConfig(use_srb=False, use_sib=False)):
+        run_bench(cases, config=config)
+    assert len(lines) == 60
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_READS
 
 
 def full_sheet_oracle(sheet_h, sheet_w, stamps):
