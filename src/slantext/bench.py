@@ -213,7 +213,11 @@ def save_manifest(cases: Sequence[BenchCase], path) -> None:
 
 
 def load_manifest(path) -> list[BenchCase]:
-    rows = json.loads(Path(path).read_text())
+    return manifest_cases(json.loads(Path(path).read_text()))
+
+
+def manifest_cases(rows) -> list[BenchCase]:
+    """The cases of a manifest's parsed JSON rows."""
     return [
         BenchCase(
             case_id=r["case_id"],

@@ -22,7 +22,7 @@ import numpy as np
 from .bench import (
     TIER_NAMES,
     generate_benchmark,
-    load_manifest,
+    manifest_cases,
     run_bench,
     save_manifest,
 )
@@ -143,19 +143,52 @@ def _coerce(section: str, key: str, value, kind):
     raise InputError(f"{name} must be a [height, width] pair, got {value!r}")
 
 
+def _read_input(path, what: str) -> str:
+    """Text of the input file at path; a file that is missing, unreadable, a
+    directory or not UTF-8 raises InputError naming `what` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path, what: str):
+    """The input file at path parsed as JSON, by `_read_input`."""
+    try:
+        return json.loads(_read_input(path, what))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not JSON: {exc}") from None
+
+
+def _out_dir(path) -> Path:
+    """The output directory at path, made with its parents; a path that names
+    a file or cannot be made raises InputError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {path}: {exc.strerror or exc}") from None
+    return out
+
+
 def load_config_file(path) -> dict[str, dict]:
     """Parse an INI config into typed per-section dicts.  Values are JSON
     literals (0.4, true, [64, 64]); unknown sections or keys are errors."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise InputError(f"config file not found: {path}")
+    try:
+        parser.read_string(_read_input(path, "config file"), source=str(path))
+        raw_sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise InputError(f"config file {path}: {exc}") from None
     sections: dict[str, dict] = {}
-    for name in parser.sections():
+    for name, items in raw_sections.items():
         if name not in _SCHEMA:
             raise InputError(f"unknown config section [{name}]")
         allowed = _SCHEMA[name]
         values = {}
-        for key, raw in parser[name].items():
+        for key, raw in items.items():
             if key not in allowed:
                 raise InputError(f"unknown config key {name}.{key}")
             try:
@@ -190,7 +223,7 @@ def resolve_config(args) -> RunConfig:
 def load_mask(path) -> PolygonMask:
     """Mask file: a JSON array of [x, y] vertices, or an object holding one
     under "vertices"."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path, "mask file")
     if isinstance(data, dict) and "vertices" in data:
         data = data["vertices"]
     try:
@@ -248,15 +281,13 @@ def cmd_generate(args) -> int:
         raise InputError("text must be non-empty")
     default_font().validate(text)
     mask = load_mask(args.mask)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     corpus = build_corpus(canvas=cfg.canvas)
     trace = None
     if args.trace:
         codec = LatentCodec()
-        trace_dir = out / "trace"
-        trace_dir.mkdir(exist_ok=True)
+        trace_dir = _out_dir(out / "trace")
 
         def trace(step, z):
             frame = (codec.decode(z) + PIXEL_SHIFT) / PIXEL_RANGE
@@ -286,8 +317,7 @@ def cmd_decompose(args) -> int:
     segments = divide_mask(mask, args.text)
     canvas = _render_canvas(mask, cfg.canvas)
     layout = flatten_segments(segments, canvas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     layout_path = out / "layout.json"
     layout_path.write_text(
@@ -307,8 +337,7 @@ def cmd_decompose(args) -> int:
 def cmd_bench_gen(args) -> int:
     cfg = resolve_config(args)
     cases = generate_benchmark(per_tier_count=cfg.count, rng_seed=cfg.seed, canvas=cfg.canvas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest_path = out / "manifest.json"
     save_manifest(cases, manifest_path)
     write_run_config(out, cfg, "bench-gen", {"out": args.out})
@@ -318,13 +347,13 @@ def cmd_bench_gen(args) -> int:
 
 def cmd_bench_run(args) -> int:
     cfg = resolve_config(args)
+    rows = _read_json(args.manifest, "manifest")
     try:
-        cases = load_manifest(args.manifest)
+        cases = manifest_cases(rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest {args.manifest}: {exc}")
     corpus = build_corpus(canvas=cfg.canvas)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     run_bench(
         cases, config=cfg.guidance, corpus=corpus, out_dir=out, jobs=cfg.jobs,
         schedule=cfg.schedule(),
@@ -338,7 +367,7 @@ def cmd_bench_run(args) -> int:
 def _load_report(path) -> dict:
     """A report.json whose total row and tier-name -> row map each hold an
     integer n and numeric sen_acc and ned."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path, "report")
     if not isinstance(data, dict) or not isinstance(data.get("tiers"), dict) or "total" not in data:
         raise InputError(f"report {path} is missing tier summaries")
     for name, row in (("total", data["total"]), *data["tiers"].items()):
@@ -369,8 +398,7 @@ def cmd_report(args) -> int:
             f"{ned_on:>9.4f}{ned_off:>8.4f}{ned_on - ned_off:>+8.4f}"
         )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     lines = ["tier,n,sen_acc_on,sen_acc_off,sen_acc_delta,ned_on,ned_off,ned_delta"]
     for name, n, sa_on, sa_off, ned_on, ned_off in rows:
         lines.append(
@@ -457,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SlantextError, FileNotFoundError, json.JSONDecodeError, configparser.Error) as exc:
+    except SlantextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything unplanned is a runtime failure

@@ -58,15 +58,19 @@ def polygon_centroid(points) -> np.ndarray:
     return np.array([cx, cy])
 
 
+def rotation_matrix(angle: float) -> np.ndarray:
+    """2 x 2 matrix turning column vectors by `angle` radians (positive
+    turns +x toward +y)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 def rotate_points(points, angle: float) -> np.ndarray:
     """Polygon vertices turned by `angle` radians (positive turns +x toward
     +y) about their shoelace centroid."""
     pts = _as_points(points)
     c = polygon_centroid(pts)
-    rot = np.array(
-        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-    )
-    return (pts - c) @ rot.T + c
+    return (pts - c) @ rotation_matrix(angle).T + c
 
 
 def pixel_box(x, y, w, h) -> np.ndarray:
@@ -245,8 +249,7 @@ class SimilarityTransform:
     ty: float
 
     def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return self.scale * np.array([[c, -s], [s, c]])
+        return self.scale * rotation_matrix(self.angle)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -642,8 +645,7 @@ def flatten_segments(
         # flat rect corner -> segment UL, with the segment's angle and the
         # inverse of the flat scaling
         back_scale = 1.0 / scale_to_flat
-        c, s = math.cos(seg.angle), math.sin(seg.angle)
-        rot = back_scale * np.array([[c, -s], [s, c]])
+        rot = back_scale * rotation_matrix(seg.angle)
         t = seg.corners[0] - rot @ np.array([x, y])
         transforms.append(
             SimilarityTransform(back_scale, seg.angle, float(t[0]), float(t[1]))

@@ -20,7 +20,7 @@ import numpy as np
 from .diffusion import FACTOR, LatentCodec
 from .errors import InputError
 from .fontdata import GLYPH_H, GLYPH_W
-from .geometry import pixel_box, polygon_centroid
+from .geometry import pixel_box, polygon_centroid, rotation_matrix
 from .glyph import default_font, glyph_scale, render_text_block
 from .grid import LatentGrid, quad_points, sample_at
 
@@ -98,8 +98,7 @@ def _slot_points(
     are exact halves, so every slot's box less its centroid is the first's,
     and its centroid is the first's plus the corner shift, both exactly."""
     us, vs = _patch_fractions(h, w)
-    tilt = math.radians(tilt_key * TILT_STEP_DEG)
-    rot = np.array([[math.cos(tilt), -math.sin(tilt)], [math.sin(tilt), math.cos(tilt)]])
+    rot = rotation_matrix(math.radians(tilt_key * TILT_STEP_DEG))
     corners = np.asarray(corners, dtype=np.float64)
     box = pixel_box(*corners[0], w, h)
     c = polygon_centroid(box)
@@ -155,25 +154,19 @@ def _normalize_rows(rows: np.ndarray, scratch: Optional[np.ndarray] = None) -> n
 
 
 @lru_cache(maxsize=8)
-def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Clean h x w render of every character, and its normalised crisp row:
-    the render sampled at the patch points through a flat quad, all
-    characters in one gather as the channels of one grid."""
+def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Clean h x w render of every character, its normalised crisp row and
+    its latent tile.  The crisp rows are the renders sampled at the patch
+    points through a flat quad, all characters in one gather as the channels
+    of one grid.  The (rows, chars, cols) tiles are the renders stamped into
+    one band at a block-aligned pitch and encoded in one codec pass; the codec
+    is a per-block mean, so a tile pasted at a block-aligned corner of a zero
+    sheet holds the bits the sheet's own encode would give there, signs of
+    zero included."""
     flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
     px, py = quad_points(pixel_box(0, 0, w, h), *_patch_fractions(h, w))
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
     crisp.flags.writeable = False
-    return flats, crisp
-
-
-@lru_cache(maxsize=8)
-def _template_tiles(h: int, w: int) -> np.ndarray:
-    """(rows, chars, cols) latent tile of every character's clean h x w
-    render: the renders stamped into one band at a block-aligned pitch and
-    encoded in one codec pass.  The codec is a per-block mean, so a tile
-    pasted at a block-aligned corner of a zero sheet holds the bits the
-    sheet's own encode would give there, signs of zero included."""
-    flats, _ = _flat_templates(h, w)
     pitch = FACTOR * math.ceil(w / FACTOR)
     band = _blocked_sheet(
         FACTOR * math.ceil(h / FACTOR),
@@ -181,8 +174,7 @@ def _template_tiles(h: int, w: int) -> np.ndarray:
         [(i * pitch, 0, flat) for i, flat in enumerate(flats)],
     ).data[0]
     tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR)
-    tiles.flags.writeable = False
-    return tiles
+    return flats, crisp, tiles
 
 
 def _sheet_layout(
@@ -202,15 +194,15 @@ def _sheet_layout(
 
 
 @lru_cache(maxsize=8)
-def _template_sheet(h: int, w: int, reach: int) -> tuple[LatentGrid, tuple[tuple[int, int], ...]]:
+def _templates(h: int, w: int, tilt_key: int, reach: int) -> tuple[LatentGrid, np.ndarray]:
     """Blocked sheet of every character's clean h x w render, in
-    block-aligned slots one stride apart, and the slots' corners.  It does
-    not depend on the cell tilt, so cells of one shape at any tilt share it.
-    The sheet is pasted from the shape's `_template_tiles`, encoded once per
-    shape: a miss on a new reach costs a zero latent sheet and one tile copy
-    per slot, with no codec pass (0.1 ms for 14 x 12 cells on a 2-vCPU VM,
-    against 1.7-2.1 ms when every reach encoded its own sheet)."""
-    tiles = _template_tiles(h, w)
+    block-aligned slots one stride apart, and the (chars, 2, points)
+    sampling positions of every slot, read through a quad tilted like the
+    cell.  Offsetting the positions reproduces any cell-to-content
+    displacement up to `reach` pixels, so one sheet serves the whole search.
+    A miss pastes the shape's tiles onto a zero latent sheet, with no codec
+    pass, and turns one box for all slots."""
+    tiles = _flat_templates(h, w)[2]
     rows, n_chars, cols = tiles.shape
     stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
     sheet_h, sheet_w, corners = _sheet_layout([(h, w)] * n_chars, stride, reach)
@@ -218,22 +210,9 @@ def _template_sheet(h: int, w: int, reach: int) -> tuple[LatentGrid, tuple[tuple
     for i, (x0, y0) in enumerate(corners):
         top, left = y0 // FACTOR, x0 // FACTOR
         latent[0, top : top + rows, left : left + cols] = tiles[:, i]
-    return LatentGrid(latent), corners
-
-
-@lru_cache(maxsize=8)
-def _template_slots(h: int, w: int, tilt_key: int, reach: int) -> np.ndarray:
-    """(chars, 2, points) sampling positions of every character's slot on
-    the template sheet, read through a quad tilted like the cell.  Offsetting
-    them reproduces any cell-to-content displacement up to `reach` pixels,
-    so one codec pass serves the whole search.  A miss, on any new tilt or
-    reach, turns one box and blends every slot's points in one broadcast
-    (0.15 ms for 14 x 12 cells on a 2-vCPU VM, against 3.6 ms slot by
-    slot)."""
-    _, corners = _template_sheet(h, w, reach)
     slots = _slot_points(h, w, corners, tilt_key)
     slots.flags.writeable = False
-    return slots
+    return LatentGrid(latent), slots
 
 
 def _raw_views(
@@ -335,7 +314,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     charset = default_font().charset
     # each live cell's template sheet and its slot points on that sheet
     templates = {
-        i: (_template_sheet(h, w, reach)[0], _template_slots(h, w, _tilt_key(angle), reach))
+        i: _templates(h, w, _tilt_key(angle), reach)
         for i, (_, h, w, angle) in enumerate(frames)
         if i in live
     }
@@ -345,8 +324,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     # place; the other holds the gemv's rows and starts the allocation, as a
     # fresh array would.  One allocation holds both: glibc maps it on the
     # first read and, when it is freed, raises its mmap and trim thresholds
-    # to fit it, so later reads reuse heap pages (160 minor faults per guided
-    # case, against 1,400 with two allocations).
+    # to fit it, so later reads reuse heap pages (ru_minflt over the 30 seed-0
+    # guided reads replayed in one process: 50 minor faults per read after
+    # the first, against 1,540 with two allocations).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     size = len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W
     row_buf, view_buf = np.empty((2, size))

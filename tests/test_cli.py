@@ -89,7 +89,10 @@ class TestConfigResolution:
                      "[guidance]\nwavelength = 2\n",
                      "[guidance]\nlambda = banana\n",
                      "[guidance]\nuse_srb = 1\n",
-                     "[scene]\ncanvas = [64]\n"):
+                     "[scene]\ncanvas = [64]\n",
+                     "lambda = 0.4\n",
+                     "[guidance]\n[guidance]\n",
+                     "[guidance]\nrho = %(x)s\n"):
             ini = tmp_path / "bad.ini"
             ini.write_text(body)
             with pytest.raises(InputError):
@@ -357,6 +360,72 @@ class TestExitCodes:
         manifest = edited_manifest(tmp_path, "mask", mask)
         assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
         assert "malformed manifest" in capsys.readouterr().err
+
+    @staticmethod
+    def reading(tmp_path, what, path):
+        """argv of a command that reads path as its `what` input file, every
+        other input good."""
+        out = ["--out", str(tmp_path / "x")]
+        if what == "mask":
+            return ["decompose", path, "CAT", *out]
+        if what == "manifest":
+            return ["bench-run", path, *out]
+        if what == "report":
+            return ["report", TestReport().fake_report(tmp_path / "good.json"), path, *out]
+        return ["bench-gen", "--count", "1", "--config", path, *out]
+
+    @pytest.mark.parametrize("what", ["mask", "manifest", "report", "config"])
+    def test_directory_input_is_validation(self, tmp_path, capsys, what):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(self.reading(tmp_path, what, str(folder))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(folder) in err
+
+    @pytest.mark.parametrize("what", ["mask", "manifest", "report", "config"])
+    def test_non_utf8_input_is_validation(self, tmp_path, capsys, what):
+        bad = tmp_path / "latin1"
+        bad.write_bytes(b'{"caf\xe9": [[0, 0], [1, 0], [1, 1]]}\n')
+        assert main(self.reading(tmp_path, what, str(bad))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["generate", "decompose", "bench-gen", "bench-run", "report"])
+    def test_out_naming_a_file_is_validation(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        if command in ("generate", "decompose"):
+            argv = [command, write_mask(tmp_path / "m.json", flat_rect()), "CAT"]
+        elif command == "bench-run":
+            assert main(["bench-gen", "--count", "1", "--out", str(tmp_path / "gen")]) == 0
+            argv = [command, str(tmp_path / "gen" / "manifest.json")]
+        elif command == "report":
+            report = TestReport().fake_report(tmp_path / "r.json")
+            argv = [command, report, report]
+        else:
+            argv = [command, "--count", "1"]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err
+        assert taken.read_text() == "keep me\n"
+
+    def test_trace_dir_naming_a_file_is_validation(self, tmp_path, capsys):
+        mask = write_mask(tmp_path / "m.json", flat_rect())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace").write_text("keep me\n")
+        assert main(["generate", mask, "CAT", "--trace", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "trace") in err
+
+    def test_write_failure_after_mkdir_is_runtime(self, tmp_path, capsys, monkeypatch):
+        def refuse(cases, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "save_manifest", refuse)
+        assert main(["bench-gen", "--count", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "internal error: PermissionError" in capsys.readouterr().err
 
     def test_unexpected_failure_is_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "generate_benchmark",

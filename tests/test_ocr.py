@@ -135,7 +135,7 @@ def search_axes(center, grid):
 def wide_template_sheet(h, w, reach):
     """The template sheet at its former width, 2 * margin + stride * chars:
     the text sheet's layout with zero columns past the last slot's margin."""
-    flats, _ = ocr._flat_templates(h, w)
+    flats = ocr._flat_templates(h, w)[0]
     margin = FACTOR * math.ceil((reach + h + w) / FACTOR)
     stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
     return ocr._blocked_sheet(
@@ -148,8 +148,7 @@ def wide_template_sheet(h, w, reach):
 class TestOcrViews:
     @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES)
     def test_axis_views_match_full_mesh(self, h, w, tilt_key, reach):
-        sheet, _ = ocr._template_sheet(h, w, reach)
-        slots = ocr._template_slots(h, w, tilt_key, reach)
+        sheet, slots = ocr._templates(h, w, tilt_key, reach)
         for center, grid in SEARCH_GRIDS:
             ax, ay = ocr._offset_axes(*grid)
             gx, gy = np.meshgrid(ax, ay)
@@ -190,9 +189,9 @@ class TestOcrViews:
     @pytest.mark.parametrize("factor", [FACTOR])
     def test_band_sheets_match_full_sheet_encode(self, factor):
         # every sheet the OCR encodes, captured on its way in: the template
-        # tile bands of two shapes (template sheets at any reach are pasted
-        # from them, with no encode of their own), and context sheets at a
-        # fractional pitch, so their stamps sit off the block grid in x
+        # tile bands of two shapes (template sheets at any tilt and reach are
+        # pasted from them, with no encode of their own), and context sheets
+        # at a fractional pitch, so their stamps sit off the block grid in x
         calls = []
         blocked = ocr._blocked_sheet
 
@@ -201,15 +200,15 @@ class TestOcrViews:
             return blocked(*args)
 
         shapes = ((7, 5), (14, 11))
-        for h, w in shapes:
-            ocr._template_tiles(h, w)  # cached before the capture starts
+        frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
+        for h, w in shapes + tuple((h, w) for _, h, w, _ in frames):
+            ocr._flat_templates(h, w)  # cached before the capture starts
         with mock.patch.object(ocr, "_blocked_sheet", capture):
             for h, w in shapes:
-                ocr._template_tiles.__wrapped__(h, w)
+                ocr._flat_templates.__wrapped__(h, w)
             for reach in range(8, 30):
                 h, w = (7, 5) if reach % 2 else (14, 11)
-                ocr._template_sheet.__wrapped__(h, w, reach)
-            frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
+                ocr._templates.__wrapped__(h, w, 0, reach)
             for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
                 ocr._context_grid(frames, decoded, pitch, 13)
         assert len(calls) == 2 + 4
@@ -225,11 +224,10 @@ class TestOcrViews:
         # the template sheet used to run stride * chars wide; the text sheet
         # ends one margin past the last slot, and every slot point stays
         # inside it, so the views are the same bits, signs of zero included
-        sheet, _ = ocr._template_sheet(h, w, reach)
+        sheet, slots = ocr._templates(h, w, tilt_key, reach)
         wide = wide_template_sheet(h, w, reach)
         assert wide.data.shape[2] > sheet.data.shape[2]
         assert np.array_equal(wide.data[:, :, : sheet.data.shape[2]], sheet.data)
-        slots = ocr._template_slots(h, w, tilt_key, reach)
         for center, grid in SEARCH_GRIDS:
             xs, ys = search_axes(center, grid)
             shape = (len(ys), len(xs)) + slots[:, 0].shape
@@ -239,13 +237,25 @@ class TestOcrViews:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_tilts_share_template_sheet(self):
-        # the sheet depends on the cell shape and reach, not the tilt: cells
-        # at other tilts read the same sheet through their own slot points
-        sheet, corners = ocr._template_sheet(11, 8, 13)
-        fresh = ocr._template_sheet.__wrapped__(11, 8, 13)
-        assert np.array_equal(sheet.data, fresh[0].data) and corners == fresh[1]
-        flat, tilted = ocr._template_slots(11, 8, 0, 13), ocr._template_slots(11, 8, 37, 13)
+    def test_tilts_paste_equal_sheets_without_encode(self):
+        # the sheet depends on the cell shape and reach, not the tilt: a miss
+        # at another tilt pastes the same bits from the shape's cached tiles,
+        # with no codec pass, and only the slot points turn
+        calls = []
+        encode = LatentCodec.encode
+
+        def counting(self, *args):
+            calls.append(args)
+            return encode(self, *args)
+
+        ocr._flat_templates(11, 8)
+        with mock.patch.object(LatentCodec, "encode", counting):
+            flat_sheet, flat = ocr._templates.__wrapped__(11, 8, 0, 13)
+            tilted_sheet, tilted = ocr._templates.__wrapped__(11, 8, 37, 13)
+            assert calls == []
+            ocr._flat_templates.__wrapped__(11, 8)  # the tiles' own pass counts
+        assert len(calls) == 1
+        assert_bitwise(flat_sheet.data, tilted_sheet.data)
         assert not np.array_equal(flat, tilted)
 
     @pytest.mark.parametrize("h,w,tilt_key", [(7, 5, 0), (11, 8, 37), (14, 12, -90)])
@@ -258,8 +268,7 @@ class TestOcrViews:
         # The search's offset counts (221, 49, 81) are 1 mod 4, like the 37
         # characters, so a gemv in the views' own row order lands every row
         # in the same place there; the 6- and 15-offset grids tell it apart.
-        sheet, _ = ocr._template_sheet(h, w, 14)
-        slots = ocr._template_slots(h, w, tilt_key, 14)
+        sheet, slots = ocr._templates(h, w, tilt_key, 14)
         rng = np.random.default_rng(h * w)
         unit = ocr._normalize_rows(rng.standard_normal((1, slots.shape[2])))[0]
         for half_x, half_y, step in (
@@ -342,9 +351,10 @@ class TestSetUpBitwise:
 
     @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES + [(7, 5, 720, 30), (9, 6, -720, 8)])
     def test_template_slots_match_per_slot_path(self, h, w, tilt_key, reach):
-        slots = ocr._template_slots(h, w, tilt_key, reach)
+        _, slots = ocr._templates(h, w, tilt_key, reach)
         assert not slots.flags.writeable
-        _, corners = ocr._template_sheet(h, w, reach)
+        n_chars = len(default_font().charset)
+        *_, corners = old_template_layout(h, w, reach, [None] * n_chars)
         want = np.stack([old_slot_points(h, w, x0, y0, tilt_key) for x0, y0 in corners])
         assert_bitwise(slots, want)
 
@@ -395,8 +405,8 @@ class TestSetUpBitwise:
 
     @pytest.mark.parametrize("h,w", [(7, 5), (11, 8), (14, 12), (23, 21), (3, 2)])
     def test_crisp_rows_match_per_character_gather(self, h, w):
-        flats, crisp = ocr._flat_templates(h, w)
-        assert not crisp.flags.writeable
+        flats, crisp, tiles = ocr._flat_templates(h, w)
+        assert not (crisp.flags.writeable or tiles.flags.writeable)
         box = pixel_box(0, 0, w, h)
         want = ocr._normalize_rows(np.asarray([
             sample_at(LatentGrid(f[None]), *quad_points(box, *old_patch_fractions(h, w)))[0].ravel()
@@ -417,11 +427,11 @@ class TestSetUpBitwise:
         # 18 widths at 4 reaches per height: the sheet pasted from the
         # encoded tiles against the whole RGB sheet built and encoded
         for w in range(4, 22):
-            flats, _ = ocr._flat_templates(h, w)
+            flats = ocr._flat_templates(h, w)[0]
             for reach in (8, 13, 21, 30):
                 sheet_h, sheet_w, stamps, corners = old_template_layout(h, w, reach, flats)
-                sheet, got_corners = ocr._template_sheet.__wrapped__(h, w, reach)
-                assert got_corners == corners
+                sheet, slots = ocr._templates.__wrapped__(h, w, 0, reach)
+                assert_bitwise(slots, ocr._slot_points(h, w, corners, 0))
                 assert_bitwise(sheet.data, full_sheet_oracle(sheet_h, sheet_w, stamps))
 
 
