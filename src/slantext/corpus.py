@@ -69,18 +69,29 @@ def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS) -> np.ndar
     return BG_AMP * np.cos(arg[:, :, None] + phases[None, None, :])
 
 
+def _scene_images(scene_id: int, text: str, ys, canvas: tuple[int, int]) -> list[np.ndarray]:
+    """Background plus ink with the text block at each row y in ys: the
+    background and the ink are rendered once and placed per row."""
+    h, w = canvas
+    rect_w = CHAR_W * len(text)
+    for y in ys:
+        if rect_w > w or y < 0 or y + TEXT_H > h:
+            raise InputError(f"text rect {(rect_w, TEXT_H)} at y={y} exceeds canvas {canvas}")
+    bg = scene_background(scene_id, canvas)
+    ink = INK_AMP * render_text_block(TEXT_H, rect_w, text).data[:, :, None]
+    images = []
+    for y in ys:
+        img = bg.copy()
+        img[y:y + TEXT_H, 0:rect_w, :] += ink
+        images.append(img)
+    return images
+
+
 def render_scene_image(scene_id: int, text: str, y: int,
                        canvas: tuple[int, int] = CANVAS) -> np.ndarray:
     """Background plus ink: text occupies a rect of height TEXT_H at rows
     y..y+TEXT_H, x from 0, one CHAR_W-wide slot per character."""
-    h, w = canvas
-    rect_w = CHAR_W * len(text)
-    if rect_w > w or y < 0 or y + TEXT_H > h:
-        raise InputError(f"text rect {(rect_w, TEXT_H)} at y={y} exceeds canvas {canvas}")
-    img = scene_background(scene_id, canvas)
-    ink = render_text_block(TEXT_H, rect_w, text).data
-    img[y:y + TEXT_H, 0:rect_w, :] += INK_AMP * ink[:, :, None]
-    return img
+    return _scene_images(scene_id, text, (y,), canvas)[0]
 
 
 def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
@@ -89,8 +100,7 @@ def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
     codec = LatentCodec()
     exemplars = []
     for sid, text in enumerate(scene_texts):
-        for row, y in enumerate(rows):
-            img = render_scene_image(sid, text, y, canvas)
+        for row, (y, img) in enumerate(zip(rows, _scene_images(sid, text, rows, canvas))):
             exemplars.append(Exemplar(
                 scene_id=sid, text=text, row=row, y=y, latent=codec.encode(img),
             ))
@@ -98,25 +108,41 @@ def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,
 
 
 def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
-    """Posterior-mean noise predictor over one scene's exemplars.
+    """Noise predictor over one scene's exemplars, read off a weight blend
+    of them.
 
-    Exemplars act as a mixture of narrow gaussians (width GMM_TAU); the
-    predictor weights them by likelihood under the forward process and
-    reads the noise off the blended clean estimate."""
+    Exemplars act as a mixture of narrow gaussians (width GMM_TAU): each is
+    weighted by its likelihood under the forward process, and the clean
+    estimate x_bar is the weighted mean of the exemplars themselves.  A
+    posterior mean would also add each component's shrink term
+    sqrt(abar) tau^2 / var * (z - sqrt(abar) mu_k); this blend leaves it
+    out, so x_bar is always a convex mix of stored exemplars.
+
+    The exemplars are kept as one (M, C*H*W) matrix.  Its copy scaled by
+    sqrt(abar_t) is made once per abar_t and kept for the denoiser's
+    lifetime, so the second chain of a guided run reuses the first's, and
+    x_bar is one (1, M) x (M, C*H*W) np.dot, the product np.tensordot makes.
+    """
     members = corpus.for_scene(scene_id)
     if not members:
         raise ConditionError(f"no exemplars for scene id {scene_id}")
-    stack = np.stack([ex.latent.data for ex in members])  # (M, C, H, W)
+    mat = np.stack([ex.latent.data.ravel() for ex in members])  # (M, C*H*W)
+    scaled: dict[float, np.ndarray] = {}
 
     def denoise(z: LatentGrid, abar_t: float) -> LatentGrid:
+        root = math.sqrt(abar_t)
+        mu = scaled.get(abar_t)
+        if mu is None:
+            mu = scaled[abar_t] = root * mat
         var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
-        diff = z.data[None] - math.sqrt(abar_t) * stack
-        log_w = -np.sum(diff * diff, axis=(1, 2, 3)) / (2.0 * var)
+        flat = z.data.reshape(-1)
+        diff = flat - mu
+        log_w = -(diff * diff).sum(axis=1) / (2.0 * var)
         log_w -= log_w.max()
         w = np.exp(log_w)
         w /= w.sum()
-        x_bar = np.tensordot(w, stack, axes=1)
-        eps = (z.data - math.sqrt(abar_t) * x_bar) / math.sqrt(1.0 - abar_t)
-        return LatentGrid(eps)
+        x_bar = np.dot(w[None], mat)[0]
+        eps = (flat - root * x_bar) / math.sqrt(1.0 - abar_t)
+        return LatentGrid(eps.reshape(z.shape))
 
     return denoise

@@ -278,9 +278,10 @@ def convex_hull(points) -> np.ndarray:
     """Monotone-chain hull, counter-clockwise in (x, y) math orientation.
     The chain runs over Python floats, whose products and differences are
     the same IEEE doubles as numpy's."""
-    # np.unique(axis=0) returns the distinct rows sorted by x, then y: the
-    # order the chain walks in
-    pts = np.unique(_as_points(points), axis=0)
+    pts = _as_points(points)
+    # the distinct rows sorted by x, then y: the order the chain walks in
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
     if pts.shape[0] < 3:
         raise GeometryError("hull needs at least 3 distinct points")
     pts = pts.tolist()
@@ -344,23 +345,22 @@ def _cyclic_slice(n: int, i: int, j: int) -> list[int]:
 
 def _trim_cap_edges(chain: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Drop end vertices whose edge runs closer to the cross axis than the
-    long axis; those edges are the band's end caps, not boundary."""
-
-    def cap_like(a, b):
-        e = b - a
-        n = np.linalg.norm(e)
-        if n < 1e-12:
-            return True
-        e = e / n
-        along = abs(float(e @ axis))
-        return along < math.cos(math.pi / 4.0)
-
-    pts = chain
-    while pts.shape[0] > 2 and cap_like(pts[0], pts[1]):
-        pts = pts[1:]
-    while pts.shape[0] > 2 and cap_like(pts[-2], pts[-1]):
-        pts = pts[:-1]
-    return pts
+    long axis; those edges are the band's end caps, not boundary.  Every
+    edge is tested in one stack: its length and its unit vector's reach
+    along the axis are batched (1, 2) @ (2, 1) dots, which round as
+    `np.linalg.norm(e)` and `e @ axis` on one edge do."""
+    edges = np.diff(chain, axis=0)
+    norm = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0, 0]
+    short = norm < 1e-12
+    unit = edges / np.where(short, 1.0, norm)[:, None]
+    along = np.abs(np.matmul(unit[:, None, :], axis[:, None]))[:, 0, 0]
+    cap = (short | (along < math.cos(math.pi / 4.0))).tolist()
+    lo, hi = 0, chain.shape[0]
+    while hi - lo > 2 and cap[lo]:
+        lo += 1
+    while hi - lo > 2 and cap[hi - 2]:
+        hi -= 1
+    return chain[lo:hi]
 
 
 def _boundary_chains(poly: PolygonMask) -> tuple[np.ndarray, np.ndarray, OrientedRect]:

@@ -188,7 +188,7 @@ def sample_at(
     c, h, w = data.shape
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
-    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    shape = np.broadcast(xs, ys).shape
     if out is None:
         out = np.empty((c,) + shape)
     elif out.shape != (c,) + shape or out.dtype != np.float64:
@@ -210,10 +210,15 @@ def sample_at(
     gy = 1 - fy
 
     def padded_cell(i, n):
-        # padded index of corner index i on an axis of n stored cells; each
-        # corner is clipped on its own, so a point far left of the grid still
-        # reads the border and never column 0
-        return np.clip(i, -1, n * block) // block + 1
+        # padded index of corner index i on an axis of n stored cells, in
+        # place; each corner is clipped on its own, so a point far left of
+        # the grid still reads the border and never column 0
+        np.maximum(i, -1, out=i)
+        np.minimum(i, n * block, out=i)
+        if block > 1:
+            i //= block
+        i += 1
+        return i
 
     x1 = padded_cell(x0 + 1, w)
     x0 = padded_cell(x0, w)
@@ -236,9 +241,9 @@ def sample_at(
         acc = res[:, i0 : i0 + n]
         acc[...] = 0.0
         for cy, cx, wa, wb in corners:
-            # an axis array with a leading 1 broadcasts over every chunk
-            cy, wb = (a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cy, wb))
-            cx, wa = (a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cx, wa))
+            if n < lead:
+                # an axis array with a leading 1 broadcasts over every chunk
+                cy, cx, wa, wb = [a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cy, cx, wa, wb)]
             np.add(cy, cx, out=idx)
             # every index is in range already; "clip" only skips the copy
             # that the default mode makes of out
@@ -253,6 +258,8 @@ def _quad_array(corners) -> np.ndarray:
     quad = np.asarray(corners, dtype=np.float64)
     if quad.shape != (4, 2):
         raise ShapeError(f"quad must be 4 (x, y) corners, got shape {quad.shape}")
+    if not np.isfinite(quad).all():
+        raise ShapeError("quad corners must be finite")
     return quad
 
 
@@ -275,7 +282,7 @@ def _cross(ax, ay, bx, by):
 
 def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray):
     """Invert the corner-blend map of a parallelogram: plane points ->
-    (u, v, inside).
+    (u, v, inside), shaped like px and py broadcast.
 
     (p - A - v*F) must run parallel to (E + v*G), where E, F span the quad
     edges at A and G is the non-affine residual.  That is a quadratic in v
@@ -319,9 +326,8 @@ def extract_region(g: LatentGrid, corners, out_h: int, out_w: int) -> LatentGrid
     quad = _quad_array(corners)
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"output size must be positive, got {(out_h, out_w)}")
-    js, is_ = np.meshgrid(np.arange(out_w), np.arange(out_h))
-    us = (js + 0.5) / out_w
-    vs = (is_ + 0.5) / out_h
+    us = (np.arange(out_w) + 0.5) / out_w
+    vs = (np.arange(out_h)[:, None] + 0.5) / out_h
     px, py = quad_points(quad, us, vs)
     return LatentGrid(sample_at(g, px, py))
 
@@ -338,16 +344,19 @@ def paste_region_with_mask(
             f"channel mismatch: dst has {dst.channels}, src has {src.channels}"
         )
     h, w = dst.height, dst.width
-    x0 = int(np.clip(np.floor(quad[:, 0].min()), 0, w))
-    x1 = int(np.clip(np.ceil(quad[:, 0].max()) + 1, 0, w))
-    y0 = int(np.clip(np.floor(quad[:, 1].min()), 0, h))
-    y1 = int(np.clip(np.ceil(quad[:, 1].max()) + 1, 0, h))
+    qx, qy = quad.T.tolist()
+    x0 = min(max(math.floor(min(qx)), 0), w)
+    x1 = min(max(math.ceil(max(qx)) + 1, 0), w)
+    y0 = min(max(math.floor(min(qy)), 0), h)
+    y1 = min(max(math.ceil(max(qy)) + 1, 0), h)
     written = np.zeros((h, w), dtype=bool)
     if x0 >= x1 or y0 >= y1:
         return LatentGrid(dst.data), written
 
-    js, is_ = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-    u, v, inside = _quad_params(quad, js.astype(float), is_.astype(float))
+    # the box's column and row axes broadcast to its cells
+    u, v, inside = _quad_params(
+        quad, np.arange(x0, x1, dtype=float), np.arange(y0, y1, dtype=float)[:, None]
+    )
     if not inside.any():
         return LatentGrid(dst.data), written
 
@@ -356,8 +365,9 @@ def paste_region_with_mask(
     values = sample_at(src, sx, sy)
 
     out = dst.data.copy()
-    iy = is_[inside]
-    ix = js[inside]
+    iy, ix = np.nonzero(inside)
+    iy += y0
+    ix += x0
     out[:, iy, ix] = values
     written[iy, ix] = True
     return LatentGrid(out), written

@@ -1,5 +1,6 @@
 """Diffusion: schedule validation, DDIM stepping, sampling, codec, and the
 exemplar-mixture denoiser."""
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from slantext.corpus import (
     CANVAS,
     DEFAULT_SCENE_TEXTS,
+    GMM_TAU,
     FlatTextCorpus,
     build_corpus,
     make_denoiser,
@@ -215,6 +217,15 @@ class TestCorpus:
         for ea, eb in zip(a.exemplars, b.exemplars):
             assert np.array_equal(ea.latent.data, eb.latent.data)
 
+    def test_exemplar_latents_pinned(self):
+        # sha256 of the 32 default exemplar latents in corpus order (float64,
+        # numpy 2.4): rendering each scene's background and text once for
+        # all its rows must not move one bit
+        h = hashlib.sha256()
+        for ex in build_corpus().exemplars:
+            h.update(ex.latent.data.tobytes())
+        assert h.hexdigest() == "d11281c3c741f81a9406303df360ee1074d8653747cde22400ddecad56926798"
+
     def test_scene_image_ink_position(self):
         img = render_scene_image(0, "BLAZE", 16)
         bg = scene_background(0)
@@ -230,7 +241,41 @@ class TestCorpus:
             render_scene_image(0, "ABCDEF", 0, canvas=(64, 64))
 
 
+def tensordot_denoise(members, z, abar_t):
+    """The mixture denoiser written out over the (M, C, H, W) exemplar stack
+    with np.tensordot: the reference the denoiser must equal bitwise."""
+    stack = np.stack([ex.latent.data for ex in members])
+    var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
+    diff = z.data[None] - math.sqrt(abar_t) * stack
+    log_w = -np.sum(diff * diff, axis=(1, 2, 3)) / (2.0 * var)
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    w /= w.sum()
+    x_bar = np.tensordot(w, stack, axes=1)
+    return (z.data - math.sqrt(abar_t) * x_bar) / math.sqrt(1.0 - abar_t)
+
+
 class TestMixtureDenoiser:
+    @pytest.mark.parametrize("scene_id", range(len(DEFAULT_SCENE_TEXTS)))
+    def test_matches_tensordot_formula(self, scene_id):
+        corpus = build_corpus()
+        members = corpus.for_scene(scene_id)
+        den = make_denoiser(corpus, scene_id)
+        abars = [float(a) for a in linear_schedule().alpha_bars[1:]]
+        assert len(abars) == 20
+        rng = np.random.default_rng(100 + scene_id)
+        # two passes, the second in reverse order, so every abar_t is met
+        # both before and after the denoiser has kept its scaled exemplars
+        for abar_t in abars + abars[::-1]:
+            states = [
+                rng.standard_normal((3, 16, 16)) * rng.uniform(0.1, 3.0),
+                math.sqrt(abar_t) * members[int(rng.integers(len(members)))].latent.data
+                + math.sqrt(1.0 - abar_t) * rng.standard_normal((3, 16, 16)),
+            ]
+            for data in states:
+                z = grid(data)
+                assert np.array_equal(den(z, abar_t).data, tensordot_denoise(members, z, abar_t))
+
     def test_single_exemplar_convergence(self):
         """With one exemplar the clean estimate is that exemplar at every
         step, so the chain must land on it exactly."""

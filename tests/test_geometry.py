@@ -425,7 +425,43 @@ class TestCalipersBitwise:
         assert_calipers_match(arc_band().vertices)
 
 
+def trim_oracle(chain, axis):
+    """Reference cap trim: one norm and one dot per end edge, dropping end
+    vertices one at a time."""
+
+    def cap_like(a, b):
+        e = b - a
+        n = np.linalg.norm(e)
+        if n < 1e-12:
+            return True
+        e = e / n
+        return abs(float(e @ axis)) < math.cos(math.pi / 4.0)
+
+    pts = chain
+    while pts.shape[0] > 2 and cap_like(pts[0], pts[1]):
+        pts = pts[1:]
+    while pts.shape[0] > 2 and cap_like(pts[-2], pts[-1]):
+        pts = pts[:-1]
+    return pts
+
+
 class TestBoundaryFit:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=12),
+        st.sampled_from([1.0, 0.1, 1e-13, -7.3]),
+        st.sampled_from([0.0, math.pi / 4.0, math.pi / 2.0, 0.3, 2.9]),
+    )
+    def test_trim_matches_per_edge_oracle(self, pts, scale, angle):
+        # lattice chains repeat points (edges under 1e-12) and run at 45
+        # degrees to the axis, where the cap test sits on its threshold
+        chain = np.asarray(pts, dtype=np.float64) * scale
+        axis = np.array([math.cos(angle), math.sin(angle)])
+        got = geometry._trim_cap_edges(chain, axis)
+        want = trim_oracle(chain, axis)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_arc_band_boundaries_follow_circles(self):
         band = arc_band()
         upper, lower, _ = fit_boundary_beziers(band)

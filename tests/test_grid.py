@@ -389,3 +389,29 @@ class TestRegions:
         g = LatentGrid(np.zeros((1, 4, 4)))
         with pytest.raises(ShapeError):
             extract_region(g, [(0, 0), (1, 0), (1, 1)], 2, 2)
+
+    # one corner coordinate at a time; warnings are errors in this suite, so
+    # a check that warns before it raises fails here too
+    NON_FINITE = [(corner, axis, bad) for corner in (0, 2) for axis in (0, 1)
+                  for bad in (math.nan, math.inf, -math.inf)]
+
+    @staticmethod
+    def corrupted(quad, corner, axis, bad):
+        quad = np.array(quad, dtype=np.float64)
+        quad[corner, axis] = bad
+        return quad
+
+    @pytest.mark.parametrize("corner,axis,bad", NON_FINITE)
+    def test_paste_rejects_non_finite_corner(self, corner, axis, bad):
+        dst = LatentGrid(np.zeros((1, 16, 16)))
+        src = LatentGrid(np.ones((1, 4, 4)))
+        quad = self.corrupted([(4.5, 4.5), (8.5, 4.5), (8.5, 8.5), (4.5, 8.5)], corner, axis, bad)
+        with pytest.raises(ShapeError, match="finite"):
+            paste_region_with_mask(dst, src, quad)
+
+    @pytest.mark.parametrize("corner,axis,bad", NON_FINITE)
+    def test_extract_rejects_non_finite_corner(self, corner, axis, bad):
+        g = LatentGrid(np.ones((1, 16, 16)))
+        quad = self.corrupted([(1.5, 2.5), (8.5, 2.5), (8.5, 7.5), (1.5, 7.5)], corner, axis, bad)
+        with pytest.raises(ShapeError, match="finite"):
+            extract_region(g, quad, 4, 4)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slantext.bench import generate_benchmark
 from slantext.corpus import build_corpus, make_denoiser
 from slantext.diffusion import linear_schedule, sample
 from slantext.errors import CharsetError, InputError
@@ -374,6 +375,23 @@ class TestGeneratePipeline:
         res = generate(text, mask_fn(), 3, seed=11, corpus=corpus)
         assert len(res.segments) == n_segments
         assert hashlib.sha256(res.image.tobytes()).hexdigest() == digest
+
+    # The last DDIM step returns the denoiser's clean estimate, a weight blend
+    # of the scene's exemplars, and at GMM_TAU the weights are one-hot: so
+    # guided or not, the sample is a stored exemplar.  A change that lets
+    # guidance reach the image must move this test on purpose.
+    @pytest.mark.parametrize("config", [
+        GuidanceConfig(), GuidanceConfig(use_srb=False, use_sib=False),
+    ], ids=["full", "both_off"])
+    def test_z0_is_a_stored_exemplar(self, corpus, config):
+        cases = generate_benchmark(rng_seed=0)
+        assert len(cases) == 30
+        for case in cases:
+            res = generate(case.text, case.mask, case.scene_id, case.seed, config,
+                           corpus=corpus)
+            gaps = [float(np.abs(res.z0.data - ex.latent.data).max())
+                    for ex in corpus.for_scene(case.scene_id)]
+            assert min(gaps) <= 1e-15, case.case_id
 
     def test_bad_text_rejected(self, corpus):
         with pytest.raises(CharsetError):
