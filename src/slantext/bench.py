@@ -266,8 +266,23 @@ class BenchReport:
         }
 
 
-def config_fingerprint(config: GuidanceConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True)
+def report_config(
+    config: GuidanceConfig,
+    schedule: Optional[NoiseSchedule] = None,
+    canvas: tuple[int, int] = CANVAS,
+) -> dict:
+    """The resolved spec a report is scored under: the guidance fields, the
+    sampler's betas (default: `linear_schedule()`) and the canvas."""
+    schedule = schedule if schedule is not None else linear_schedule()
+    return {**asdict(config), "betas": schedule.betas.tolist(), "canvas": list(canvas)}
+
+
+def config_fingerprint(
+    config: GuidanceConfig,
+    schedule: Optional[NoiseSchedule] = None,
+    canvas: tuple[int, int] = CANVAS,
+) -> str:
+    blob = json.dumps(report_config(config, schedule, canvas), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -340,19 +355,18 @@ def run_bench(
     (default: `linear_schedule()`, as in `generate`).  Results are assembled
     sorted by case id, so --jobs parallelism never changes the report.
 
-    A case that fails with a SlantextError scores zero and carries the error
-    as its note; any other exception propagates."""
+    A case that fails with a SlantextError scores zero, carries the error as
+    its note and counts in the total's `failed`; any other exception
+    propagates.  The report's `config` and `config_digest` cover the whole
+    resolved spec: guidance, the schedule's betas and the corpus canvas."""
     if not cases:
         raise InputError("need at least one case")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     config = config or GuidanceConfig()
-    run_case = partial(
-        _run_case,
-        config=config,
-        schedule=schedule if schedule is not None else linear_schedule(),
-        corpus=corpus if corpus is not None else build_corpus(),
-    )
+    schedule = schedule if schedule is not None else linear_schedule()
+    corpus = corpus if corpus is not None else build_corpus()
+    run_case = partial(_run_case, config=config, schedule=schedule, corpus=corpus)
 
     if jobs == 1:
         records = [run_case(case) for case in cases]
@@ -365,9 +379,9 @@ def run_bench(
     report = BenchReport(
         records=records,
         tiers={name: _summary(sub) for name, sub in by_tier.items() if sub},
-        total=_summary(records),
-        config_digest=config_fingerprint(config),
-        config=asdict(config),
+        total={**_summary(records), "failed": sum(bool(r.note) for r in records)},
+        config_digest=config_fingerprint(config, schedule, tuple(corpus.canvas)),
+        config=report_config(config, schedule, tuple(corpus.canvas)),
     )
     if out_dir is not None:
         write_report(report, out_dir)

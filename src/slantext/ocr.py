@@ -27,6 +27,10 @@ from .grid import LatentGrid, quad_points, sample_at
 CORR_FLOOR = 0.3
 VOTE_FLOOR = 0.6
 OCR_SENTINEL = "?"
+# Scores within TOL of each other are ties: tied and real score gaps sit
+# three decades apart (1e-9 against 1.7e-6 and up), so which of two tied
+# scores rounds higher decides nothing.
+TOL = 1e-9
 
 TILT_STEP_DEG = 0.5
 # Content-offset search half-window in pixels: how far the committed text
@@ -245,6 +249,13 @@ def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndar
     return (mat.reshape(-1, n_pts) @ unit).reshape(n_ch, n_y * n_x)
 
 
+def _top(scores: np.ndarray) -> tuple[int, bool]:
+    """Index of the first score within TOL of the maximum, and whether any
+    other score lies within TOL of the maximum too."""
+    near = scores >= scores.max() - TOL
+    return int(np.argmax(near)), np.count_nonzero(near) > 1
+
+
 def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """x and y axes of a search grid; its offsets run y-major."""
     return (
@@ -280,8 +291,8 @@ def _context_grid(
 
 def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     """Read one character per cell by normalized cross-correlation against
-    templates of the default font; a best correlation under the floor
-    decodes as '?'.
+    templates of the default font; a best correlation under the floor, or
+    one within TOL of another character's, decodes as '?'.
 
     The cells are treated as windows onto a single rigid text block: every
     cell's template displacement is its geometric offset from the block plus
@@ -337,9 +348,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         for i, corr in zip(live, per_cell):
             _, h, w, _ = frames[i]
             scores = np.maximum(_flat_templates(h, w)[1] @ units[i], corr[:, best_off])
-            best = int(np.argmax(scores))
-            confs[i] = float(scores[best])
-            if confs[i] >= CORR_FLOOR:
+            best, tied = _top(scores)
+            confs[i] = float(scores.max())
+            if confs[i] >= CORR_FLOOR and not tied:
                 chars[i] = charset[best]
         return "".join(chars), confs
 
@@ -398,16 +409,16 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         return np.array([xs[o % len(xs)], ys[o // len(xs)]])
 
     total, _ = stage(xs, ys)
-    xs, ys = around(offset(xs, ys, int(np.argmax(total))), FINE_HALF)
+    xs, ys = around(offset(xs, ys, _top(total)[0]), FINE_HALF)
     total, per_cell = stage(xs, ys)
-    best_off = int(np.argmax(total))
+    best_off = _top(total)[0]
     decoded, confs = read_out(per_cell, best_off)
     center = offset(xs, ys, best_off)
 
     for _ in range(2):
         xs, ys = around(center, 1.0)
         total, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach))
-        best_off = int(np.argmax(total))
+        best_off = _top(total)[0]
         redecoded, confs = read_out(per_cell, best_off)
         center = offset(xs, ys, best_off)
         if redecoded == decoded:

@@ -29,7 +29,7 @@ from slantext.bench import (
     write_report,
 )
 from slantext.corpus import CANVAS, CHAR_W, TEXT_H, build_corpus, scene_background
-from slantext.diffusion import LatentCodec
+from slantext.diffusion import LatentCodec, linear_schedule
 from slantext.errors import GeometryError, InputError
 from slantext.geometry import PolygonMask
 from slantext.guidance import GuidanceConfig
@@ -212,16 +212,19 @@ def tiny_cases():
     return generate_benchmark(per_tier_count=1, rng_seed=2)
 
 
-# (cases per tier, config, sha256 of report.json) for seed-0 manifests.  The
-# 30-case rows are the full default manifest, guided and with both branches
-# off, the same reports BENCH_8.json records under 0/full and 0/both_off.
+# (id, cases per tier, config, sha256 of report.json) for seed-0 manifests.
+# The 30-case rows are the full default manifest, guided and with both
+# branches off, the same reports BENCH_17.json records under 0/full and
+# 0/both_off.  The ids stay put when a pin moves.
 PINNED_REPORTS = [
-    (1, GuidanceConfig(), "e3d6cac90e776dfa1035ad19011a0344b5dcfef2e85beec08a453774959dc6cc"),
-    (1, GuidanceConfig(use_srb=False, use_sib=False),
-     "ed4bb592e16c8ffc36bb55105b3e78158961f3914fa2a949abf2fb718d1234f2"),
-    (10, GuidanceConfig(), "91125e0f177039e7c86c750fe05c78e4035963bfb37e92d8eb5a788320c257d3"),
-    (10, GuidanceConfig(use_srb=False, use_sib=False),
-     "e1d2624a0e3544798904fa6e1c432f58c6368e36a73052970e7224eee1be09bf"),
+    ("count1-full", 1, GuidanceConfig(),
+     "4a480703d7d121e74336de5602a37c246dfc223c67d922159f753b86a52bcfb9"),
+    ("count1-both_off", 1, GuidanceConfig(use_srb=False, use_sib=False),
+     "3806c17e999b841df62d232fe7c3d4a9399736edf5e30e5a5eebcf8150e2dfea"),
+    ("count10-full", 10, GuidanceConfig(),
+     "36e5b075f9e76d0a733d11faca9d75d7985c38f97b3c16f9a92a668dcc2af4fb"),
+    ("count10-both_off", 10, GuidanceConfig(use_srb=False, use_sib=False),
+     "efa7313f634ef51c49a99047f45af66e20fc552d2e059a1f224be19f09e9379d"),
 ]
 
 
@@ -258,6 +261,8 @@ class TestRunBench:
         assert rec["easy_bad"].ned == 0.0
         assert rec["easy_bad"].note != ""
         assert rec[tiny_cases[0].case_id].note == ""
+        assert report.total["failed"] == 1
+        assert run_bench(tiny_cases[:1], corpus=corpus).total["failed"] == 0
 
     def test_write_report_files(self, corpus, tiny_cases, tmp_path):
         report = run_bench(tiny_cases, corpus=corpus, out_dir=tmp_path)
@@ -306,8 +311,8 @@ class TestRunBench:
         report = run_bench(cases, corpus=build_corpus(canvas=(96, 96)))
         assert [r.note for r in report.records] == [""] * len(cases)
 
-    @pytest.mark.parametrize("per_tier_count,config,digest", PINNED_REPORTS,
-                             ids=[f"config{i}-{d}" for i, (_, _, d) in enumerate(PINNED_REPORTS)])
+    @pytest.mark.parametrize("per_tier_count,config,digest", [p[1:] for p in PINNED_REPORTS],
+                             ids=[p[0] for p in PINNED_REPORTS])
     def test_report_digest_pinned(self, corpus, tmp_path, per_tier_count, config, digest):
         # report.json of a seed-0 run; a change to the OCR or the sampler
         # that moves any read or score moves this digest
@@ -320,6 +325,24 @@ class TestRunBench:
         assert base == config_fingerprint(GuidanceConfig())
         assert base != config_fingerprint(GuidanceConfig(use_srb=False))
         assert len(base) == 64 and set(base) <= set("0123456789abcdef")
+
+    def test_config_covers_schedule_and_canvas(self, tiny_cases):
+        # a report scored under another schedule or canvas says so in its
+        # config and its digest, not only in run_config.json
+        base = run_bench(tiny_cases[:1], corpus=build_corpus(canvas=(96, 96)),
+                         schedule=linear_schedule(steps=2))
+        assert base.config["betas"] == linear_schedule(steps=2).betas.tolist()
+        assert base.config["canvas"] == [96, 96]
+        assert base.config_digest == config_fingerprint(
+            GuidanceConfig(), linear_schedule(steps=2), (96, 96))
+        digests = {
+            config_fingerprint(GuidanceConfig()),
+            config_fingerprint(GuidanceConfig(), linear_schedule()),
+            config_fingerprint(GuidanceConfig(), linear_schedule(), CANVAS),
+        }
+        assert len(digests) == 1
+        assert config_fingerprint(GuidanceConfig(), linear_schedule(steps=12)) not in digests
+        assert config_fingerprint(GuidanceConfig(), canvas=(96, 96)) not in digests
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

@@ -437,24 +437,78 @@ class TestSetUpBitwise:
 
 # Every OCR read of the seed-0 benchmark, 30 cases guided and 30 with both
 # branches off: a sha256 over one line per ocr_decode call, the decoded
-# string, a colon, and every confidence in float.hex joined by commas.
-PINNED_READS = "0b8fdaef19ba6c927a9c3b33902cbe6a529fe656f3dcd14bb8109ec00f6a40ca"
+# string, a colon, and every confidence in float.hex joined by commas; and
+# a sha256 over the decoded strings alone, one per line.
+PINNED_READS = "53e010b741a3dc12ff41469b2f5b7529298adfde61998d5eea0ae8fff21a76c4"
+PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d69"
 
 
-def test_ocr_reads_pinned(monkeypatch):
-    lines = []
+def seed0_reads(monkeypatch, cases=None):
+    """OcrResult of every ocr_decode call of the seed-0 benchmark, guided
+    then with both branches off, and the (image, cells) each read."""
+    reads = []
 
     def record(image, cells):
         result = ocr.ocr_decode(image, cells)
-        lines.append(result.decoded + ":" + ",".join(c.hex() for c in result.confidences))
+        reads.append((result, image, cells))
         return result
 
     monkeypatch.setattr(bench, "ocr_decode", record)
-    cases = generate_benchmark(rng_seed=0)
+    cases = generate_benchmark(rng_seed=0) if cases is None else cases
     for config in (GuidanceConfig(), GuidanceConfig(use_srb=False, use_sib=False)):
         run_bench(cases, config=config)
+    return reads
+
+
+def test_ocr_reads_pinned(monkeypatch):
+    reads = seed0_reads(monkeypatch)
+    lines = [r.decoded + ":" + ",".join(c.hex() for c in r.confidences) for r, _, _ in reads]
     assert len(lines) == 60
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_READS
+
+
+def test_slot_points_snapped_to_2_pow_minus_40_keep_the_reads(monkeypatch):
+    # moving every template sample by under 2^-40 px moves scores by ulps;
+    # a read that such noise could flip is a tie, and reads '?' either way
+    slot_points = ocr._slot_points
+
+    def snapped(*args):
+        return np.round(slot_points(*args) * 2.0**40) / 2.0**40
+
+    ocr._templates.cache_clear()
+    monkeypatch.setattr(ocr, "_slot_points", snapped)
+    try:
+        reads = seed0_reads(monkeypatch)
+    finally:
+        ocr._templates.cache_clear()
+    strings = "\n".join(r.decoded for r, _, _ in reads)
+    assert hashlib.sha256(strings.encode()).hexdigest() == PINNED_STRINGS
+
+
+def test_one_hot_patch_reads_sentinel(monkeypatch):
+    # seed 0's guided medium_001: the last cell's patch has one lit sample,
+    # so its centred unit row is one-hot and correlates at 1 - 2^-52 or so
+    # with template views of many characters; the read is a tie, not 'F'
+    case = next(c for c in generate_benchmark(rng_seed=0) if c.case_id == "medium_001")
+    reads = []
+
+    def record(image, cells):
+        reads.append((image, cells))
+        return ocr.ocr_decode(image, cells)
+
+    monkeypatch.setattr(bench, "ocr_decode", record)
+    run_bench([case], config=GuidanceConfig())
+    image, cells = reads[0]
+    frames = [ocr._cell_frame(cell) for cell in cells]
+    gray = LatentGrid(image.mean(axis=2)[None])
+    q, h, w, _ = frames[4]
+    patch = sample_at(gray, *quad_points(q, *ocr._patch_fractions(h, w)))[0]
+    assert np.count_nonzero(np.abs(patch) > 1e-12) == 1
+    unit = ocr._cell_units(gray, frames)[4]
+    assert np.count_nonzero(unit == unit.max()) == 1
+    result = ocr_decode(image, cells)
+    assert result.decoded[4] == OCR_SENTINEL
+    assert result.confidences[4] > 1.0 - 1e-12
 
 
 def full_sheet_oracle(sheet_h, sheet_w, stamps):
