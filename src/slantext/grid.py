@@ -254,12 +254,19 @@ def sample_at(
     return out
 
 
+# Largest corner coordinate a quad may have: a float this large holds no
+# fraction of a cell, and far larger ones overflow the int64 sample indices
+# and the parallelogram test's squared scale.
+MAX_CORNER = 2.0**52
+
+
 def _quad_array(corners) -> np.ndarray:
     quad = np.asarray(corners, dtype=np.float64)
     if quad.shape != (4, 2):
         raise ShapeError(f"quad must be 4 (x, y) corners, got shape {quad.shape}")
-    if not np.isfinite(quad).all():
-        raise ShapeError("quad corners must be finite")
+    # NaN fails the comparison too
+    if not (np.abs(quad) <= MAX_CORNER).all():
+        raise ShapeError(f"quad corners must be finite and within +-2^52, got {quad.tolist()}")
     return quad
 
 

@@ -1,11 +1,12 @@
 """Template OCR: the benchmark's referee.
 
 Reads one character per cell quad of a generated image by normalized
-cross-correlation against templates of the default font.  Templates go
-through the same codec as the generated image, on sheets kept at latent
-resolution, and are sampled through quads tilted like the cells; the cells
-are read as windows onto one rigid text block whose residual offset is
-searched coarse to fine, then again with the decoded neighbours stamped in.
+cross-correlation, from the views' moments, against templates of the
+default font.  Templates go through the same codec as the generated image,
+on sheets kept at latent resolution, and are sampled through quads tilted
+like the cells; the cells are read as windows onto one rigid text block
+whose residual offset is searched coarse to fine, then again with the
+decoded neighbours stamped in.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .grid import LatentGrid, quad_points, sample_at
 CORR_FLOOR = 0.3
 VOTE_FLOOR = 0.6
 OCR_SENTINEL = "?"
-# Scores within TOL of each other are ties: tied and real score gaps sit
-# three decades apart (1e-9 against 1.7e-6 and up), so which of two tied
-# scores rounds higher decides nothing.
+# Scores within TOL of each other tie; tied gaps sit decades below real ones.
 TOL = 1e-9
 
 TILT_STEP_DEG = 0.5
@@ -145,12 +144,11 @@ def _blocked_sheet(
     return LatentGrid(latent)
 
 
-def _normalize_rows(rows: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Center each row of the 2-d rows and scale it to unit length, in place;
-    a row whose centered norm is 1e-9 or less becomes +0.0.  scratch, of the
-    same shape, takes the squares instead of a new array.  Returns rows."""
+    a row whose centered norm is 1e-9 or less becomes +0.0.  Returns rows."""
     rows -= rows.mean(axis=1, keepdims=True)
-    norms = np.sqrt(np.multiply(rows, rows, out=scratch).sum(axis=1, keepdims=True))
+    norms = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
         rows /= norms
     rows[~(norms[:, 0] > 1e-9)] = 0.0
@@ -232,26 +230,26 @@ def _raw_views(
     sample_at(sheet, px, py, block=FACTOR, out=out[None])
 
 
-def _correlate(views: np.ndarray, unit: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Correlation of the unit patch against (ys, xs, chars, points) template
-    views, which are normalised in place; rows is a buffer of at least
-    views.size values.  Returns (chars, offsets), offsets y-major.
+    views, which are only read.  Returns (chars, offsets), offsets y-major.
 
-    The gemv reads the rows in (chars, ys, xs) order, through one transposing
-    copy into rows.  OpenBLAS rounds a row's dot product differently with its
-    place in a group of four rows, so another row order can move a
-    correlation by an ulp, and a read can flip on that."""
-    n_y, n_x, n_ch, n_pts = views.shape
-    flat = views.reshape(-1, n_pts)
-    _normalize_rows(flat, scratch=rows[: flat.size].reshape(flat.shape))
-    mat = rows[: views.size].reshape(n_ch, n_y, n_x, n_pts)
-    np.copyto(mat, views.transpose(2, 0, 1, 3))
-    return (mat.reshape(-1, n_pts) @ unit).reshape(n_ch, n_y * n_x)
+    By moments, after J. P. Lewis, "Fast Normalized Cross-Correlation"
+    (1995): the unit patch is centred, so the numerator is `view @ unit`, and
+    a view's centred squared norm is `sum v^2 - (sum v)^2 / n`.  A view whose
+    centred norm is 1e-9 or less, or under 1e-6 of its root sum of squares
+    (lost to the moments' rounding), scores +0.0, as every constant view does."""
+    flat = views.reshape(-1, views.shape[3])
+    sums, squares = np.einsum("ij->i", flat), np.einsum("ij,ij->i", flat, flat)
+    var = squares - sums * sums / flat.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = (flat @ unit) / np.sqrt(var)
+    corr[~(var > np.maximum(1e-18, 1e-12 * squares))] = 0.0
+    return corr.reshape(-1, views.shape[2]).T
 
 
 def _top(scores: np.ndarray) -> tuple[int, bool]:
-    """Index of the first score within TOL of the maximum, and whether any
-    other score lies within TOL of the maximum too."""
+    """First index within TOL of the maximum, and whether another is too."""
     near = scores >= scores.max() - TOL
     return int(np.argmax(near)), np.count_nonzero(near) > 1
 
@@ -296,7 +294,8 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
 
     The cells are treated as windows onto a single rigid text block: every
     cell's template displacement is its geometric offset from the block plus
-    one shared residual, searched coarsely then refined to sub-pixel steps.
+    one shared residual, searched coarsely then refined to sub-pixel steps;
+    each stage takes the first offset voted within TOL of the best.
     The shared residual keeps a template from drifting onto content that
     merely resembles a character somewhere nearby.  A second pass rebuilds
     each template with the neighboring decoded characters stamped beside the
@@ -325,22 +324,16 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     charset = default_font().charset
     # each live cell's template sheet and its slot points on that sheet
     templates = {
-        i: _templates(h, w, _tilt_key(angle), reach)
-        for i, (_, h, w, angle) in enumerate(frames)
-        if i in live
+        i: _templates(frames[i][1], frames[i][2], _tilt_key(frames[i][3]), reach) for i in live
     }
 
-    # Two buffers sized for the coarse stage, the largest, serve every cell
-    # of every stage: one holds a cell's views, composed and normalised in
-    # place; the other holds the gemv's rows and starts the allocation, as a
-    # fresh array would.  One allocation holds both: glibc maps it on the
-    # first read and, when it is freed, raises its mmap and trim thresholds
-    # to fit it, so later reads reuse heap pages (ru_minflt over the 30 seed-0
-    # guided reads replayed in one process: 50 minor faults per read after
-    # the first, against 1,540 with two allocations).
+    # One buffer sized for the coarse stage, the largest, holds a cell's
+    # views in every stage.  Over the 30 seed-0 guided reads replayed in one
+    # process, ru_minflt reads 5,273 on the first read and 347 on each later
+    # one, as glibc trims the heap top of the gathers' temporaries (4,691 and
+    # 31-49 with a second such buffer for the gemv); under 1% of the time.
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
-    size = len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W
-    row_buf, view_buf = np.empty((2, size))
+    view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
 
     def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
         chars = [OCR_SENTINEL] * len(frames)
@@ -353,11 +346,6 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
             if confs[i] >= CORR_FLOOR and not tied:
                 chars[i] = charset[best]
         return "".join(chars), confs
-
-    def vote(per_cell: list[np.ndarray]) -> np.ndarray:
-        # Only confident reads steer the alignment; weaker cells ride along
-        # on the rigid-block geometry instead of dragging it toward noise.
-        return sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
 
     def cell_views(
         i: int,
@@ -392,14 +380,15 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         xs: np.ndarray,
         ys: np.ndarray,
         context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[int, list[np.ndarray]]:
         per_cell = [
-            _correlate(
-                cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i], row_buf
-            )
+            _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
             for i in live
         ]
-        return vote(per_cell), per_cell
+        # Only confident reads steer the alignment; weaker cells ride along
+        # on the rigid-block geometry instead of dragging it toward noise.
+        total = sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
+        return _top(total)[0], per_cell
 
     def around(center: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
         ax, ay = _offset_axes(half, half, FINE_STEP)
@@ -408,17 +397,15 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     def offset(xs: np.ndarray, ys: np.ndarray, o: int) -> np.ndarray:
         return np.array([xs[o % len(xs)], ys[o // len(xs)]])
 
-    total, _ = stage(xs, ys)
-    xs, ys = around(offset(xs, ys, _top(total)[0]), FINE_HALF)
-    total, per_cell = stage(xs, ys)
-    best_off = _top(total)[0]
+    best_off, _ = stage(xs, ys)
+    xs, ys = around(offset(xs, ys, best_off), FINE_HALF)
+    best_off, per_cell = stage(xs, ys)
     decoded, confs = read_out(per_cell, best_off)
     center = offset(xs, ys, best_off)
 
     for _ in range(2):
         xs, ys = around(center, 1.0)
-        total, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach))
-        best_off = _top(total)[0]
+        best_off, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach))
         redecoded, confs = read_out(per_cell, best_off)
         center = offset(xs, ys, best_off)
         if redecoded == decoded:

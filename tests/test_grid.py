@@ -415,3 +415,33 @@ class TestRegions:
         quad = self.corrupted([(1.5, 2.5), (8.5, 2.5), (8.5, 7.5), (1.5, 7.5)], corner, axis, bad)
         with pytest.raises(ShapeError, match="finite"):
             extract_region(g, quad, 4, 4)
+
+    # finite corners too far out for int64 indices (extract) or for the
+    # parallelogram test's squared scale (paste) once warned instead
+    HUGE = [(corner, axis, bad) for corner in (0, 2) for axis in (0, 1)
+            for bad in (1e150, -1e150, 1e160, -1e160, 2.0**52 * (1 + 2.0**-52))]
+
+    @pytest.mark.parametrize("corner,axis,bad", HUGE)
+    def test_paste_rejects_huge_corner(self, corner, axis, bad):
+        dst = LatentGrid(np.zeros((1, 16, 16)))
+        src = LatentGrid(np.ones((1, 4, 4)))
+        quad = self.corrupted([(4.5, 4.5), (8.5, 4.5), (8.5, 8.5), (4.5, 8.5)], corner, axis, bad)
+        with pytest.raises(ShapeError, match="within"):
+            paste_region_with_mask(dst, src, quad)
+
+    @pytest.mark.parametrize("corner,axis,bad", HUGE)
+    def test_extract_rejects_huge_corner(self, corner, axis, bad):
+        g = LatentGrid(np.ones((1, 16, 16)))
+        quad = self.corrupted([(1.5, 2.5), (8.5, 2.5), (8.5, 7.5), (1.5, 7.5)], corner, axis, bad)
+        with pytest.raises(ShapeError, match="within"):
+            extract_region(g, quad, 4, 4)
+
+    def test_far_quad_within_bound_reads_zero(self):
+        # a quad at the bound lies off the grid: it samples zeros and
+        # writes nothing, without a warning
+        far = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) + 2.0**52 - 1
+        g = LatentGrid(np.ones((1, 16, 16)))
+        assert not extract_region(g, far, 4, 4).data.any()
+        pasted, written = paste_region_with_mask(g, LatentGrid(np.zeros((1, 4, 4))), -far)
+        assert not written.any()
+        assert np.array_equal(pasted.data, g.data)

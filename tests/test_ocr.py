@@ -1,6 +1,7 @@
-"""Template OCR: round trips, template views and sheets, correlation rows,
-the array-pass set-up against the per-slot and per-cell code it replaced,
-and the pinned reads of the seed-0 benchmark."""
+"""Template OCR: round trips, template views and sheets, the correlation by
+moments against normalise-then-gemv, the array-pass set-up against the
+per-slot and per-cell code it replaced, the tie rule, and the pinned reads
+of the seed-0 benchmark."""
 import hashlib
 import math
 from unittest import mock
@@ -258,34 +259,62 @@ class TestOcrViews:
         assert_bitwise(flat_sheet.data, tilted_sheet.data)
         assert not np.array_equal(flat, tilted)
 
+
+def normalize_then_gemv(views, unit):
+    """The correlation before moments: every view centred and scaled to unit
+    length (zero when its centred norm is 1e-9 or less), then one gemv."""
+    n_y, n_x, n_ch, n_pts = views.shape
+    rows = ocr._normalize_rows(views.reshape(-1, n_pts).copy())
+    return (rows @ unit).reshape(n_y * n_x, n_ch).T
+
+
+class TestCorrelateByMoments:
+    def check(self, views, unit):
+        views.flags.writeable = False  # the views are only read
+        got = ocr._correlate(views, unit)
+        want = normalize_then_gemv(views, unit)
+        assert got.shape == want.shape == (views.shape[2], views.shape[0] * views.shape[1])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_views_match_normalize_then_gemv(self, seed):
+        # sparse ink, dense noise, rows riding on a large offset, rows of
+        # every scale and rows too faint to score, with all-zero and
+        # constant rows (of every sign and size) mixed in
+        rng = np.random.default_rng(seed)
+        n_y, n_x, n_ch, n_pts = 5, 3, 37, GLYPH_H * GLYPH_W
+        views = rng.standard_normal((n_y, n_x, n_ch, n_pts))
+        views[0] *= rng.random(views[0].shape) < 0.1
+        views[1] += rng.uniform(-50.0, 50.0, (n_x, n_ch, 1))
+        views[2] *= 10.0 ** rng.uniform(-6.0, 6.0, (n_x, n_ch, 1))
+        views[3] *= 1e-11  # centred norms under 1e-9 score 0.0
+        flat = views.reshape(-1, n_pts)
+        dead = rng.choice(len(flat), 60, replace=False)
+        flat[dead[:20]] = 0.0
+        flat[dead[20:]] = rng.choice([-1.0, 1.0], (40, 1)) * 10.0 ** rng.uniform(-12.0, 12.0, (40, 1))
+        flat[dead[-1]] = -0.0
+        unit = ocr._normalize_rows(rng.standard_normal((1, n_pts)))[0]
+        got = self.check(views, unit).T.reshape(-1)
+        assert not got.reshape(n_y, n_x, n_ch)[3].any()
+        assert np.array_equal(got[dead], np.zeros(len(dead)))
+        assert not np.signbit(got[dead]).any()
+
     @pytest.mark.parametrize("h,w,tilt_key", [(7, 5, 0), (11, 8, 37), (14, 12, -90)])
-    def test_correlation_keeps_old_gemv_rows(self, h, w, tilt_key):
-        # OpenBLAS rounds a gemv row differently with its place in a group of
-        # four rows (splitting a coarse cell's matrix by 1, 2 or 5 y-rows moved
-        # correlations by up to 1.1e-16, by 4 rows not at all), and reads flip
-        # on noise that size.  So the correlation must run the gemv on the
-        # rows in their old (chars, ys, xs) order, whatever the view layout.
-        # The search's offset counts (221, 49, 81) are 1 mod 4, like the 37
-        # characters, so a gemv in the views' own row order lands every row
-        # in the same place there; the 6- and 15-offset grids tell it apart.
+    def test_template_views_match_normalize_then_gemv(self, h, w, tilt_key):
+        # every search grid of the read, on a real template sheet, against a
+        # one-hot unit patch, the sparse case the tie rule exists for, and a
+        # dense one
         sheet, slots = ocr._templates(h, w, tilt_key, 14)
-        rng = np.random.default_rng(h * w)
-        unit = ocr._normalize_rows(rng.standard_normal((1, slots.shape[2])))[0]
-        for half_x, half_y, step in (
-            (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0),
-            (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP),
-            (1.0, 1.0, ocr.FINE_STEP),
-            (1.0, 0.5, 1.0),
-            (2.0, 1.0, 1.0),
-        ):
-            ax, ay = ocr._offset_axes(half_x, half_y, step)
-            n_y, n_x, (n_ch, n_pts) = len(ay), len(ax), slots[:, 0].shape
-            views = np.empty((n_y, n_x, n_ch, n_pts))
+        n_pts = slots.shape[2]
+        one_hot = ocr._normalize_rows(np.eye(1, n_pts, 17))[0]
+        dense = ocr._normalize_rows(np.random.default_rng(h * w).standard_normal((1, n_pts)))[0]
+        for _, grid in SEARCH_GRIDS:
+            ax, ay = ocr._offset_axes(*grid)
+            views = np.empty((len(ay), len(ax)) + slots[:, 0].shape)
             ocr._raw_views(sheet, slots, 0.37 + ax, -1.21 + ay, views)
-            old = views.transpose(2, 0, 1, 3).reshape(-1, n_pts)
-            want = (ocr._normalize_rows(old.copy()) @ unit).reshape(n_ch, n_y * n_x)
-            got = ocr._correlate(views, unit, np.empty(views.size + 3))
-            assert np.array_equal(got, want)
+            for unit in (one_hot, dense):
+                self.check(views, unit)
 
 
 def old_patch_fractions(h, w):
@@ -439,7 +468,7 @@ class TestSetUpBitwise:
 # branches off: a sha256 over one line per ocr_decode call, the decoded
 # string, a colon, and every confidence in float.hex joined by commas; and
 # a sha256 over the decoded strings alone, one per line.
-PINNED_READS = "53e010b741a3dc12ff41469b2f5b7529298adfde61998d5eea0ae8fff21a76c4"
+PINNED_READS = "7a681bd859e44e68d7d68da4c7089ac879f636c77656e0b5ad3191cf8cbb0975"
 PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d69"
 
 
