@@ -375,13 +375,14 @@ def run_bench(
             records = list(pool.map(run_case, cases))
 
     records = tuple(sorted(records, key=lambda r: r.case_id))
+    canvas = tuple(corpus.canvas)
     by_tier = {name: [r for r in records if r.tier == name] for name in TIER_NAMES}
     report = BenchReport(
         records=records,
         tiers={name: _summary(sub) for name, sub in by_tier.items() if sub},
         total={**_summary(records), "failed": sum(bool(r.note) for r in records)},
-        config_digest=config_fingerprint(config, schedule, tuple(corpus.canvas)),
-        config=report_config(config, schedule, tuple(corpus.canvas)),
+        config_digest=config_fingerprint(config, schedule, canvas),
+        config=report_config(config, schedule, canvas),
     )
     if out_dir is not None:
         write_report(report, out_dir)

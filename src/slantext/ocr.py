@@ -329,9 +329,10 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
 
     # One buffer sized for the coarse stage, the largest, holds a cell's
     # views in every stage.  Over the 30 seed-0 guided reads replayed in one
-    # process, ru_minflt reads 5,273 on the first read and 347 on each later
-    # one, as glibc trims the heap top of the gathers' temporaries (4,691 and
-    # 31-49 with a second such buffer for the gemv); under 1% of the time.
+    # process, ru_minflt reads 5,100-5,273 on the first read and 347-423 on
+    # each later one: glibc trims the heap top that the buffer and the
+    # gathers' temporaries leave past twice the buffer's size.  A buffer
+    # twice as large avoids that and read no faster.
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
 
