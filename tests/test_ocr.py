@@ -473,8 +473,9 @@ PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d
 
 
 def seed0_reads(monkeypatch, cases=None):
-    """OcrResult of every ocr_decode call of the seed-0 benchmark, guided
-    then with both branches off, and the (image, cells) each read."""
+    """OcrResult of every ocr_decode call of the seed-0 benchmark (or of the
+    given cases), guided then with both branches off, and the image and
+    cells each read."""
     reads = []
 
     def record(image, cells):
@@ -519,15 +520,7 @@ def test_one_hot_patch_reads_sentinel(monkeypatch):
     # so its centred unit row is one-hot and correlates at 1 - 2^-52 or so
     # with template views of many characters; the read is a tie, not 'F'
     case = next(c for c in generate_benchmark(rng_seed=0) if c.case_id == "medium_001")
-    reads = []
-
-    def record(image, cells):
-        reads.append((image, cells))
-        return ocr.ocr_decode(image, cells)
-
-    monkeypatch.setattr(bench, "ocr_decode", record)
-    run_bench([case], config=GuidanceConfig())
-    image, cells = reads[0]
+    _, image, cells = seed0_reads(monkeypatch, [case])[0]  # the guided read
     frames = [ocr._cell_frame(cell) for cell in cells]
     gray = LatentGrid(image.mean(axis=2)[None])
     q, h, w, _ = frames[4]
