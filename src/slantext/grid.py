@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,15 +16,6 @@ from .errors import ShapeError
 
 # floor applied to the content std inside adain; style std is used as-is
 STD_FLOOR = 1e-5
-
-# values per sample_at chunk.  Measured on the bench and generate gathers
-# (BENCH_8.json, "chunk_rule"): every value from 2^10 to 2^15 gives the same
-# times; 2^16 and up take more page faults and more gather time, and one pass
-# over the whole result takes 30-35% more gather time and 2,800-3,000 faults
-# per guided case.  A value below the other gathers, up to 2,835 values,
-# would split them too: one value per chunk made the generate path's 30x
-# slower.
-SAMPLE_CHUNK = 1 << 14
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -136,13 +126,7 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
     return LatentGrid(a.data * m + b.data * (1.0 - m))
 
 
-def sample_at(
-    g: LatentGrid,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    block: int = 1,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear samples of the grid at fractional (x, y) positions, shaped
     (C,) + the broadcast shape of xs and ys.
 
@@ -162,43 +146,14 @@ def sample_at(
     x axis shaped (..., 1, n) against a y axis shaped (..., m, 1) costs
     n + m per-axis steps, not n * m, and gives the same samples as the full
     meshes would.
-
-    With block = f the grid is stored at 1/f resolution: positions are in
-    the grid with every cell repeated f x f, and the samples equal those of
-    that repeated copy bitwise.  A corner index i of the repeated grid,
-    clipped to [-1, f * n], reads padded cell i // f + 1, so -1 and f * n
-    land on the zero border.
-
-    The samples are filled in chunks of the leading broadcast axis: as many
-    leading indices as fit in SAMPLE_CHUNK values, but at least one, so a
-    chunk is larger than SAMPLE_CHUNK when one leading index alone is.  Every
-    chunk reuses the same index, corner and weight buffers.  Each sample is
-    computed exactly as it would be in one pass, so chunking changes no bit
-    of the result; a 0-d result is one chunk.  The OCR's template-view
-    gathers hold 16,835 (coarse stage), 9,065 (fine stage) or 11,655
-    (context stage) values per leading index, one y offset, so each of their
-    chunks is one y offset.  Every other gather of the benchmark's
-    workloads holds at most 2,835 values and is one chunk.
-
-    out, if given, must be a writable float64 array of the result's shape.
-    It is overwritten with the samples and returned, and nothing of the
-    result's size is allocated.
     """
     data = g.data
     c, h, w = data.shape
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     shape = np.broadcast(xs, ys).shape
-    if out is None:
-        out = np.empty((c,) + shape)
-    elif out.shape != (c,) + shape or out.dtype != np.float64:
-        raise ShapeError(f"out must be float64 {(c,) + shape}, got {out.dtype} {out.shape}")
-    # give both axes and the result the same rank, at least one, so that the
-    # chunks below run over one leading axis
-    ndim = max(len(shape), 1)
-    xs = xs.reshape((1,) * (ndim - xs.ndim) + xs.shape)
-    ys = ys.reshape((1,) * (ndim - ys.ndim) + ys.shape)
-    res = out.reshape((c,) + (1,) * (ndim - len(shape)) + shape)
+    # at least one axis each, so that the index clips below work in place
+    xs, ys = np.atleast_1d(xs, ys)
     padded = np.zeros((c, h + 2, w + 2))
     padded[:, 1:-1, 1:-1] = data
     flat = padded.reshape(c, -1)
@@ -210,13 +165,11 @@ def sample_at(
     gy = 1 - fy
 
     def padded_cell(i, n):
-        # padded index of corner index i on an axis of n stored cells, in
-        # place; each corner is clipped on its own, so a point far left of
-        # the grid still reads the border and never column 0
+        # padded index of corner index i on an axis of n cells, in place;
+        # each corner is clipped on its own, so a point far left of the grid
+        # still reads the border and never column 0
         np.maximum(i, -1, out=i)
-        np.minimum(i, n * block, out=i)
-        if block > 1:
-            i //= block
+        np.minimum(i, n, out=i)
         i += 1
         return i
 
@@ -224,34 +177,14 @@ def sample_at(
     x0 = padded_cell(x0, w)
     y1 = padded_cell(y0 + 1, h) * (w + 2)
     y0 = padded_cell(y0, h) * (w + 2)
-    corners = ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy))
-
-    lead, rest = res.shape[1], res.shape[2:]
-    per_lead = math.prod(rest)
-    step = max(1, min(lead, SAMPLE_CHUNK // max(per_lead, 1)))
-    idx_buf = np.empty(step * per_lead, np.int64)
-    wgt_buf = np.empty(step * per_lead)
-    corner_buf = np.empty(c * step * per_lead)
-    for i0 in range(0, lead, step):
-        n = min(step, lead - i0)
-        part = (n,) + rest
-        idx = idx_buf[: n * per_lead].reshape(part)
-        wgt = wgt_buf[: n * per_lead].reshape(part)
-        corner = corner_buf[: c * n * per_lead].reshape((c,) + part)
-        acc = res[:, i0 : i0 + n]
-        acc[...] = 0.0
-        for cy, cx, wa, wb in corners:
-            if n < lead:
-                # an axis array with a leading 1 broadcasts over every chunk
-                cy, cx, wa, wb = [a if a.shape[0] == 1 else a[i0 : i0 + n] for a in (cy, cx, wa, wb)]
-            np.add(cy, cx, out=idx)
-            # every index is in range already; "clip" only skips the copy
-            # that the default mode makes of out
-            flat.take(idx, axis=1, out=corner, mode="clip")
-            np.multiply(wa, wb, out=wgt)
-            corner *= wgt
-            acc += corner
-    return out
+    out = np.zeros((c,) + np.broadcast(xs, ys).shape)
+    for cy, cx, wa, wb in ((y0, x0, gx, gy), (y0, x1, fx, gy), (y1, x0, gx, fy), (y1, x1, fx, fy)):
+        # every index is in range already, so "clip" moves none; it only
+        # spares the bounds check
+        corner = flat.take(cy + cx, axis=1, mode="clip")
+        corner *= wa * wb
+        out += corner
+    return out.reshape((c,) + shape)
 
 
 # Largest corner coordinate a quad may have: a float this large holds no

@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .diffusion import FACTOR, LatentCodec
 from .errors import InputError
@@ -92,24 +93,13 @@ def _tilt_key(angle: float) -> int:
     return int(round(math.degrees(angle) / TILT_STEP_DEG))
 
 
-def _slot_points(
-    h: int, w: int, corners: Sequence[tuple[int, int]], tilt_key: int
-) -> np.ndarray:
-    """(slots, 2, points) sampling positions of flat h x w slots with the
-    given top-left corners, each turned about its centroid by the quantized
-    tilt.  The box is turned once: pixel-box coordinates and their centroid
-    are exact halves, so every slot's box less its centroid is the first's,
-    and its centroid is the first's plus the corner shift, both exactly."""
-    us, vs = _patch_fractions(h, w)
-    rot = rotation_matrix(math.radians(tilt_key * TILT_STEP_DEG))
-    corners = np.asarray(corners, dtype=np.float64)
-    box = pixel_box(*corners[0], w, h)
+def _slot_points(h: int, w: int, corner: tuple[int, int], tilt_key: int) -> np.ndarray:
+    """(2, points) sampling positions of a flat h x w slot with the given
+    top-left corner, turned about its centroid by the quantized tilt."""
+    box = pixel_box(*corner, w, h)
     c = polygon_centroid(box)
-    centroids = c + (corners - corners[0])
-    # (4, 2, slots) corner coordinates; a trailing axis broadcasts them
-    # against the fractions
-    quads = ((box - c) @ rot.T)[:, :, None] + centroids.T
-    return np.stack(quad_points(quads[..., None], us, vs), axis=1)
+    quad = (box - c) @ rotation_matrix(math.radians(tilt_key * TILT_STEP_DEG)).T + c
+    return np.stack(quad_points(quad, *_patch_fractions(h, w)))
 
 
 def _cell_units(gray: LatentGrid, frames: Sequence[tuple]) -> np.ndarray:
@@ -126,11 +116,11 @@ def _blocked_sheet(
     """Gray sheet of ink stamps, each (x0, y0, ink) on a zero RGB sheet,
     after one codec round trip, kept at latent resolution: the channel mean
     of the encoded sheet, which repeated FACTOR x FACTOR equals the decoded
-    sheet's channel mean bitwise.  Sample it with `block=FACTOR`.  The sheet
-    is encoded in RGB because a one-channel block mean reduces in another
-    order and is not bitwise equal.  Only the band of block rows under the
-    stamps is built and encoded: every other block row encodes zeros to +0.0,
-    and each block's mean reads its own FACTOR x FACTOR pixels alone."""
+    sheet's channel mean bitwise.  The sheet is encoded in RGB because a
+    one-channel block mean reduces in another order and is not bitwise equal.
+    Only the band of block rows under the stamps is built and encoded: every
+    other block row encodes zeros to +0.0, and each block's mean reads its
+    own FACTOR x FACTOR pixels alone."""
     latent = np.zeros((1, sheet_h // FACTOR, sheet_w // FACTOR))
     if stamps:
         top = min(y0 for _, y0, _ in stamps) // FACTOR
@@ -160,7 +150,7 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     """Clean h x w render of every character, its normalised crisp row and
     its latent tile.  The crisp rows are the renders sampled at the patch
     points through a flat quad, all characters in one gather as the channels
-    of one grid.  The (rows, chars, cols) tiles are the renders stamped into
+    of one grid.  The (chars, rows, cols) tiles are the renders stamped into
     one band at a block-aligned pitch and encoded in one codec pass; the codec
     is a per-block mean, so a tile pasted at a block-aligned corner of a zero
     sheet holds the bits the sheet's own encode would give there, signs of
@@ -175,7 +165,7 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
         pitch * len(flats),
         [(i * pitch, 0, flat) for i, flat in enumerate(flats)],
     ).data[0]
-    tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR)
+    tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR).transpose(1, 0, 2)
     return flats, crisp, tiles
 
 
@@ -197,55 +187,96 @@ def _sheet_layout(
 
 @lru_cache(maxsize=8)
 def _templates(h: int, w: int, tilt_key: int, reach: int) -> tuple[LatentGrid, np.ndarray]:
-    """Blocked sheet of every character's clean h x w render, in
-    block-aligned slots one stride apart, and the (chars, 2, points)
-    sampling positions of every slot, read through a quad tilted like the
-    cell.  Offsetting the positions reproduces any cell-to-content
-    displacement up to `reach` pixels, so one sheet serves the whole search.
-    A miss pastes the shape's tiles onto a zero latent sheet, with no codec
-    pass, and turns one box for all slots."""
+    """Blocked sheet of one block-aligned slot holding every character's
+    clean h x w render, character k in channel k, and the (2, points)
+    sampling positions of the slot, read through a quad tilted like the cell.
+    Offsetting the positions reproduces any cell-to-content displacement up
+    to `reach` pixels, so one sheet serves the whole search.  A miss pastes
+    the shape's tiles onto a zero latent sheet, with no codec pass."""
     tiles = _flat_templates(h, w)[2]
-    rows, n_chars, cols = tiles.shape
-    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
-    sheet_h, sheet_w, corners = _sheet_layout([(h, w)] * n_chars, stride, reach)
-    latent = np.zeros((1, sheet_h // FACTOR, sheet_w // FACTOR))
-    for i, (x0, y0) in enumerate(corners):
-        top, left = y0 // FACTOR, x0 // FACTOR
-        latent[0, top : top + rows, left : left + cols] = tiles[:, i]
-    slots = _slot_points(h, w, corners, tilt_key)
+    n_chars, rows, cols = tiles.shape
+    sheet_h, sheet_w, (corner,) = _sheet_layout([(h, w)], 0.0, reach)
+    top, left = corner[1] // FACTOR, corner[0] // FACTOR
+    latent = np.zeros((n_chars, sheet_h // FACTOR, sheet_w // FACTOR))
+    latent[:, top : top + rows, left : left + cols] = tiles
+    slots = _slot_points(h, w, corner, tilt_key)
     slots.flags.writeable = False
     return LatentGrid(latent), slots
 
 
+def _axis_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear weights at (points, offsets) positions along an axis of n
+    latent cells read FACTOR times repeated, zero outside: a (points,
+    offsets, span) matrix over a window of span cells per point, and each
+    window's first cell.  A position's two corners fall in one cell or in
+    two neighbours, with sample_at's clip; a corner outside gets no weight."""
+    lo = np.floor(pos)
+    frac = pos - lo
+    lo = lo.astype(np.int64)
+    # corner cells in [-1, n]; -1 and n stand for the zeros outside
+    c0 = np.minimum(np.maximum(lo, -1), FACTOR * n) // FACTOR
+    c1 = np.minimum(np.maximum(lo + 1, -1), FACTOR * n) // FACTOR
+    first = c0.min(axis=1)
+    span = min(int((c1.max(axis=1) - first).max()) + 1, n)
+    # a window slid back inside the axis still holds every inside corner
+    first = np.minimum(np.maximum(first, 0), n - span)[:, None, None]
+    cells = np.arange(span)
+    weights = np.where(c0[..., None] - first == cells, (1 - frac)[..., None], 0.0)
+    weights += np.where(c1[..., None] - first == cells, frac[..., None], 0.0)
+    return weights, first[:, 0, 0]
+
+
 def _raw_views(
-    sheet: LatentGrid, slots: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray
-) -> None:
-    """Template views of every character displaced by every offset of the
-    x axis xs and the y axis ys, sampled from the latent sheet through the
-    (chars, 2, points) slots into out, shaped (ys, xs, chars, points).
-    Offsets lead, so sample_at broadcasts over whole (chars, points) planes
-    and fills one y offset per chunk."""
-    px = slots[:, 0] + xs[:, None, None]
-    py = slots[:, 1] + ys[:, None, None, None]
-    sample_at(sheet, px, py, block=FACTOR, out=out[None])
+    sheet: LatentGrid,
+    points: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    buf: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Views of every channel of the latent sheet, read FACTOR x FACTOR
+    repeated, at the (2, points) positions displaced by every offset of the x
+    axis xs and the y axis ys, shaped (points, ys, channels, xs); in the
+    front of buf, a 1-d float64 buffer large enough, if given.  Every channel is read at
+    the same positions, and a point's offsets form an xs x ys grid, so the
+    bilinear samples of one point factor into a y and an x weight matrix over
+    a window of a few latent cells: the views are Ay @ window @ Ax^T, two
+    batched matmuls, with the channels folded into the matrices.  They equal
+    sample_at on the repeated sheet up to the products' rounding."""
+    c, h, w = sheet.shape
+    ax, left = _axis_weights(points[0][:, None] + xs, w)
+    ay, top = _axis_weights(points[1][:, None] + ys, h)
+    n_pts, n_y, span_y = ay.shape
+    n_x, span_x = ax.shape[1:]
+    # (h, c, w - span_x + 1, span_x) windows of span_x columns, indexed to
+    # (points, span_y, c, span_x)
+    windows = sliding_window_view(sheet.data.transpose(1, 0, 2), span_x, axis=2)
+    window = windows[top[:, None] + np.arange(span_y), :, left[:, None]]
+    rows = np.matmul(window.reshape(n_pts, span_y * c, span_x), ax.transpose(0, 2, 1))
+    size = n_pts * n_y * c * n_x
+    views = (np.empty(size) if buf is None else buf[:size]).reshape(n_pts, n_y, c, n_x)
+    np.matmul(ay, rows.reshape(n_pts, span_y, c * n_x), out=views.reshape(n_pts, n_y, c * n_x))
+    return views
 
 
 def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Correlation of the unit patch against (ys, xs, chars, points) template
+    """Correlation of the unit patch against (points, ys, chars, xs) template
     views, which are only read.  Returns (chars, offsets), offsets y-major.
 
     By moments, after J. P. Lewis, "Fast Normalized Cross-Correlation"
-    (1995): the unit patch is centred, so the numerator is `view @ unit`, and
-    a view's centred squared norm is `sum v^2 - (sum v)^2 / n`.  A view whose
+    (1995): the unit patch is centred, so the numerator is `unit @ view`, and
+    a view's centred squared norm is `sum v^2 - (sum v)^2 / n`; one product
+    takes the numerators and the sums together.  A view whose
     centred norm is 1e-9 or less, or under 1e-6 of its root sum of squares
     (lost to the moments' rounding), scores +0.0, as every constant view does."""
-    flat = views.reshape(-1, views.shape[3])
-    sums, squares = np.einsum("ij->i", flat), np.einsum("ij,ij->i", flat, flat)
-    var = squares - sums * sums / flat.shape[1]
+    flat = views.reshape(views.shape[0], -1)
+    dots, sums = np.stack((unit, np.ones(len(unit)))) @ flat
+    squares = np.einsum("ij,ij->j", flat, flat)
+    var = squares - sums * sums / len(unit)
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (flat @ unit) / np.sqrt(var)
+        corr = dots / np.sqrt(var)
     corr[~(var > np.maximum(1e-18, 1e-12 * squares))] = 0.0
-    return corr.reshape(-1, views.shape[2]).T
+    _, n_y, n_chars, n_x = views.shape
+    return corr.reshape(n_y, n_chars, n_x).transpose(1, 0, 2).reshape(n_chars, n_y * n_x)
 
 
 def _top(scores: np.ndarray) -> tuple[int, bool]:
@@ -281,7 +312,7 @@ def _context_grid(
         ],
     )
     points = [
-        _slot_points(h, w, [corner], _tilt_key(angle))[0]
+        _slot_points(h, w, corner, _tilt_key(angle))
         for corner, (_, h, w, angle) in zip(corners, frames)
     ]
     return grid, points
@@ -328,11 +359,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     }
 
     # One buffer sized for the coarse stage, the largest, holds a cell's
-    # views in every stage.  Over the 30 seed-0 guided reads replayed in one
-    # process, ru_minflt reads 5,100-5,273 on the first read and 347-423 on
-    # each later one: glibc trims the heap top that the buffer and the
-    # gathers' temporaries leave past twice the buffer's size.  A buffer
-    # twice as large avoids that and read no faster.
+    # views in every stage.  Views allocated per stage took about 800 minor
+    # page faults per read after the first, against about 37 (ru_minflt over
+    # the 30 seed-0 guided reads replayed in one process).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
 
@@ -355,24 +384,20 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         context: Optional[tuple[LatentGrid, list[np.ndarray]]],
     ) -> np.ndarray:
         """Cell i's candidate templates at the displacements of the x axis dx
-        and the y axis dy, (ys, xs, chars, points) in view_buf.  Given a
+        and the y axis dy, (points, ys, chars, xs) in view_buf.  Given a
         context sheet of the decoded text, each candidate becomes (decoded
         text with this cell replaced by the candidate), assembled by linearity
         from the shared sheet view plus the candidate's minus the cell's own
         stamp, which is copied out before the sum overwrites it."""
-        sheet, slots = templates[i]
-        shape = (len(dy), len(dx)) + slots[:, 0].shape
-        views = view_buf[: math.prod(shape)].reshape(shape)
-        _raw_views(sheet, slots, dx, dy, out=views)
+        views = _raw_views(*templates[i], dx, dy, view_buf)
         if context is None:
             return views
         ctx_grid, ctx_points = context
-        px, py = ctx_points[i]
-        base = sample_at(ctx_grid, px + dx[:, None], py + dy[:, None, None], block=FACTOR)[0]
+        base = _raw_views(ctx_grid, ctx_points[i], dx, dy)
         own = None
         if decoded[i] in charset:
             own = views[:, :, charset.index(decoded[i])].copy()
-        views += base[:, :, None]
+        views += base
         if own is not None:
             views -= own[:, :, None]
         return views

@@ -1,6 +1,5 @@
 """Grid ops against independent scalar oracles."""
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slantext import grid
 from slantext.errors import ShapeError
 from slantext.grid import (
     LatentGrid,
@@ -167,42 +165,6 @@ def sample_cases(draw):
     return signed_zero_grid(draw, c, h, w), xs, ys
 
 
-# (xs shape, ys shape) whose leading broadcast axis spans several chunks of a
-# small SAMPLE_CHUNK, is 1 on one side, or does not exist
-CHUNK_SHAPE_PAIRS = [
-    ((), ()), ((9,), ()), ((), (9,)), ((6, 1, 4), (1, 5, 4)), ((1, 5, 4), (6, 1, 4)),
-    ((1, 3), (7, 1)), ((7, 3), (1, 3)), ((5, 2, 3), (5, 2, 3)), ((4, 1), (3,)), ((1, 1), (1, 6)),
-]
-
-
-@st.composite
-def chunk_cases(draw):
-    """A sample case, a SAMPLE_CHUNK from one value to a few leading rows,
-    and whether the samples go into a given out array."""
-    c = draw(st.sampled_from([1, 3]))
-    h = draw(st.integers(1, 5))
-    w = draw(st.integers(1, 5))
-    x_shape, y_shape = draw(st.sampled_from(CHUNK_SHAPE_PAIRS))
-    xs = draw(hnp.arrays(float, x_shape, elements=coords(w)))
-    ys = draw(hnp.arrays(float, y_shape, elements=coords(h)))
-    chunk = draw(st.integers(1, 48))
-    return signed_zero_grid(draw, c, h, w), xs, ys, chunk, draw(st.booleans())
-
-
-@st.composite
-def block_cases(draw):
-    """A grid stored at 1/f resolution and positions over its f-times repeated
-    extent, reaching past both edges."""
-    f = draw(st.sampled_from([1, 2, 4]))
-    c = draw(st.sampled_from([1, 3]))
-    h = draw(st.integers(1, 4))
-    w = draw(st.integers(1, 4))
-    x_shape, y_shape = draw(st.sampled_from(SHAPE_PAIRS))
-    xs = draw(hnp.arrays(float, x_shape, elements=coords(w * f)))
-    ys = draw(hnp.arrays(float, y_shape, elements=coords(h * f)))
-    return signed_zero_grid(draw, c, h, w), xs, ys, f
-
-
 class TestSampleAt:
     def assert_matches_oracle(self, g, xs, ys):
         got = sample_at(g, xs, ys)
@@ -216,39 +178,6 @@ class TestSampleAt:
     @settings(max_examples=300, deadline=None)
     def test_matches_masked_oracle(self, case):
         self.assert_matches_oracle(*case)
-
-    @given(chunk_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_chunks_and_out_match_masked_oracle(self, case):
-        g, xs, ys, chunk, use_out = case
-        shape = (g.channels,) + np.broadcast_shapes(xs.shape, ys.shape)
-        out = np.full(shape, np.nan) if use_out else None
-        with mock.patch.object(grid, "SAMPLE_CHUNK", chunk):
-            got = sample_at(g, xs, ys, out=out)
-        if use_out:
-            assert got is out
-        want = masked_sample_at(g.data, *np.broadcast_arrays(xs, ys))
-        assert got.shape == want.shape == shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_out_of_wrong_shape_or_dtype_rejected(self):
-        g = LatentGrid(np.ones((2, 3, 3)))
-        xs, ys = np.zeros((4, 1)), np.zeros(5)
-        for out in (np.empty((4, 5)), np.empty((2, 5, 4)), np.empty((2, 4, 5), np.float32)):
-            with pytest.raises(ShapeError):
-                sample_at(g, xs, ys, out=out)
-
-    @given(block_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_block_matches_repeated_grid(self, case):
-        g, xs, ys, f = case
-        repeated = LatentGrid(np.repeat(np.repeat(g.data, f, axis=1), f, axis=2))
-        got = sample_at(g, xs, ys, block=f)
-        want = sample_at(repeated, xs, ys)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_one_by_one_grid(self):
         g = LatentGrid(np.array([[[2.0]]]))
