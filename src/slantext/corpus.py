@@ -70,7 +70,8 @@ def scene_background(scene_id: int, canvas: tuple[int, int] = CANVAS) -> np.ndar
 
 
 def _scene_images(scene_id: int, text: str, ys, canvas: tuple[int, int]) -> list[np.ndarray]:
-    """Background plus ink with the text block at each row y in ys: the
+    """Background plus ink with the text block at each row y in ys: rows
+    y..y+TEXT_H, x from 0, one CHAR_W-wide slot per character.  The
     background and the ink are rendered once and placed per row."""
     h, w = canvas
     rect_w = CHAR_W * len(text)
@@ -85,13 +86,6 @@ def _scene_images(scene_id: int, text: str, ys, canvas: tuple[int, int]) -> list
         img[y:y + TEXT_H, 0:rect_w, :] += ink
         images.append(img)
     return images
-
-
-def render_scene_image(scene_id: int, text: str, y: int,
-                       canvas: tuple[int, int] = CANVAS) -> np.ndarray:
-    """Background plus ink: text occupies a rect of height TEXT_H at rows
-    y..y+TEXT_H, x from 0, one CHAR_W-wide slot per character."""
-    return _scene_images(scene_id, text, (y,), canvas)[0]
 
 
 def build_corpus(scene_texts: tuple = DEFAULT_SCENE_TEXTS,

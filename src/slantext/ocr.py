@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .diffusion import FACTOR, LatentCodec
 from .errors import InputError
 from .fontdata import GLYPH_H, GLYPH_W
-from .geometry import pixel_box, polygon_centroid, rotation_matrix
+from .geometry import pixel_box, rotate_points
 from .glyph import default_font, glyph_scale, render_text_block
 from .grid import LatentGrid, quad_points, sample_at
 
@@ -93,12 +93,10 @@ def _tilt_key(angle: float) -> int:
     return int(round(math.degrees(angle) / TILT_STEP_DEG))
 
 
-def _slot_points(h: int, w: int, corner: tuple[int, int], tilt_key: int) -> np.ndarray:
-    """(2, points) sampling positions of a flat h x w slot with the given
-    top-left corner, turned about its centroid by the quantized tilt."""
-    box = pixel_box(*corner, w, h)
-    c = polygon_centroid(box)
-    quad = (box - c) @ rotation_matrix(math.radians(tilt_key * TILT_STEP_DEG)).T + c
+def _slot_points(h: int, w: int, tilt_key: int) -> np.ndarray:
+    """(2, points) sampling positions of a flat h x w slot whose top-left
+    pixel is the origin, turned about its centroid by the quantized tilt."""
+    quad = rotate_points(pixel_box(0, 0, w, h), math.radians(tilt_key * TILT_STEP_DEG))
     return np.stack(quad_points(quad, *_patch_fractions(h, w)))
 
 
@@ -111,27 +109,19 @@ def _cell_units(gray: LatentGrid, frames: Sequence[tuple]) -> np.ndarray:
 
 
 def _blocked_sheet(
-    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, int, np.ndarray]]
+    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, np.ndarray]]
 ) -> LatentGrid:
-    """Gray sheet of ink stamps, each (x0, y0, ink) on a zero RGB sheet,
-    after one codec round trip, kept at latent resolution: the channel mean
-    of the encoded sheet, which repeated FACTOR x FACTOR equals the decoded
-    sheet's channel mean bitwise.  The sheet is encoded in RGB because a
-    one-channel block mean reduces in another order and is not bitwise equal.
-    Only the band of block rows under the stamps is built and encoded: every
-    other block row encodes zeros to +0.0, and each block's mean reads its
-    own FACTOR x FACTOR pixels alone."""
-    latent = np.zeros((1, sheet_h // FACTOR, sheet_w // FACTOR))
-    if stamps:
-        top = min(y0 for _, y0, _ in stamps) // FACTOR
-        bottom = -(-max(y0 + ink.shape[0] for _, y0, ink in stamps) // FACTOR)
-        band = np.zeros(((bottom - top) * FACTOR, sheet_w, 3))
-        for x0, y0, ink in stamps:
-            h, w = ink.shape
-            y0 -= top * FACTOR  # row in the band
-            band[y0 : y0 + h, x0 : x0 + w, :] = ink[:, :, None]
-        latent[0, top:bottom] = LatentCodec().encode(band).data.mean(axis=0)
-    return LatentGrid(latent)
+    """Gray sheet of ink stamps, each (x0, ink) with its top row on row 0 of a
+    zero RGB sheet, after one codec round trip, kept at latent resolution:
+    the channel mean of the encoded sheet, which repeated FACTOR x FACTOR
+    equals the decoded sheet's channel mean bitwise.  The sheet is encoded in
+    RGB because a one-channel block mean reduces in another order and is not
+    bitwise equal."""
+    sheet = np.zeros((sheet_h, sheet_w, 3))
+    for x0, ink in stamps:
+        h, w = ink.shape
+        sheet[:h, x0 : x0 + w, :] = ink[:, :, None]
+    return LatentGrid(LatentCodec().encode(sheet).data.mean(axis=0)[None])
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -152,9 +142,8 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     points through a flat quad, all characters in one gather as the channels
     of one grid.  The (chars, rows, cols) tiles are the renders stamped into
     one band at a block-aligned pitch and encoded in one codec pass; the codec
-    is a per-block mean, so a tile pasted at a block-aligned corner of a zero
-    sheet holds the bits the sheet's own encode would give there, signs of
-    zero included."""
+    is a per-block mean, so each tile holds the bits that encoding its render
+    alone on a block-aligned zero sheet gives, signs of zero included."""
     flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
     px, py = quad_points(pixel_box(0, 0, w, h), *_patch_fractions(h, w))
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
@@ -163,45 +152,23 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     band = _blocked_sheet(
         FACTOR * math.ceil(h / FACTOR),
         pitch * len(flats),
-        [(i * pitch, 0, flat) for i, flat in enumerate(flats)],
+        [(i * pitch, flat) for i, flat in enumerate(flats)],
     ).data[0]
     tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR).transpose(1, 0, 2)
     return flats, crisp, tiles
 
 
-def _sheet_layout(
-    shapes: Sequence[tuple[int, int]], pitch: float, reach: int
-) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """Height and width of a sheet holding one slot per (h, w) shape, laid
-    out left to right at the pitch, and the slots' top-left corners.  The
-    margin keeps every slot point turned by any tilt and displaced up to
-    `reach` pixels on the sheet."""
-    max_h = max(h for h, _ in shapes)
-    max_w = max(w for _, w in shapes)
-    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
-    span = margin + (len(shapes) - 1) * pitch + max_w + margin
-    corners = tuple((margin + int(round(i * pitch)), margin) for i in range(len(shapes)))
-    sheet_h = FACTOR * math.ceil((2 * margin + max_h) / FACTOR)
-    return sheet_h, FACTOR * math.ceil(span / FACTOR), corners
-
-
 @lru_cache(maxsize=8)
-def _templates(h: int, w: int, tilt_key: int, reach: int) -> tuple[LatentGrid, np.ndarray]:
-    """Blocked sheet of one block-aligned slot holding every character's
-    clean h x w render, character k in channel k, and the (2, points)
-    sampling positions of the slot, read through a quad tilted like the cell.
-    Offsetting the positions reproduces any cell-to-content displacement up
-    to `reach` pixels, so one sheet serves the whole search.  A miss pastes
-    the shape's tiles onto a zero latent sheet, with no codec pass."""
-    tiles = _flat_templates(h, w)[2]
-    n_chars, rows, cols = tiles.shape
-    sheet_h, sheet_w, (corner,) = _sheet_layout([(h, w)], 0.0, reach)
-    top, left = corner[1] // FACTOR, corner[0] // FACTOR
-    latent = np.zeros((n_chars, sheet_h // FACTOR, sheet_w // FACTOR))
-    latent[:, top : top + rows, left : left + cols] = tiles
-    slots = _slot_points(h, w, corner, tilt_key)
+def _templates(h: int, w: int, tilt_key: int) -> tuple[LatentGrid, np.ndarray]:
+    """The shape's latent tiles as one sheet, character k's clean h x w render
+    in channel k, and the (2, points) sampling positions of its slot, read
+    through a quad tilted like the cell.  The views read every position off
+    the sheet as zero, so offsetting the positions reproduces any
+    cell-to-content displacement on this one sheet, with no margin and no
+    codec pass."""
+    slots = _slot_points(h, w, tilt_key)
     slots.flags.writeable = False
-    return LatentGrid(latent), slots
+    return LatentGrid(_flat_templates(h, w)[2]), slots
 
 
 def _axis_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,29 +260,20 @@ def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray,
     )
 
 
-def _context_grid(
-    frames: Sequence[tuple], decoded: str, pitch: float, reach: int
-) -> tuple[LatentGrid, list[np.ndarray]]:
-    """Blocked sheet holding the currently decoded text at cell pitch, one
-    slot per cell (a character outside the charset leaves its slot blank),
-    plus each cell's tilted sampling points over its own slot."""
+def _context_grid(frames: Sequence[tuple], decoded: str, lefts: Sequence[int]) -> LatentGrid:
+    """Blocked sheet of the currently decoded text, cell i's render with its
+    top-left pixel at (lefts[i], 0); a character outside the charset leaves
+    its place blank."""
     charset = default_font().charset
-    shapes = [(h, w) for _, h, w, _ in frames]
-    sheet_h, sheet_w, corners = _sheet_layout(shapes, pitch, reach)
-    grid = _blocked_sheet(
-        sheet_h,
-        sheet_w,
+    return _blocked_sheet(
+        FACTOR * math.ceil(max(h for _, h, _, _ in frames) / FACTOR),
+        FACTOR * math.ceil(max(x0 + w for x0, (_, _, w, _) in zip(lefts, frames)) / FACTOR),
         [
-            (x0, y0, _flat_templates(h, w)[0][charset.index(ch)])
-            for (x0, y0), (h, w), ch in zip(corners, shapes, decoded)
+            (x0, _flat_templates(h, w)[0][charset.index(ch)])
+            for x0, (_, h, w, _), ch in zip(lefts, frames, decoded)
             if ch in charset
         ],
     )
-    points = [
-        _slot_points(h, w, corner, _tilt_key(angle))
-        for corner, (_, h, w, angle) in zip(corners, frames)
-    ]
-    return grid, points
 
 
 def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
@@ -350,17 +308,16 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         [frames[i][0].mean(axis=0) - np.array([i * pitch, 0.0]) for i in range(len(frames))]
     )
     anchors = anchors - anchors[live].mean(axis=0)
-    reach = int(math.ceil(np.abs(anchors[live]).max())) + max(SEARCH_X, SEARCH_Y) + 2
+    # each cell's left edge on the context sheet
+    lefts = [int(round(i * pitch)) for i in range(len(frames))]
 
     charset = default_font().charset
     # each live cell's template sheet and its slot points on that sheet
-    templates = {
-        i: _templates(frames[i][1], frames[i][2], _tilt_key(frames[i][3]), reach) for i in live
-    }
+    templates = {i: _templates(frames[i][1], frames[i][2], _tilt_key(frames[i][3])) for i in live}
 
     # One buffer sized for the coarse stage, the largest, holds a cell's
-    # views in every stage.  Views allocated per stage took about 800 minor
-    # page faults per read after the first, against about 37 (ru_minflt over
+    # views in every stage.  Views allocated per stage took about 750 minor
+    # page faults per read after the first, against about 19 (ru_minflt over
     # the 30 seed-0 guided reads replayed in one process).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
@@ -381,7 +338,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         i: int,
         dx: np.ndarray,
         dy: np.ndarray,
-        context: Optional[tuple[LatentGrid, list[np.ndarray]]],
+        context: Optional[LatentGrid],
     ) -> np.ndarray:
         """Cell i's candidate templates at the displacements of the x axis dx
         and the y axis dy, (points, ys, chars, xs) in view_buf.  Given a
@@ -392,8 +349,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         views = _raw_views(*templates[i], dx, dy, view_buf)
         if context is None:
             return views
-        ctx_grid, ctx_points = context
-        base = _raw_views(ctx_grid, ctx_points[i], dx, dy)
+        base = _raw_views(context, templates[i][1], dx + lefts[i], dy)
         own = None
         if decoded[i] in charset:
             own = views[:, :, charset.index(decoded[i])].copy()
@@ -405,7 +361,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     def stage(
         xs: np.ndarray,
         ys: np.ndarray,
-        context: Optional[tuple[LatentGrid, list[np.ndarray]]] = None,
+        context: Optional[LatentGrid] = None,
     ) -> tuple[int, list[np.ndarray]]:
         per_cell = [
             _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
@@ -431,7 +387,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
 
     for _ in range(2):
         xs, ys = around(center, 1.0)
-        best_off, per_cell = stage(xs, ys, _context_grid(frames, decoded, pitch, reach))
+        best_off, per_cell = stage(xs, ys, _context_grid(frames, decoded, lefts))
         redecoded, confs = read_out(per_cell, best_off)
         center = offset(xs, ys, best_off)
         if redecoded == decoded:

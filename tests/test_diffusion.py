@@ -11,9 +11,9 @@ from slantext.corpus import (
     DEFAULT_SCENE_TEXTS,
     GMM_TAU,
     FlatTextCorpus,
+    _scene_images,
     build_corpus,
     make_denoiser,
-    render_scene_image,
     scene_background,
 )
 from slantext.diffusion import (
@@ -227,7 +227,7 @@ class TestCorpus:
         assert h.hexdigest() == "d11281c3c741f81a9406303df360ee1074d8653747cde22400ddecad56926798"
 
     def test_scene_image_ink_position(self):
-        img = render_scene_image(0, "BLAZE", 16)
+        (img,) = _scene_images(0, "BLAZE", (16,), CANVAS)
         bg = scene_background(0)
         diff = img - bg
         assert np.abs(diff[:16]).max() == 0.0
@@ -236,9 +236,9 @@ class TestCorpus:
 
     def test_text_rect_must_fit(self):
         with pytest.raises(InputError):
-            render_scene_image(0, "BLAZE", 55)
+            _scene_images(0, "BLAZE", (55,), CANVAS)
         with pytest.raises(InputError):
-            render_scene_image(0, "ABCDEF", 0, canvas=(64, 64))
+            _scene_images(0, "ABCDEF", (0,), (64, 64))
 
 
 def tensordot_denoise(members, z, abar_t):

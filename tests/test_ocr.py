@@ -1,10 +1,10 @@
-"""Template OCR: round trips, template views and sheets, the correlation by
-moments against normalise-then-gemv, the array-pass set-up against the
-per-slot and per-cell code it replaced, the tie rule, and the pinned reads
-of the seed-0 benchmark."""
+"""Template OCR: round trips, template views and sheets (margin-free sheets
+against zero-padded ones), the correlation by moments against
+normalise-then-gemv, the array-pass set-up against the per-slot and per-cell
+code it replaced, the tie rule, and the pinned reads of the seed-0
+benchmark."""
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from slantext import bench, ocr
 from slantext.bench import BaseSpec, base_mask, generate_benchmark, run_bench
-from slantext.corpus import CANVAS, CHAR_W, TEXT_H, render_scene_image, scene_background
+from slantext.corpus import CANVAS, CHAR_W, TEXT_H, _scene_images, scene_background
 from slantext.diffusion import FACTOR, LatentCodec
 from slantext.errors import InputError
 from slantext.fontdata import GLYPH_H, GLYPH_W
@@ -74,7 +74,7 @@ class TestOcrDecode:
         # the runner's referee path: codec round trip, then the known
         # background plate comes off before decoding
         codec = LatentCodec()
-        image = codec.decode(codec.encode(render_scene_image(0, "BLAZE", 16)))
+        image = codec.decode(codec.encode(_scene_images(0, "BLAZE", (16,), CANVAS)[0]))
         plate = codec.decode(codec.encode(scene_background(0)))
         mask = base_mask(BaseSpec(0, "BLAZE", 16))
         cells = char_cells(divide_mask(mask, "BLAZE"), "BLAZE")
@@ -130,9 +130,9 @@ def assert_views_close(got, want, scale):
     assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
-# (h, w, tilt_key, reach) cell shapes, and the search grids of ocr_decode:
+# (h, w, tilt_key) cell shapes, and the search grids of ocr_decode:
 # (center, (half_x, half_y, step)) for the coarse, fine and context stages
-VIEW_CASES = [(7, 5, 0, 10), (11, 8, 37, 12), (14, 12, -90, 11), (9, 17, 180, 14)]
+VIEW_CASES = [(7, 5, 0), (11, 8, 37), (14, 12, -90), (9, 17, 180)]
 SEARCH_GRIDS = (
     (np.zeros(2), (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0)),
     (np.array([2.0, -3.0]), (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP)),
@@ -201,9 +201,11 @@ class TestOcrViews:
         scale = sample_at(repeated(LatentGrid(np.abs(sheet.data))), px, py).transpose(1, 2, 0, 3)
         assert_views_close(ocr._raw_views(sheet, points, xs, ys), want, scale)
 
-    @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES)
-    def test_axis_views_match_full_mesh(self, h, w, tilt_key, reach):
-        sheet, slots = ocr._templates(h, w, tilt_key, reach)
+    @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES)
+    def test_axis_views_match_full_mesh(self, h, w, tilt_key):
+        # the search runs past the sheet's edges, which the oracle reads as
+        # zero too
+        sheet, slots = ocr._templates(h, w, tilt_key)
         scale_sheet = LatentGrid(np.abs(sheet.data))
         for center, grid in SEARCH_GRIDS:
             ax, ay = ocr._offset_axes(*grid)
@@ -220,81 +222,52 @@ class TestOcrViews:
             got = got.transpose(2, 1, 3, 0).reshape(want.shape)
             assert_views_close(got, want, scale)
 
+    @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES)
+    def test_views_equal_on_zero_padded_sheets(self, h, w, tilt_key):
+        # the sheets are as large as their ink: a margin of zeros would hold
+        # nothing, so the views on the bare template tiles and on a context
+        # sheet equal those on the same sheets zero-padded by whole blocks,
+        # read at the positions shifted by the top and left margins.  The
+        # shift rounds a position's fraction by up to an ulp, which moves a
+        # view by that much of a step between two cells: the bound is 1e-12
+        # of the sheet's largest absolute value
+        tiles, slots = ocr._templates(h, w, tilt_key)
+        frames = [(None, h + 3, w, 0.0), (None, h, w, 0.0), (None, h - 2, w + 5, 0.0)]
+        lefts = [0, w + 2, 2 * w + 5]
+        context = ocr._context_grid(frames, "A7Q", lefts)
+        for sheet, x0 in ((tiles, 0), (context, lefts[1])):
+            scale = np.abs(sheet.data).max()
+            for top, bottom, left, right in ((1, 1, 1, 1), (8, 3, 5, 9)):
+                padded = LatentGrid(np.pad(sheet.data, ((0, 0), (top, bottom), (left, right))))
+                for center, grid in SEARCH_GRIDS:
+                    xs, ys = search_axes(center, grid)
+                    got = ocr._raw_views(sheet, slots, x0 + xs, ys)
+                    moved = FACTOR * left + (x0 + xs), FACTOR * top + ys
+                    want = ocr._raw_views(padded, slots, *moved)
+                    assert np.abs(want).max() > 0.1 * scale  # the ink is in view
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
     # one case, at the codec's factor; the id keeps the factor it ran at
     @pytest.mark.parametrize("factor", [FACTOR])
     def test_latent_sheet_repeats_to_decoded_sheet(self, factor):
         rng = np.random.default_rng(factor)
         stamps = []
-        for x0, y0 in ((3, 5), (17, 2), (30, 9)):
+        for x0 in (3, 17, 30):
             ink = rng.standard_normal((7, 5))
             ink[::2] = 0.0
             ink[1::3] = -0.0
-            stamps.append((x0, y0, ink))
+            stamps.append((x0, ink))
         sheet_h, sheet_w = 4 * 5, 4 * 10
         latent = ocr._blocked_sheet(sheet_h, sheet_w, stamps)
         assert latent.shape == (1, sheet_h // factor, sheet_w // factor)
         sheet = np.zeros((sheet_h, sheet_w, 3))
-        for x0, y0, ink in stamps:
-            sheet[y0 : y0 + 7, x0 : x0 + 5, :] = ink[:, :, None]
+        for x0, ink in stamps:
+            sheet[:7, x0 : x0 + 5, :] = ink[:, :, None]
         codec = LatentCodec()
         want = codec.decode(codec.encode(sheet)).mean(axis=2)
         got = np.repeat(np.repeat(latent.data[0], factor, axis=0), factor, axis=1)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("factor", [FACTOR])
-    def test_band_sheets_match_full_sheet_encode(self, factor):
-        # every sheet the OCR encodes, captured on its way in: the template
-        # tile bands of two shapes (template sheets at any tilt and reach are
-        # pasted from them, with no encode of their own), and context sheets
-        # at a fractional pitch, so their stamps sit off the block grid in x
-        calls = []
-        blocked = ocr._blocked_sheet
-
-        def capture(*args):
-            calls.append(args)
-            return blocked(*args)
-
-        shapes = ((7, 5), (14, 11))
-        frames = [(None, 11, 9, 0.0), (None, 12, 8, 0.0), (None, 11, 10, 0.0)]
-        for h, w in shapes + tuple((h, w) for _, h, w, _ in frames):
-            ocr._flat_templates(h, w)  # cached before the capture starts
-        with mock.patch.object(ocr, "_blocked_sheet", capture):
-            for h, w in shapes:
-                ocr._flat_templates.__wrapped__(h, w)
-            for reach in range(8, 30):
-                h, w = (7, 5) if reach % 2 else (14, 11)
-                ocr._templates.__wrapped__(h, w, 0, reach)
-            for decoded, pitch in (("A7Q", 9.37), ("W ?", 8.61), ("???", 9.0), ("M0Z", 10.5)):
-                ocr._context_grid(frames, decoded, pitch, 13)
-        assert len(calls) == 2 + 4
-        assert any(x0 % factor for _, _, stamps in calls for x0, _, _ in stamps)
-        for args in calls:
-            got = blocked(*args).data
-            want = full_sheet_oracle(*args)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_tilts_paste_equal_sheets_without_encode(self):
-        # the sheet depends on the cell shape and reach, not the tilt: a miss
-        # at another tilt pastes the same bits from the shape's cached tiles,
-        # with no codec pass, and only the slot points turn
-        calls = []
-        encode = LatentCodec.encode
-
-        def counting(self, *args):
-            calls.append(args)
-            return encode(self, *args)
-
-        ocr._flat_templates(11, 8)
-        with mock.patch.object(LatentCodec, "encode", counting):
-            flat_sheet, flat = ocr._templates.__wrapped__(11, 8, 0, 13)
-            tilted_sheet, tilted = ocr._templates.__wrapped__(11, 8, 37, 13)
-            assert calls == []
-            ocr._flat_templates.__wrapped__(11, 8)  # the tiles' own pass counts
-        assert len(calls) == 1
-        assert_bitwise(flat_sheet.data, tilted_sheet.data)
-        assert not np.array_equal(flat, tilted)
 
 
 def normalize_then_gemv(views, unit):
@@ -344,7 +317,7 @@ class TestCorrelateByMoments:
         # every search grid of the read, on a real template sheet, against a
         # one-hot unit patch, the sparse case the tie rule exists for, and a
         # dense one
-        sheet, slots = ocr._templates(h, w, tilt_key, 14)
+        sheet, slots = ocr._templates(h, w, tilt_key)
         n_pts = slots.shape[1]
         one_hot = ocr._normalize_rows(np.eye(1, n_pts, 17))[0]
         dense = ocr._normalize_rows(np.random.default_rng(h * w).standard_normal((1, n_pts)))[0]
@@ -372,24 +345,16 @@ def old_slot_points(h, w, ox, oy, tilt_key):
     return np.stack([px.ravel(), py.ravel()])
 
 
-def old_text_sheet(shapes, inks, pitch, reach):
-    """Sheet size, stamps and slot corners as the text sheet laid them out:
-    one slot per (h, w) shape at the pitch, a None ink left blank."""
-    max_h = max(h for h, _ in shapes)
-    max_w = max(w for _, w in shapes)
-    margin = FACTOR * math.ceil((reach + max_h + max_w) / FACTOR)
-    span = margin + (len(shapes) - 1) * pitch + max_w + margin
-    corners = tuple((margin + int(round(i * pitch)), margin) for i in range(len(shapes)))
-    sheet_h = FACTOR * math.ceil((2 * margin + max_h) / FACTOR)
-    sheet_w = FACTOR * math.ceil(span / FACTOR)
+def text_sheet(shapes, inks, pitch):
+    """Sheet size, stamps and slot corners of a text sheet laid out per
+    cell: one slot per (h, w) shape, its top-left pixel at
+    (round(i * pitch), 0), a None ink left blank, on a sheet as large as the
+    slots in whole blocks."""
+    corners = [(int(round(i * pitch)), 0) for i in range(len(shapes))]
+    sheet_h = FACTOR * math.ceil(max(h for h, _ in shapes) / FACTOR)
+    sheet_w = FACTOR * math.ceil(max(x0 + w for (x0, _), (_, w) in zip(corners, shapes)) / FACTOR)
     stamps = [(x0, y0, ink) for (x0, y0), ink in zip(corners, inks) if ink is not None]
     return sheet_h, sheet_w, stamps, corners
-
-
-def old_template_layout(h, w, reach, inks):
-    """The template sheet's layout: the text sheet at pitch = stride."""
-    stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
-    return old_text_sheet([(h, w)] * len(inks), inks, stride, reach)
 
 
 def assert_bitwise(got, want):
@@ -404,26 +369,20 @@ EDGE_TILTS = (0, 90, -90, 180, 720, -720)
 
 class TestSetUpBitwise:
     def test_slot_points_match_per_slot_path(self):
+        # the slot's top-left pixel is the origin
         rng = np.random.default_rng(14)
-        n_chars = len(default_font().charset)
         for n in range(320):
             h, w = int(rng.integers(3, 31)), int(rng.integers(2, 31))
-            reach = int(rng.integers(8, 41))
             tilt_key = EDGE_TILTS[n] if n < len(EDGE_TILTS) else int(rng.integers(-720, 721))
-            stride = FACTOR * math.ceil((2 * reach + h + w + 2 * FACTOR) / FACTOR)
-            _, _, corners = ocr._sheet_layout([(h, w)] * n_chars, stride, reach)
-            for x0, y0 in corners:
-                got = ocr._slot_points(h, w, (x0, y0), tilt_key)
-                assert_bitwise(got, old_slot_points(h, w, x0, y0, tilt_key))
+            got = ocr._slot_points(h, w, tilt_key)
+            assert_bitwise(got, old_slot_points(h, w, 0, 0, tilt_key))
 
-    @pytest.mark.parametrize("h,w,tilt_key,reach", VIEW_CASES + [(7, 5, 720, 30), (9, 6, -720, 8)])
-    def test_template_slots_match_per_slot_path(self, h, w, tilt_key, reach):
-        # one slot serves every character: the first slot of the old layout
-        _, slots = ocr._templates(h, w, tilt_key, reach)
+    @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES + [(7, 5, 720), (9, 6, -720)])
+    def test_template_slots_match_per_slot_path(self, h, w, tilt_key):
+        # one slot, its top-left pixel at the origin, serves every character
+        _, slots = ocr._templates(h, w, tilt_key)
         assert not slots.flags.writeable
-        n_chars = len(default_font().charset)
-        *_, corners = old_template_layout(h, w, reach, [None] * n_chars)
-        assert_bitwise(slots, old_slot_points(h, w, *corners[0], tilt_key))
+        assert_bitwise(slots, old_slot_points(h, w, 0, 0, tilt_key))
 
     def test_context_grid_matches_per_cell_path(self):
         rng = np.random.default_rng(7)
@@ -439,18 +398,21 @@ class TestSetUpBitwise:
             ]
             decoded = "".join(letters[int(i)] for i in rng.integers(0, len(letters), n))
             pitch = float(np.mean([w for _, _, w, _ in frames]))
-            reach = int(rng.integers(8, 41))
-            grid, points = ocr._context_grid(frames, decoded, pitch, reach)
             shapes = [(h, w) for _, h, w, _ in frames]
             inks = [
                 ocr._flat_templates(h, w)[0][charset.index(ch)] if ch in charset else None
                 for (h, w), ch in zip(shapes, decoded)
             ]
-            sheet_h, sheet_w, stamps, corners = old_text_sheet(shapes, inks, pitch, reach)
-            assert_bitwise(grid.data, ocr._blocked_sheet(sheet_h, sheet_w, stamps).data)
-            assert len(points) == n
-            for (x0, y0), (_, h, w, angle), got in zip(corners, frames, points):
-                assert_bitwise(got, old_slot_points(h, w, x0, y0, ocr._tilt_key(angle)))
+            sheet_h, sheet_w, stamps, corners = text_sheet(shapes, inks, pitch)
+            grid = ocr._context_grid(frames, decoded, [x0 for x0, _ in corners])
+            assert_bitwise(grid.data, full_sheet_oracle(sheet_h, sheet_w, stamps))
+            # a cell's context views read its template slot points displaced
+            # to its corner: the per-slot path there, up to rounding
+            for (x0, y0), (_, h, w, angle) in zip(corners, frames):
+                tilt_key = ocr._tilt_key(angle)
+                got = ocr._templates(h, w, tilt_key)[1] + np.array([[x0], [y0]])
+                want = old_slot_points(h, w, x0, y0, tilt_key)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_cell_units_match_per_cell_gather(self):
         # cells of mixed shapes and tilts, some reaching past the image edge
@@ -491,26 +453,25 @@ class TestSetUpBitwise:
 
     @pytest.mark.parametrize("h", range(5, 24))
     def test_pasted_template_sheets_match_full_sheet_encode(self, h):
-        # 18 widths at 4 reaches per height: each channel of the sheet pasted
-        # from the encoded tiles against the whole RGB sheet with that
-        # character alone in the slot, built and encoded
+        # 18 widths per height: each channel of the shape's sheet, cut from
+        # the tiles encoded in one band, against the whole RGB sheet with
+        # that character alone in the slot, built and encoded
         for w in range(4, 22):
             flats = ocr._flat_templates(h, w)[0]
-            for reach in (8, 13, 21, 30):
-                sheet_h, sheet_w, _, (corner,) = old_text_sheet([(h, w)], [None], 0.0, reach)
-                sheet, slots = ocr._templates.__wrapped__(h, w, 0, reach)
-                assert sheet.shape == (len(flats), sheet_h // FACTOR, sheet_w // FACTOR)
-                assert_bitwise(slots, ocr._slot_points(h, w, corner, 0))
-                for channel, flat in zip(sheet.data, flats):
-                    want = full_sheet_oracle(sheet_h, sheet_w, [(*corner, flat)])[0]
-                    assert_bitwise(channel, want)
+            sheet_h, sheet_w, _, (corner,) = text_sheet([(h, w)], [None], 0.0)
+            sheet, slots = ocr._templates.__wrapped__(h, w, 0)
+            assert sheet.shape == (len(flats), sheet_h // FACTOR, sheet_w // FACTOR)
+            assert_bitwise(slots, ocr._slot_points(h, w, 0))
+            for channel, flat in zip(sheet.data, flats):
+                want = full_sheet_oracle(sheet_h, sheet_w, [(*corner, flat)])[0]
+                assert_bitwise(channel, want)
 
 
 # Every OCR read of the seed-0 benchmark, 30 cases guided and 30 with both
 # branches off: a sha256 over one line per ocr_decode call, the decoded
 # string, a colon, and every confidence in float.hex joined by commas; and
 # a sha256 over the decoded strings alone, one per line.
-PINNED_READS = "8b58fc5b9a21139f22bce2966f08d4b231f3e45d05d96c7b574833d1d6b8efa0"
+PINNED_READS = "af9c609df3e1e2a585d9c5ea6505702944dc9737e7cb47111e96a1854be3f965"
 PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d69"
 
 
@@ -576,8 +537,8 @@ def test_one_hot_patch_reads_sentinel(monkeypatch):
 
 
 def full_sheet_oracle(sheet_h, sheet_w, stamps):
-    """The sheet encode before band encoding: the whole RGB sheet built and
-    encoded, then its channel mean."""
+    """The sheet encode written out: the whole RGB sheet with each (x0, y0,
+    ink) stamp built and encoded, then its channel mean."""
     sheet = np.zeros((sheet_h, sheet_w, 3))
     for x0, y0, ink in stamps:
         h, w = ink.shape
