@@ -53,8 +53,9 @@ class OcrResult:
             raise InputError("one confidence per decoded character required")
 
 
-def _cell_frame(cell: np.ndarray) -> tuple[np.ndarray, int, int, float]:
-    """Quad corners, rounded flat height/width, and top-edge angle."""
+def _cell_frame(cell: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Quad corners, rounded flat height/width, and the top edge's tilt in
+    whole TILT_STEP_DEG steps: the tilt key."""
     try:
         q = np.asarray(cell, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -71,7 +72,7 @@ def _cell_frame(cell: np.ndarray) -> tuple[np.ndarray, int, int, float]:
         raise InputError("cell edge lengths must be finite")
     w = max(1, int(round(width)))
     h = max(1, int(round(height)))
-    return q, h, w, math.atan2(top[1], top[0])
+    return q, h, w, int(round(math.degrees(math.atan2(top[1], top[0])) / TILT_STEP_DEG))
 
 
 @lru_cache(maxsize=8)
@@ -86,11 +87,6 @@ def _patch_fractions(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     us, vs = (a.ravel() for a in np.meshgrid(us, vs))
     us.flags.writeable = vs.flags.writeable = False
     return us, vs
-
-
-def _tilt_key(angle: float) -> int:
-    """Cell tilt in whole TILT_STEP_DEG steps."""
-    return int(round(math.degrees(angle) / TILT_STEP_DEG))
 
 
 def _slot_points(h: int, w: int, tilt_key: int) -> np.ndarray:
@@ -136,14 +132,18 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Clean h x w render of every character, its normalised crisp row and
-    its latent tile.  The crisp rows are the renders sampled at the patch
-    points through a flat quad, all characters in one gather as the channels
-    of one grid.  The (chars, rows, cols) tiles are the renders stamped into
-    one band at a block-aligned pitch and encoded in one codec pass; the codec
-    is a per-block mean, so each tile holds the bits that encoding its render
-    alone on a block-aligned zero sheet gives, signs of zero included."""
+def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, LatentGrid]:
+    """Clean h x w render of every character, its normalised crisp row, and
+    the shape's template sheet: character k's latent tile in channel k.  The
+    crisp rows are the renders sampled at the patch points through a flat
+    quad, all characters in one gather as the channels of one grid.  The
+    tiles are the renders stamped into one band at a block-aligned pitch and
+    encoded in one codec pass; the codec is a per-block mean, so each tile
+    holds the bits that encoding its render alone on a block-aligned zero
+    sheet gives, signs of zero included.  The slot's top-left pixel is the
+    sheet's origin, and the views read every position off the sheet as
+    zero, so offsetting the slot points reproduces any cell-to-content
+    displacement on this one sheet, with no margin and no codec pass."""
     flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
     px, py = quad_points(pixel_box(0, 0, w, h), *_patch_fractions(h, w))
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
@@ -155,20 +155,7 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
         [(i * pitch, flat) for i, flat in enumerate(flats)],
     ).data[0]
     tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR).transpose(1, 0, 2)
-    return flats, crisp, tiles
-
-
-@lru_cache(maxsize=8)
-def _templates(h: int, w: int, tilt_key: int) -> tuple[LatentGrid, np.ndarray]:
-    """The shape's latent tiles as one sheet, character k's clean h x w render
-    in channel k, and the (2, points) sampling positions of its slot, read
-    through a quad tilted like the cell.  The views read every position off
-    the sheet as zero, so offsetting the positions reproduces any
-    cell-to-content displacement on this one sheet, with no margin and no
-    codec pass."""
-    slots = _slot_points(h, w, tilt_key)
-    slots.flags.writeable = False
-    return LatentGrid(_flat_templates(h, w)[2]), slots
+    return flats, crisp, LatentGrid(tiles)
 
 
 def _axis_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +299,11 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     lefts = [int(round(i * pitch)) for i in range(len(frames))]
 
     charset = default_font().charset
-    # each live cell's template sheet and its slot points on that sheet
-    templates = {i: _templates(frames[i][1], frames[i][2], _tilt_key(frames[i][3])) for i in live}
+    # each live cell's template sheet and its slot points on that sheet,
+    # turned once per (h, w, tilt key), and its scores against the crisp rows
+    slots = {key: _slot_points(*key) for key in {frames[i][1:] for i in live}}
+    templates = {i: (_flat_templates(*frames[i][1:3])[2], slots[frames[i][1:]]) for i in live}
+    crisp = {i: _flat_templates(*frames[i][1:3])[1] @ units[i] for i in live}
 
     # One buffer sized for the coarse stage, the largest, holds a cell's
     # views in every stage.  Views allocated per stage took about 750 minor
@@ -322,12 +312,11 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
     view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
 
-    def read_out(per_cell: list[np.ndarray], best_off: int) -> tuple[str, list[float]]:
+    def read_out(at_best: list[np.ndarray]) -> tuple[str, list[float]]:
         chars = [OCR_SENTINEL] * len(frames)
         confs = [0.0] * len(frames)
-        for i, corr in zip(live, per_cell):
-            _, h, w, _ = frames[i]
-            scores = np.maximum(_flat_templates(h, w)[1] @ units[i], corr[:, best_off])
+        for i, corr in zip(live, at_best):
+            scores = np.maximum(crisp[i], corr)
             best, tied = _top(scores)
             confs[i] = float(scores.max())
             if confs[i] >= CORR_FLOOR and not tied:
@@ -362,7 +351,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         xs: np.ndarray,
         ys: np.ndarray,
         context: Optional[LatentGrid] = None,
-    ) -> tuple[int, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The search grid's first offset voted within TOL of the best, and
+        each live cell's correlations there."""
         per_cell = [
             _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
             for i in live
@@ -370,26 +361,20 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         # Only confident reads steer the alignment; weaker cells ride along
         # on the rigid-block geometry instead of dragging it toward noise.
         total = sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
-        return _top(total)[0], per_cell
+        best = _top(total)[0]
+        return np.array([xs[best % len(xs)], ys[best // len(xs)]]), [c[:, best] for c in per_cell]
 
     def around(center: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
         ax, ay = _offset_axes(half, half, FINE_STEP)
         return center[0] + ax, center[1] + ay
 
-    def offset(xs: np.ndarray, ys: np.ndarray, o: int) -> np.ndarray:
-        return np.array([xs[o % len(xs)], ys[o // len(xs)]])
-
-    best_off, _ = stage(xs, ys)
-    xs, ys = around(offset(xs, ys, best_off), FINE_HALF)
-    best_off, per_cell = stage(xs, ys)
-    decoded, confs = read_out(per_cell, best_off)
-    center = offset(xs, ys, best_off)
+    center, _ = stage(xs, ys)
+    center, at_best = stage(*around(center, FINE_HALF))
+    decoded, confs = read_out(at_best)
 
     for _ in range(2):
-        xs, ys = around(center, 1.0)
-        best_off, per_cell = stage(xs, ys, _context_grid(frames, decoded, lefts))
-        redecoded, confs = read_out(per_cell, best_off)
-        center = offset(xs, ys, best_off)
+        center, at_best = stage(*around(center, 1.0), _context_grid(frames, decoded, lefts))
+        redecoded, confs = read_out(at_best)
         if redecoded == decoded:
             break
         decoded = redecoded

@@ -1,8 +1,8 @@
 """Template OCR: round trips, template views and sheets (margin-free sheets
 against zero-padded ones), the correlation by moments against
 normalise-then-gemv, the array-pass set-up against the per-slot and per-cell
-code it replaced, the tie rule, and the pinned reads of the seed-0
-benchmark."""
+code it replaced, the tie rule, the pinned reads of the seed-0 benchmark,
+and a pinned curved read that builds two template sets."""
 import hashlib
 import math
 
@@ -18,7 +18,7 @@ from slantext.corpus import CANVAS, CHAR_W, TEXT_H, _scene_images, scene_backgro
 from slantext.diffusion import FACTOR, LatentCodec
 from slantext.errors import InputError
 from slantext.fontdata import GLYPH_H, GLYPH_W
-from slantext.geometry import PolygonMask, divide_mask, pixel_box, rotate_points
+from slantext.geometry import PolygonMask, divide_mask, pixel_box, polygon_area, rotate_points
 from slantext.glyph import char_cells, default_font, glyph_scale, render_glyph_image
 from slantext.grid import LatentGrid, quad_points, sample_at
 from slantext.guidance import GuidanceConfig
@@ -141,6 +141,12 @@ SEARCH_GRIDS = (
 ANCHOR = np.array([0.37, -1.21])
 
 
+def template_set(h, w, tilt_key):
+    """The template sheet of an h x w cell shape and its slot points at the
+    tilt key."""
+    return ocr._flat_templates(h, w)[2], ocr._slot_points(h, w, tilt_key)
+
+
 def search_axes(center, grid):
     ax, ay = ocr._offset_axes(*grid)
     return ANCHOR[0] + (center[0] + ax), ANCHOR[1] + (center[1] + ay)
@@ -205,7 +211,7 @@ class TestOcrViews:
     def test_axis_views_match_full_mesh(self, h, w, tilt_key):
         # the search runs past the sheet's edges, which the oracle reads as
         # zero too
-        sheet, slots = ocr._templates(h, w, tilt_key)
+        sheet, slots = template_set(h, w, tilt_key)
         scale_sheet = LatentGrid(np.abs(sheet.data))
         for center, grid in SEARCH_GRIDS:
             ax, ay = ocr._offset_axes(*grid)
@@ -231,8 +237,8 @@ class TestOcrViews:
         # shift rounds a position's fraction by up to an ulp, which moves a
         # view by that much of a step between two cells: the bound is 1e-12
         # of the sheet's largest absolute value
-        tiles, slots = ocr._templates(h, w, tilt_key)
-        frames = [(None, h + 3, w, 0.0), (None, h, w, 0.0), (None, h - 2, w + 5, 0.0)]
+        tiles, slots = template_set(h, w, tilt_key)
+        frames = [(None, h + 3, w, 0), (None, h, w, 0), (None, h - 2, w + 5, 0)]
         lefts = [0, w + 2, 2 * w + 5]
         context = ocr._context_grid(frames, "A7Q", lefts)
         for sheet, x0 in ((tiles, 0), (context, lefts[1])):
@@ -317,7 +323,7 @@ class TestCorrelateByMoments:
         # every search grid of the read, on a real template sheet, against a
         # one-hot unit patch, the sparse case the tie rule exists for, and a
         # dense one
-        sheet, slots = ocr._templates(h, w, tilt_key)
+        sheet, slots = template_set(h, w, tilt_key)
         n_pts = slots.shape[1]
         one_hot = ocr._normalize_rows(np.eye(1, n_pts, 17))[0]
         dense = ocr._normalize_rows(np.random.default_rng(h * w).standard_normal((1, n_pts)))[0]
@@ -380,9 +386,8 @@ class TestSetUpBitwise:
     @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES + [(7, 5, 720), (9, 6, -720)])
     def test_template_slots_match_per_slot_path(self, h, w, tilt_key):
         # one slot, its top-left pixel at the origin, serves every character
-        _, slots = ocr._templates(h, w, tilt_key)
-        assert not slots.flags.writeable
-        assert_bitwise(slots, old_slot_points(h, w, 0, 0, tilt_key))
+        # of the shape's sheet
+        assert_bitwise(template_set(h, w, tilt_key)[1], old_slot_points(h, w, 0, 0, tilt_key))
 
     def test_context_grid_matches_per_cell_path(self):
         rng = np.random.default_rng(7)
@@ -391,7 +396,7 @@ class TestSetUpBitwise:
         for _ in range(40):
             n = int(rng.integers(1, 9))
             frames = [
-                (None, int(h), int(w), float(angle))
+                (None, int(h), int(w), int(round(math.degrees(angle) / ocr.TILT_STEP_DEG)))
                 for h, w, angle in zip(
                     rng.integers(5, 24, n), rng.integers(4, 22, n), rng.uniform(-3.2, 3.2, n)
                 )
@@ -408,9 +413,8 @@ class TestSetUpBitwise:
             assert_bitwise(grid.data, full_sheet_oracle(sheet_h, sheet_w, stamps))
             # a cell's context views read its template slot points displaced
             # to its corner: the per-slot path there, up to rounding
-            for (x0, y0), (_, h, w, angle) in zip(corners, frames):
-                tilt_key = ocr._tilt_key(angle)
-                got = ocr._templates(h, w, tilt_key)[1] + np.array([[x0], [y0]])
+            for (x0, y0), (_, h, w, tilt_key) in zip(corners, frames):
+                got = ocr._slot_points(h, w, tilt_key) + np.array([[x0], [y0]])
                 want = old_slot_points(h, w, x0, y0, tilt_key)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -434,8 +438,8 @@ class TestSetUpBitwise:
 
     @pytest.mark.parametrize("h,w", [(7, 5), (11, 8), (14, 12), (23, 21), (3, 2)])
     def test_crisp_rows_match_per_character_gather(self, h, w):
-        flats, crisp, tiles = ocr._flat_templates(h, w)
-        assert not (crisp.flags.writeable or tiles.flags.writeable)
+        flats, crisp, sheet = ocr._flat_templates(h, w)
+        assert not (crisp.flags.writeable or sheet.data.flags.writeable)
         box = pixel_box(0, 0, w, h)
         want = ocr._normalize_rows(np.asarray([
             sample_at(LatentGrid(f[None]), *quad_points(box, *old_patch_fractions(h, w)))[0].ravel()
@@ -457,11 +461,9 @@ class TestSetUpBitwise:
         # the tiles encoded in one band, against the whole RGB sheet with
         # that character alone in the slot, built and encoded
         for w in range(4, 22):
-            flats = ocr._flat_templates(h, w)[0]
+            flats, _, sheet = ocr._flat_templates(h, w)
             sheet_h, sheet_w, _, (corner,) = text_sheet([(h, w)], [None], 0.0)
-            sheet, slots = ocr._templates.__wrapped__(h, w, 0)
             assert sheet.shape == (len(flats), sheet_h // FACTOR, sheet_w // FACTOR)
-            assert_bitwise(slots, ocr._slot_points(h, w, 0))
             for channel, flat in zip(sheet.data, flats):
                 want = full_sheet_oracle(sheet_h, sheet_w, [(*corner, flat)])[0]
                 assert_bitwise(channel, want)
@@ -508,12 +510,8 @@ def test_slot_points_snapped_to_2_pow_minus_40_keep_the_reads(monkeypatch):
     def snapped(*args):
         return np.round(slot_points(*args) * 2.0**40) / 2.0**40
 
-    ocr._templates.cache_clear()
     monkeypatch.setattr(ocr, "_slot_points", snapped)
-    try:
-        reads = seed0_reads(monkeypatch)
-    finally:
-        ocr._templates.cache_clear()
+    reads = seed0_reads(monkeypatch)
     strings = "\n".join(r.decoded for r, _, _ in reads)
     assert hashlib.sha256(strings.encode()).hexdigest() == PINNED_STRINGS
 
@@ -534,6 +532,73 @@ def test_one_hot_patch_reads_sentinel(monkeypatch):
     result = ocr_decode(image, cells)
     assert result.decoded[4] == OCR_SENTINEL
     assert result.confidences[4] > 1.0 - 1e-12
+
+
+def curved_read():
+    """'WAVES' along an arc band over the top of a 128 x 128 canvas (outer
+    arc r = 104 from 215 to 325 degrees about (64, 140), inner arc r = 90
+    back), rendered at twice the ink, through one codec round trip: the
+    image in RGB, the segments and the character cells."""
+    th = np.radians(np.linspace(215.0, 325.0, 24))
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    center = np.array([64.0, 140.0])
+    verts = np.vstack([center + 104.0 * ring, center + 90.0 * ring[::-1]])
+    if polygon_area(verts) < 0:
+        verts = verts[::-1]
+    segments = divide_mask(PolygonMask(verts), "WAVES")
+    ink = 2.0 * render_glyph_image(segments, "WAVES", (128, 128)).data
+    codec = LatentCodec()
+    image = codec.decode(codec.encode(np.repeat(ink[:, :, None], 3, axis=2)))
+    return image, segments, char_cells(segments, "WAVES")
+
+
+# The curved read, decoded string and float.hex confidences.
+PINNED_CURVED = (
+    "UAVY?",
+    (
+        "0x1.52f3d0de85bdep-2",
+        "0x1.fa2924ba31272p-2",
+        "0x1.296b2c066fbcap-1",
+        "0x1.4d9580d9165a1p-2",
+        "0x1.e59086c3c6a18p-2",
+    ),
+)
+
+
+def test_curved_read_pinned():
+    # two segments of different cell shapes and tilts, so the read builds
+    # two template sets; their mean cell width is fractional, so the
+    # context sheet's left edges round(i * pitch) differ from the floored
+    # ones on two cells
+    image, segments, cells = curved_read()
+    assert len(segments) == 2
+    widths = [round(float(np.hypot(*(q[1] - q[0])))) for q in cells]
+    assert len(set(widths)) == 2
+    pitch = float(np.mean(widths))
+    assert sum(round(i * pitch) != math.floor(i * pitch) for i in range(len(cells))) == 2
+    result = ocr_decode(image, cells)
+    assert (result.decoded, tuple(c.hex() for c in result.confidences)) == PINNED_CURVED
+
+
+def test_slot_points_turned_once_per_key_per_read(monkeypatch):
+    # a read turns the slot points once per distinct (h, w, tilt key) among
+    # its live cells: once for the three equal cells of a flat 'CAT', twice
+    # for the curved read's two segments
+    calls = []
+    slot_points = ocr._slot_points
+
+    def counted(*key):
+        calls.append(key)
+        return slot_points(*key)
+
+    monkeypatch.setattr(ocr, "_slot_points", counted)
+    segments = divide_mask(text_mask("CAT"), "CAT")
+    ocr_decode(render_glyph_image(segments, "CAT", CANVAS).data, char_cells(segments, "CAT"))
+    assert len(calls) == 1
+    calls.clear()
+    image, _, cells = curved_read()
+    ocr_decode(image, cells)
+    assert sorted(calls) == [(19, 28, -39), (19, 42, 39)]
 
 
 def full_sheet_oracle(sheet_h, sheet_w, stamps):
