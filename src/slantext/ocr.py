@@ -1,12 +1,12 @@
 """Template OCR: the benchmark's referee.
 
 Reads one character per cell quad of a generated image by normalized
-cross-correlation, from the views' moments, against templates of the
-default font.  Templates go through the same codec as the generated image,
-on sheets kept at latent resolution, and are sampled through quads tilted
-like the cells; the cells are read as windows onto one rigid text block
-whose residual offset is searched coarse to fine, then again with the
-decoded neighbours stamped in.
+cross-correlation against templates of the default font, scored from the
+moments of the template views without forming the views.  Templates go
+through the same codec as the generated image, on sheets kept at latent
+resolution, and are sampled through quads tilted like the cells; the cells
+are read as windows onto one rigid text block whose residual offset is
+searched coarse to fine, then again with the decoded neighbours stamped in.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .diffusion import FACTOR, LatentCodec
 from .errors import InputError
@@ -158,79 +157,74 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     return flats, crisp, LatentGrid(tiles)
 
 
-def _axis_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_weights(pos: np.ndarray, n: int) -> np.ndarray:
     """Bilinear weights at (points, offsets) positions along an axis of n
-    latent cells read FACTOR times repeated, zero outside: a (points,
-    offsets, span) matrix over a window of span cells per point, and each
-    window's first cell.  A position's two corners fall in one cell or in
-    two neighbours, with sample_at's clip; a corner outside gets no weight."""
-    lo = np.floor(pos)
-    frac = pos - lo
-    lo = lo.astype(np.int64)
-    # corner cells in [-1, n]; -1 and n stand for the zeros outside
-    c0 = np.minimum(np.maximum(lo, -1), FACTOR * n) // FACTOR
-    c1 = np.minimum(np.maximum(lo + 1, -1), FACTOR * n) // FACTOR
-    first = c0.min(axis=1)
-    span = min(int((c1.max(axis=1) - first).max()) + 1, n)
-    # a window slid back inside the axis still holds every inside corner
-    first = np.minimum(np.maximum(first, 0), n - span)[:, None, None]
-    cells = np.arange(span)
-    weights = np.where(c0[..., None] - first == cells, (1 - frac)[..., None], 0.0)
-    weights += np.where(c1[..., None] - first == cells, frac[..., None], 0.0)
-    return weights, first[:, 0, 0]
+    latent cells read FACTOR times repeated, zero outside: (points, offsets,
+    n).  Cell c holds pixels FACTOR * c to FACTOR * c + FACTOR - 1, so its
+    weight ramps up over the pixel before them, is one across them and ramps
+    down over the last; a corner outside the axis gets no weight, as in
+    sample_at."""
+    start = pos[..., None] - FACTOR * np.arange(n)
+    return np.clip(start + 1, 0.0, 1.0) - np.clip(start - (FACTOR - 1), 0.0, 1.0)
 
 
-def _raw_views(
+def _view(data: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """(points, ys, xs) view of one latent channel through the axis weights."""
+    return (wy @ data) @ wx.transpose(0, 2, 1)
+
+
+def _scores(
     sheet: LatentGrid,
-    points: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    buf: Optional[np.ndarray] = None,
+    wy: np.ndarray,
+    wx: np.ndarray,
+    unit: np.ndarray,
+    base: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Views of every channel of the latent sheet, read FACTOR x FACTOR
-    repeated, at the (2, points) positions displaced by every offset of the x
-    axis xs and the y axis ys, shaped (points, ys, channels, xs); in the
-    front of buf, a 1-d float64 buffer large enough, if given.  Every channel is read at
-    the same positions, and a point's offsets form an xs x ys grid, so the
-    bilinear samples of one point factor into a y and an x weight matrix over
-    a window of a few latent cells: the views are Ay @ window @ Ax^T, two
-    batched matmuls, with the channels folded into the matrices.  They equal
-    sample_at on the repeated sheet up to the products' rounding."""
-    c, h, w = sheet.shape
-    ax, left = _axis_weights(points[0][:, None] + xs, w)
-    ay, top = _axis_weights(points[1][:, None] + ys, h)
-    n_pts, n_y, span_y = ay.shape
-    n_x, span_x = ax.shape[1:]
-    # (h, c, w - span_x + 1, span_x) windows of span_x columns, indexed to
-    # (points, span_y, c, span_x)
-    windows = sliding_window_view(sheet.data.transpose(1, 0, 2), span_x, axis=2)
-    window = windows[top[:, None] + np.arange(span_y), :, left[:, None]]
-    rows = np.matmul(window.reshape(n_pts, span_y * c, span_x), ax.transpose(0, 2, 1))
-    size = n_pts * n_y * c * n_x
-    views = (np.empty(size) if buf is None else buf[:size]).reshape(n_pts, n_y, c, n_x)
-    np.matmul(ay, rows.reshape(n_pts, span_y, c * n_x), out=views.reshape(n_pts, n_y, c * n_x))
-    return views
-
-
-def _correlate(views: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Correlation of the unit patch against (points, ys, chars, xs) template
-    views, which are only read.  Returns (chars, offsets), offsets y-major.
+    """Correlation of the unit patch against the view of every channel of the
+    template sheet, plus the (points, ys, xs) base view if given, through the
+    (points, ys, h) and (points, xs, w) axis weights.  Returns (chars,
+    offsets), offsets y-major.
 
     By moments, after J. P. Lewis, "Fast Normalized Cross-Correlation"
     (1995): the unit patch is centred, so the numerator is `unit @ view`, and
-    a view's centred squared norm is `sum v^2 - (sum v)^2 / n`; one product
-    takes the numerators and the sums together.  A view whose
-    centred norm is 1e-9 or less, or under 1e-6 of its root sum of squares
-    (lost to the moments' rounding), scores +0.0, as every constant view does."""
-    flat = views.reshape(views.shape[0], -1)
-    dots, sums = np.stack((unit, np.ones(len(unit)))) @ flat
-    squares = np.einsum("ij,ij->j", flat, flat)
-    var = squares - sums * sums / len(unit)
+    a view's centred squared norm is `sum v^2 - (sum v)^2 / n`.  A view is
+    bilinear in its character's cells S, so the moments never need the views:
+    the dots and sums are S against one product of the weights, and the
+    squares are the cell products S[a, b] S[a', b'] against the products of
+    the y and the x weights summed over the points.  The base adds its own
+    moments and twice its dot with each view.  A view whose centred norm is
+    1e-9 or less, or under 1e-6 of its root sum of squares (lost to the
+    moments' rounding), scores +0.0, as every constant view does."""
+    n_pts, n_y, h = wy.shape
+    n_x, w = wx.shape[1:]
+    cells = sheet.data.reshape(len(sheet.data), h * w)
+    wx = wx.transpose(0, 2, 1)
+    # (2, ys, h * w, xs) weights of each cell in the dots and the sums
+    pair = np.stack((unit, np.ones(n_pts)))[:, :, None, None] * wy
+    moments = np.matmul(pair.reshape(2, n_pts, n_y * h).transpose(0, 2, 1), wx.reshape(n_pts, -1))
+    dots, sums = cells @ moments.reshape(2, n_y, h * w, n_x)
+    # (ys, h * h * w * w, xs) weights of each cell product in the squares
+    yy = (wy[..., :, None] * wy[..., None, :]).reshape(n_pts, -1)
+    xx = (wx[:, :, None] * wx[:, None]).reshape(n_pts, -1)
+    grams = (yy.T @ xx).reshape(n_y, h * h * w * w, n_x)
+    products = sheet.data[:, :, None, :, None] * sheet.data[:, None, :, None, :]
+    squares = products.reshape(len(cells), -1) @ grams
+    if base is not None:
+        dots += (unit @ base.reshape(n_pts, -1)).reshape(n_y, 1, n_x)
+        sums += base.sum(axis=0)[:, None]
+        # (xs, ys * h, w): the base times the weights of each cell, summed
+        # over the points
+        cross = np.matmul(
+            (base[:, :, None] * wy[..., None]).reshape(n_pts, n_y * h, n_x).transpose(2, 1, 0),
+            wx.transpose(2, 0, 1),
+        )
+        cross = cross.reshape(n_x, n_y, h * w).transpose(1, 2, 0)
+        squares += (base * base).sum(axis=0)[:, None] + 2 * (cells @ cross)
+    var = squares - sums * sums / n_pts
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = dots / np.sqrt(var)
     corr[~(var > np.maximum(1e-18, 1e-12 * squares))] = 0.0
-    _, n_y, n_chars, n_x = views.shape
-    return corr.reshape(n_y, n_chars, n_x).transpose(1, 0, 2).reshape(n_chars, n_y * n_x)
+    return corr.transpose(1, 0, 2).reshape(len(cells), n_y * n_x)
 
 
 def _top(scores: np.ndarray) -> tuple[int, bool]:
@@ -276,8 +270,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     merely resembles a character somewhere nearby.  A second pass rebuilds
     each template with the neighboring decoded characters stamped beside the
     candidate, so ink spilling across tilted cell borders is matched instead
-    of fought; the codec and the sampler are linear, so those composite views
-    assemble from per-character views without extra codec passes."""
+    of fought; the codec and the sampler are linear, so each composite's
+    moments come from the candidate's and one view of the decoded text,
+    without extra codec passes."""
     img = np.asarray(image, dtype=np.float64)
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 
@@ -305,12 +300,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     templates = {i: (_flat_templates(*frames[i][1:3])[2], slots[frames[i][1:]]) for i in live}
     crisp = {i: _flat_templates(*frames[i][1:3])[1] @ units[i] for i in live}
 
-    # One buffer sized for the coarse stage, the largest, holds a cell's
-    # views in every stage.  Views allocated per stage took about 750 minor
-    # page faults per read after the first, against about 19 (ru_minflt over
-    # the 30 seed-0 guided reads replayed in one process).
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
-    view_buf = np.empty(len(xs) * len(ys) * len(charset) * GLYPH_H * GLYPH_W)
 
     def read_out(at_best: list[np.ndarray]) -> tuple[str, list[float]]:
         chars = [OCR_SENTINEL] * len(frames)
@@ -323,30 +313,6 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
                 chars[i] = charset[best]
         return "".join(chars), confs
 
-    def cell_views(
-        i: int,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        context: Optional[LatentGrid],
-    ) -> np.ndarray:
-        """Cell i's candidate templates at the displacements of the x axis dx
-        and the y axis dy, (points, ys, chars, xs) in view_buf.  Given a
-        context sheet of the decoded text, each candidate becomes (decoded
-        text with this cell replaced by the candidate), assembled by linearity
-        from the shared sheet view plus the candidate's minus the cell's own
-        stamp, which is copied out before the sum overwrites it."""
-        views = _raw_views(*templates[i], dx, dy, view_buf)
-        if context is None:
-            return views
-        base = _raw_views(context, templates[i][1], dx + lefts[i], dy)
-        own = None
-        if decoded[i] in charset:
-            own = views[:, :, charset.index(decoded[i])].copy()
-        views += base
-        if own is not None:
-            views -= own[:, :, None]
-        return views
-
     def stage(
         xs: np.ndarray,
         ys: np.ndarray,
@@ -354,10 +320,25 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """The search grid's first offset voted within TOL of the best, and
         each live cell's correlations there."""
-        per_cell = [
-            _correlate(cell_views(i, anchors[i, 0] + xs, anchors[i, 1] + ys, context), units[i])
-            for i in live
-        ]
+        per_cell = []
+        for i in live:
+            sheet, points = templates[i]
+            dx, dy = anchors[i, 0] + xs, anchors[i, 1] + ys
+            wy = _axis_weights(points[1][:, None] + dy, sheet.shape[1])
+            wx = _axis_weights(points[0][:, None] + dx, sheet.shape[2])
+            base = None
+            if context is not None:
+                # each candidate reads (decoded text with this cell replaced
+                # by the candidate): the text's view minus the cell's own
+                # stamp, plus the candidate's
+                base = _view(
+                    context.data[0],
+                    _axis_weights(points[1][:, None] + dy, context.shape[1]),
+                    _axis_weights(points[0][:, None] + (dx + lefts[i]), context.shape[2]),
+                )
+                if decoded[i] in charset:
+                    base -= _view(sheet.data[charset.index(decoded[i])], wy, wx)
+            per_cell.append(_scores(sheet, wy, wx, units[i], base))
         # Only confident reads steer the alignment; weaker cells ride along
         # on the rigid-block geometry instead of dragging it toward noise.
         total = sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)

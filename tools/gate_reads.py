@@ -1,4 +1,4 @@
-"""Bitwise gate of the benchmark reports and the OCR reads.
+"""Bitwise and tolerance gates of the benchmark reports and the OCR reads.
 
 Runs `run_bench(generate_benchmark(10, s))` at --jobs 1 for the gate seeds
 s = 0-4 and 101 and the held-out seeds 5-9, each under the five gate
@@ -11,13 +11,27 @@ configs of BENCH_8.json, and prints:
   string, a space, then its confidences in `float.hex` joined by commas;
   the lines are joined by newlines.
 
-The confidences rest on the rounding of BLAS products, so the script pins
-OpenBLAS to one thread before numpy loads.  Run it from the repository root
-on each of two trees and compare the output:
+With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
+to FILE.  With `--compare A B` it compares two such files, written on two
+trees, and this tree's reads, which it runs as above, and prints:
 
-    python tools/gate_reads.py
+- how many reads decode a different string in A and in B, and the largest
+  difference between their confidences;
+- whether this tree's reads equal A's or B's;
+- every gap between the best score of an `ocr._top` call and another of
+  its scores that lies in [1e-10, 1e-7], for this tree's reads, with the
+  run and case it belongs to.
+
+The confidences rest on the rounding of BLAS products, so the script pins
+OpenBLAS to one thread before numpy loads.  Run it from the repository root:
+
+    python tools/gate_reads.py                      # bitwise gate
+    python tools/gate_reads.py --reads before.txt   # on the tree before a change
+    python tools/gate_reads.py --reads after.txt    # on the changed tree
+    python tools/gate_reads.py --compare before.txt after.txt
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -28,6 +42,8 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np
 
 from slantext import bench, ocr
 from slantext.bench import generate_benchmark, run_bench
@@ -43,40 +59,89 @@ CONFIGS = {
 }
 GATE_SEEDS = (0, 1, 2, 3, 4, 101)
 HELD_OUT_SEEDS = (5, 6, 7, 8, 9)
+GAP_BAND = (1e-10, 1e-7)
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
+def run_gate() -> tuple[list[str], list[tuple[str, float]]]:
+    """Run every gate and held-out config, print the digests, and return the
+    read lines and every in-band `ocr._top` gap with its run and case."""
     pinned = json.loads((ROOT / "BENCH_17.json").read_text())["report_digests"]["digests"]
     lines: list[str] = []
+    gaps: list[tuple[str, float]] = []
+    run = {"key": "", "cases": [], "start": 0, "read": ""}
+    top = ocr._top
 
     def record(image, cells):
+        # one read per case, in manifest order
+        run["read"] = f"{run['key']} {run['cases'][len(lines) - run['start']].case_id}"
         result = ocr.ocr_decode(image, cells)
         lines.append(result.decoded + " " + ",".join(c.hex() for c in result.confidences))
         return result
 
+    def watched(scores):
+        rest = scores.max() - np.delete(scores, np.argmax(scores))
+        gaps.extend((run["read"], float(g)) for g in rest if GAP_BAND[0] <= g <= GAP_BAND[1])
+        return top(scores)
+
     bench.ocr_decode = record
+    ocr._top = watched
     corpus = build_corpus()
     matched = 0
     reads = {}
     for group, seeds in (("gate", GATE_SEEDS), ("held-out", HELD_OUT_SEEDS)):
-        lines.clear()
+        first = len(lines)
         for seed in seeds:
             cases = generate_benchmark(10, seed)
             for name, config in CONFIGS.items():
+                key = f"{seed}/{name}"
+                run.update(key=key, cases=cases, start=len(lines))
                 with tempfile.TemporaryDirectory() as out:
                     run_bench(cases, config=config, corpus=corpus, out_dir=out)
                     digests = {f: sha256((Path(out) / f).read_bytes()) for f in ("report.json", "report.csv")}
-                key = f"{seed}/{name}"
                 matched += digests == pinned.get(key)
                 print(key, digests["report.json"], digests["report.csv"], flush=True)
-        reads[group] = (len(lines), sha256("\n".join(lines).encode()))
+        reads[group] = (len(lines) - first, sha256("\n".join(lines[first:]).encode()))
     print(f"gate reports equal to BENCH_17.json: {matched} of {len(GATE_SEEDS) * len(CONFIGS)}")
     for group, (n, digest) in reads.items():
         print(f"{group} reads: {n} {digest}")
+    return lines, gaps
+
+
+def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
+    """Print the tolerance gate of two read files and this tree's reads."""
+    reads_a, reads_b = (p.read_text().split("\n") for p in (a, b))
+    if len(reads_a) != len(reads_b):
+        sys.exit(f"{a} holds {len(reads_a)} reads and {b} {len(reads_b)}")
+    moved = 0
+    worst = 0.0
+    for line_a, line_b in zip(reads_a, reads_b):
+        (text_a, confs_a), (text_b, confs_b) = (line.rsplit(" ", 1) for line in (line_a, line_b))
+        moved += text_a != text_b
+        for x, y in zip(confs_a.split(","), confs_b.split(",")):
+            worst = max(worst, abs(float.fromhex(x) - float.fromhex(y)))
+    print(f"reads whose string differs: {moved} of {len(reads_a)}")
+    print(f"largest confidence difference: {worst:.3g}")
+    same = [str(p) for p, r in ((a, reads_a), (b, reads_b)) if r == lines]
+    print(f"this tree's reads equal: {', '.join(same) or 'neither file'}")
+    print(f"gaps in [{GAP_BAND[0]:g}, {GAP_BAND[1]:g}] of this tree's ocr._top calls: {len(gaps)}")
+    for read, gap in gaps:
+        print(f"  {read}: {gap:.5g}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--reads", type=Path, help="write the 1,650 read lines to this file")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two read files")
+    args = parser.parse_args()
+    lines, gaps = run_gate()
+    if args.reads:
+        args.reads.write_text("\n".join(lines))
+    if args.compare:
+        compare(*args.compare, lines, gaps)
 
 
 if __name__ == "__main__":
