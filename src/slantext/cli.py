@@ -40,7 +40,8 @@ PIXEL_RANGE = 4.0
 
 # The settings, each declared once: config section -> key -> (field, value
 # type).  [guidance] keys are GuidanceConfig fields, the rest RunConfig
-# fields; the dataclasses hold the defaults.
+# fields; the dataclasses hold the defaults.  A flag that overrides a setting
+# has its field as its argparse dest.
 _SCHEMA = {
     "guidance": {
         "lambda": ("lambda_", float),
@@ -60,17 +61,6 @@ _SCHEMA = {
     "bench": {"count": ("count", int)},
     "run": {"seed": ("seed", int), "jobs": ("jobs", int)},
 }
-
-# Value flags (argparse dest -> config section and key) that override the file.
-_FLAGS = {
-    "lambda_": ("guidance", "lambda"),
-    "rho": ("guidance", "rho"),
-    "scene": ("scene", "scene_id"),
-    "seed": ("run", "seed"),
-    "count": ("bench", "count"),
-    "jobs": ("run", "jobs"),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -109,15 +99,13 @@ class RunConfig:
         return linear_schedule(self.steps, self.beta_start, self.beta_end)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             section: {
                 key: getattr(self.guidance if section == "guidance" else self, attr)
                 for key, (attr, _) in keys.items()
             }
             for section, keys in _SCHEMA.items()
         }
-        out["scene"]["canvas"] = list(self.canvas)
-        return out
 
 
 def _coerce(section: str, key: str, value, kind):
@@ -205,18 +193,15 @@ def resolve_config(args) -> RunConfig:
     defaults; building the RunConfig validates it."""
     path = getattr(args, "config", None)
     sections = load_config_file(path) if path else {}
-    for dest, (section, key) in _FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            sections.setdefault(section, {})[key] = value
-    for branch in ("srb", "sib", "adain"):
-        if getattr(args, f"no_{branch}", False):
-            sections.setdefault("guidance", {})[f"use_{branch}"] = False
     g: dict = {}
     r: dict = {}
-    for section, values in sections.items():
-        for key, value in values.items():
-            (g if section == "guidance" else r)[_SCHEMA[section][key][0]] = value
+    for section, keys in _SCHEMA.items():
+        for key, (field, _) in keys.items():
+            value = getattr(args, field, None)
+            if value is None:
+                value = sections.get(section, {}).get(key)
+            if value is not None:
+                (g if section == "guidance" else r)[field] = value
     return RunConfig(guidance=GuidanceConfig(**g), **r)
 
 
@@ -437,18 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"injected prior strength (default {GuidanceConfig.lambda_})")
     knobs.add_argument("--rho", type=float,
                        help=f"structure share of the merged prior (default {GuidanceConfig.rho})")
-    knobs.add_argument("--no-srb", action="store_true",
+    knobs.add_argument("--no-srb", dest="use_srb", action="store_false", default=None,
                        help="disable the semantic rectification branch")
-    knobs.add_argument("--no-sib", action="store_true",
+    knobs.add_argument("--no-sib", dest="use_sib", action="store_false", default=None,
                        help="disable the structure injection branch")
-    knobs.add_argument("--no-adain", action="store_true",
+    knobs.add_argument("--no-adain", dest="use_adain", action="store_false", default=None,
                        help="disable statistic matching of injected priors")
 
     p = sub.add_parser("generate", parents=[common, knobs],
                        help="run guided generation for one mask and text")
     p.add_argument("mask", help="mask polygon JSON file")
     p.add_argument("text", help="text to place (A-Z, 0-9, space)")
-    p.add_argument("--scene", type=int, help=f"corpus scene id (default {RunConfig.scene_id})")
+    p.add_argument("--scene", dest="scene_id", metavar="SCENE", type=int,
+                   help=f"corpus scene id (default {RunConfig.scene_id})")
     p.add_argument("--seed", type=int, help=f"sampling seed (default {RunConfig.seed})")
     p.add_argument("--trace", action="store_true",
                    help="also write per-step decoded frames")

@@ -112,25 +112,20 @@ def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
     sqrt(abar) tau^2 / var * (z - sqrt(abar) mu_k); this blend leaves it
     out, so x_bar is always a convex mix of stored exemplars.
 
-    The exemplars are kept as one (M, C*H*W) matrix.  Its copy scaled by
-    sqrt(abar_t) is made once per abar_t and kept for the denoiser's
-    lifetime, so the second chain of a guided run reuses the first's, and
-    x_bar is one (1, M) x (M, C*H*W) np.dot, the product np.tensordot makes.
+    The exemplars are kept as one (M, C*H*W) matrix, scaled by sqrt(abar_t)
+    on each call, and x_bar is one (1, M) x (M, C*H*W) np.dot, the product
+    np.tensordot makes.
     """
     members = corpus.for_scene(scene_id)
     if not members:
         raise ConditionError(f"no exemplars for scene id {scene_id}")
     mat = np.stack([ex.latent.data.ravel() for ex in members])  # (M, C*H*W)
-    scaled: dict[float, np.ndarray] = {}
 
     def denoise(z: LatentGrid, abar_t: float) -> LatentGrid:
         root = math.sqrt(abar_t)
-        mu = scaled.get(abar_t)
-        if mu is None:
-            mu = scaled[abar_t] = root * mat
         var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
         flat = z.data.reshape(-1)
-        diff = flat - mu
+        diff = flat - root * mat
         log_w = -(diff * diff).sum(axis=1) / (2.0 * var)
         log_w -= log_w.max()
         w = np.exp(log_w)

@@ -2,10 +2,10 @@
 
 Reads one character per cell quad of a generated image by normalized
 cross-correlation against templates of the default font, scored from the
-moments of the template views without forming the views.  Templates go
-through the same codec as the generated image, on sheets kept at latent
-resolution, and are sampled through quads tilted like the cells; the cells
-are read as windows onto one rigid text block whose residual offset is
+moments of the template views without forming the views.  Templates are
+the font's 0/1 ink averaged over the codec's FACTOR x FACTOR blocks, kept at
+latent resolution, and are sampled through quads tilted like the cells; the
+cells are read as windows onto one rigid text block whose residual offset is
 searched coarse to fine, then again with the decoded neighbours stamped in.
 """
 
@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffusion import FACTOR, LatentCodec
+from .diffusion import FACTOR
 from .errors import InputError
 from .fontdata import GLYPH_H, GLYPH_W
 from .geometry import pixel_box, rotate_points
 from .glyph import default_font, glyph_scale, render_text_block
-from .grid import LatentGrid, quad_points, sample_at
+from .grid import MAX_CORNER, LatentGrid, quad_points, sample_at
 
 CORR_FLOOR = 0.3
 VOTE_FLOOR = 0.6
@@ -61,14 +61,13 @@ def _cell_frame(cell: np.ndarray) -> tuple[np.ndarray, int, int, int]:
         raise InputError(f"cell corners must be numbers: {exc}") from None
     if q.shape != (4, 2):
         raise InputError(f"cell must be 4 corner points, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise InputError("cell corners must be finite")
-    with np.errstate(over="ignore"):
-        top = q[1] - q[0]
-        left = q[3] - q[0]
-        width, height = float(np.hypot(*top)), float(np.hypot(*left))
-    if not (math.isfinite(width) and math.isfinite(height)):
-        raise InputError("cell edge lengths must be finite")
+    # NaN fails the comparison too; the bound keeps sample_at's int64 indices
+    # and the edge lengths from overflowing
+    if not (np.abs(q) <= MAX_CORNER).all():
+        raise InputError("cell corners must be finite and within +-2^52")
+    top = q[1] - q[0]
+    left = q[3] - q[0]
+    width, height = float(np.hypot(*top)), float(np.hypot(*left))
     w = max(1, int(round(width)))
     h = max(1, int(round(height)))
     return q, h, w, int(round(math.degrees(math.atan2(top[1], top[0])) / TILT_STEP_DEG))
@@ -103,20 +102,13 @@ def _cell_units(gray: LatentGrid, frames: Sequence[tuple]) -> np.ndarray:
     return _normalize_rows(sample_at(gray, *quad_points(quads, us, vs))[0])
 
 
-def _blocked_sheet(
-    sheet_h: int, sheet_w: int, stamps: Sequence[tuple[int, np.ndarray]]
-) -> LatentGrid:
-    """Gray sheet of ink stamps, each (x0, ink) with its top row on row 0 of a
-    zero RGB sheet, after one codec round trip, kept at latent resolution:
-    the channel mean of the encoded sheet, which repeated FACTOR x FACTOR
-    equals the decoded sheet's channel mean bitwise.  The sheet is encoded in
-    RGB because a one-channel block mean reduces in another order and is not
-    bitwise equal."""
-    sheet = np.zeros((sheet_h, sheet_w, 3))
-    for x0, ink in stamps:
-        h, w = ink.shape
-        sheet[:h, x0 : x0 + w, :] = ink[:, :, None]
-    return LatentGrid(LatentCodec().encode(sheet).data.mean(axis=0)[None])
+def _block_means(sheets: np.ndarray) -> LatentGrid:
+    """Mean of every FACTOR x FACTOR block of each sheet of the (n, H, W)
+    stack, sides multiples of FACTOR: the codec's encode of each sheet as a
+    gray image.  The sheets hold only the font's 0/1 ink, so every mean is
+    k / FACTOR^2, exact in any summation order."""
+    n, h, w = sheets.shape
+    return LatentGrid(sheets.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4)))
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -136,25 +128,18 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     the shape's template sheet: character k's latent tile in channel k.  The
     crisp rows are the renders sampled at the patch points through a flat
     quad, all characters in one gather as the channels of one grid.  The
-    tiles are the renders stamped into one band at a block-aligned pitch and
-    encoded in one codec pass; the codec is a per-block mean, so each tile
-    holds the bits that encoding its render alone on a block-aligned zero
-    sheet gives, signs of zero included.  The slot's top-left pixel is the
-    sheet's origin, and the views read every position off the sheet as
-    zero, so offsetting the slot points reproduces any cell-to-content
-    displacement on this one sheet, with no margin and no codec pass."""
+    tiles are the block means of the renders, each on a zero sheet of whole
+    blocks.  The slot's top-left pixel is the sheet's origin, and the views
+    read every position off the sheet as zero, so offsetting the slot points
+    reproduces any cell-to-content displacement on this one sheet, with no
+    margin."""
     flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
     px, py = quad_points(pixel_box(0, 0, w, h), *_patch_fractions(h, w))
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
     crisp.flags.writeable = False
-    pitch = FACTOR * math.ceil(w / FACTOR)
-    band = _blocked_sheet(
-        FACTOR * math.ceil(h / FACTOR),
-        pitch * len(flats),
-        [(i * pitch, flat) for i, flat in enumerate(flats)],
-    ).data[0]
-    tiles = band.reshape(band.shape[0], len(flats), pitch // FACTOR).transpose(1, 0, 2)
-    return flats, crisp, LatentGrid(tiles)
+    sheets = np.zeros((len(flats), FACTOR * math.ceil(h / FACTOR), FACTOR * math.ceil(w / FACTOR)))
+    sheets[:, :h, :w] = flats
+    return flats, crisp, _block_means(sheets)
 
 
 def _axis_weights(pos: np.ndarray, n: int) -> np.ndarray:
@@ -246,15 +231,13 @@ def _context_grid(frames: Sequence[tuple], decoded: str, lefts: Sequence[int]) -
     top-left pixel at (lefts[i], 0); a character outside the charset leaves
     its place blank."""
     charset = default_font().charset
-    return _blocked_sheet(
-        FACTOR * math.ceil(max(h for _, h, _, _ in frames) / FACTOR),
-        FACTOR * math.ceil(max(x0 + w for x0, (_, _, w, _) in zip(lefts, frames)) / FACTOR),
-        [
-            (x0, _flat_templates(h, w)[0][charset.index(ch)])
-            for x0, (_, h, w, _), ch in zip(lefts, frames, decoded)
-            if ch in charset
-        ],
-    )
+    sheet_h = FACTOR * math.ceil(max(h for _, h, _, _ in frames) / FACTOR)
+    sheet_w = FACTOR * math.ceil(max(x0 + w for x0, (_, _, w, _) in zip(lefts, frames)) / FACTOR)
+    sheet = np.zeros((1, sheet_h, sheet_w))
+    for x0, (_, h, w, _), ch in zip(lefts, frames, decoded):
+        if ch in charset:
+            sheet[0, :h, x0 : x0 + w] = _flat_templates(h, w)[0][charset.index(ch)]
+    return _block_means(sheet)
 
 
 def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
@@ -270,9 +253,9 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     merely resembles a character somewhere nearby.  A second pass rebuilds
     each template with the neighboring decoded characters stamped beside the
     candidate, so ink spilling across tilted cell borders is matched instead
-    of fought; the codec and the sampler are linear, so each composite's
-    moments come from the candidate's and one view of the decoded text,
-    without extra codec passes."""
+    of fought; the block means and the sampler are linear, so each
+    composite's moments come from the candidate's and one view of the
+    decoded text, without a sheet per candidate."""
     img = np.asarray(image, dtype=np.float64)
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 

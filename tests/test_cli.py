@@ -62,17 +62,17 @@ class TestConfigResolution:
         ini = tmp_path / "cfg.ini"
         ini.write_text(
             "[guidance]\nlambda = 0.25\nrho = 0.75\n"
-            "[sampler]\nsteps = 12\n[run]\nseed = 9\n")
+            "[sampler]\nsteps = 12\n[run]\nseed = 9\n[scene]\nscene_id = 2\n")
         mask = write_mask(tmp_path / "m.json", flat_rect())
         base = ["generate", mask, "CAT", "--config", str(ini)]
         cfg = resolve_config(parse(base))
         assert cfg.guidance.lambda_ == 0.25
         assert cfg.guidance.rho == 0.75
-        assert cfg.steps == 12 and cfg.seed == 9
-        cfg = resolve_config(parse(base + ["--lambda", "0.1", "--seed", "3"]))
+        assert cfg.steps == 12 and cfg.seed == 9 and cfg.scene_id == 2
+        cfg = resolve_config(parse(base + ["--lambda", "0.1", "--seed", "3", "--scene", "5"]))
         assert cfg.guidance.lambda_ == 0.1  # flag beats file
         assert cfg.guidance.rho == 0.75     # file beats default
-        assert cfg.seed == 3
+        assert cfg.seed == 3 and cfg.scene_id == 5
 
     def test_no_flags_force_off(self, tmp_path):
         ini = tmp_path / "cfg.ini"

@@ -264,8 +264,9 @@ class TestMixtureDenoiser:
         abars = [float(a) for a in linear_schedule().alpha_bars[1:]]
         assert len(abars) == 20
         rng = np.random.default_rng(100 + scene_id)
-        # two passes, the second in reverse order, so every abar_t is met
-        # both before and after the denoiser has kept its scaled exemplars
+        # two passes, the second in reverse order, so one denoiser meets
+        # every abar_t twice after different earlier calls, which must not
+        # change its output
         for abar_t in abars + abars[::-1]:
             states = [
                 rng.standard_normal((3, 16, 16)) * rng.uniform(0.1, 3.0),

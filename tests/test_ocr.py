@@ -89,11 +89,16 @@ class TestOcrDecode:
         with pytest.raises(InputError, match="at least one cell"):
             ocr_decode(np.zeros(CANVAS), [])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # a cell past +-2^52, such as the one moved by 1e19, would overflow
+    # sample_at's int64 indices
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e19, 2.0**52 + 2])
     def test_non_finite_corner(self, bad):
         _, cells = self.cat_setup()
         cells[1] = cells[1].copy()
         cells[1][2, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            ocr_decode(np.zeros(CANVAS), cells)
+        cells[1] = cells[0] + bad
         with pytest.raises(InputError, match="finite"):
             ocr_decode(np.zeros(CANVAS), cells)
 
@@ -331,22 +336,20 @@ class TestOcrViews:
     # one case, at the codec's factor; the id keeps the factor it ran at
     @pytest.mark.parametrize("factor", [FACTOR])
     def test_latent_sheet_repeats_to_decoded_sheet(self, factor):
+        # 0/1 ink, as every OCR sheet holds: its block means are exact in
+        # any summation order, so the one-channel means equal the RGB
+        # codec's round trip bitwise
         rng = np.random.default_rng(factor)
-        stamps = []
-        for x0 in (3, 17, 30):
-            ink = rng.standard_normal((7, 5))
-            ink[::2] = 0.0
-            ink[1::3] = -0.0
-            stamps.append((x0, ink))
         sheet_h, sheet_w = 4 * 5, 4 * 10
-        latent = ocr._blocked_sheet(sheet_h, sheet_w, stamps)
+        sheet = np.zeros((sheet_h, sheet_w))
+        for x0 in (3, 17, 30):
+            sheet[:7, x0 : x0 + 5] = rng.integers(0, 2, (7, 5))
+        latent = ocr._block_means(sheet[None])
         assert latent.shape == (1, sheet_h // factor, sheet_w // factor)
-        sheet = np.zeros((sheet_h, sheet_w, 3))
-        for x0, ink in stamps:
-            sheet[:7, x0 : x0 + 5, :] = ink[:, :, None]
         codec = LatentCodec()
-        want = codec.decode(codec.encode(sheet)).mean(axis=2)
+        want = codec.decode(codec.encode(np.repeat(sheet[:, :, None], 3, axis=2))).mean(axis=2)
         got = np.repeat(np.repeat(latent.data[0], factor, axis=0), factor, axis=1)
+        assert np.unique(got).size > 2  # means strictly between 0 and 1 too
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 

@@ -5,7 +5,8 @@ s = 0-4 and 101 and the held-out seeds 5-9, each under the five gate
 configs of BENCH_8.json, and prints:
 
 - the sha256 of each run's report.json and report.csv, and how many of the
-  30 gate runs match the digests recorded in BENCH_17.json;
+  30 gate runs match the digests recorded in BENCH_17.json; the script
+  exits with status 1, after all its other output, unless all 30 do;
 - one sha256 over the 900 gate reads and one over the 750 held-out reads.
   A read is one line per `ocr_decode` call, in run order: the decoded
   string, a space, then its confidences in `float.hex` joined by commas;
@@ -66,9 +67,10 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_gate() -> tuple[list[str], list[tuple[str, float]]]:
-    """Run every gate and held-out config, print the digests, and return the
-    read lines and every in-band `ocr._top` gap with its run and case."""
+def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
+    """Run every gate and held-out config, print the digests, and return
+    whether all gate reports equal BENCH_17.json's, the read lines and every
+    in-band `ocr._top` gap with its run and case."""
     pinned = json.loads((ROOT / "BENCH_17.json").read_text())["report_digests"]["digests"]
     lines: list[str] = []
     gaps: list[tuple[str, float]] = []
@@ -105,10 +107,11 @@ def run_gate() -> tuple[list[str], list[tuple[str, float]]]:
                 matched += digests == pinned.get(key)
                 print(key, digests["report.json"], digests["report.csv"], flush=True)
         reads[group] = (len(lines) - first, sha256("\n".join(lines[first:]).encode()))
-    print(f"gate reports equal to BENCH_17.json: {matched} of {len(GATE_SEEDS) * len(CONFIGS)}")
+    total = len(GATE_SEEDS) * len(CONFIGS)
+    print(f"gate reports equal to BENCH_17.json: {matched} of {total}")
     for group, (n, digest) in reads.items():
         print(f"{group} reads: {n} {digest}")
-    return lines, gaps
+    return matched == total, lines, gaps
 
 
 def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
@@ -137,11 +140,13 @@ def main() -> None:
     parser.add_argument("--reads", type=Path, help="write the 1,650 read lines to this file")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two read files")
     args = parser.parse_args()
-    lines, gaps = run_gate()
+    passed, lines, gaps = run_gate()
     if args.reads:
         args.reads.write_text("\n".join(lines))
     if args.compare:
         compare(*args.compare, lines, gaps)
+    if not passed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
