@@ -2,11 +2,14 @@
 
 Reads one character per cell quad of a generated image by normalized
 cross-correlation against templates of the default font, scored from the
-moments of the template views without forming the views.  Templates are
-the font's 0/1 ink averaged over the codec's FACTOR x FACTOR blocks, kept at
-latent resolution, and are sampled through quads tilted like the cells; the
-cells are read as windows onto one rigid text block whose residual offset is
-searched coarse to fine, then again with the decoded neighbours stamped in.
+moments of the template views without forming the views.  A bilinear
+weight reaches only a latent cell and its next neighbour, so the views'
+sums of squares take each cell times itself and times its next neighbours
+only.  Templates are the font's 0/1 ink averaged over the codec's FACTOR x
+FACTOR blocks, kept at latent resolution, and are sampled through quads
+tilted like the cells; the cells are read as windows onto one rigid text
+block whose residual offset is searched coarse to fine, then again with the
+decoded neighbours stamped in.
 """
 
 from __future__ import annotations
@@ -122,24 +125,43 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _cell_pairs(cells: np.ndarray) -> np.ndarray:
+    """(chars, (2h - 1) * (2w - 1)) products of each character's latent cells
+    that the squares of its views can need, for the (chars, h, w) cells S.
+    A bilinear weight reaches a cell and the next one along each axis only,
+    and the product of two cells counts the same either way round, so a row
+    holds S[a, b]^2 at (a, b), 2 S[a, b] S[a, b + 1] at (a, w + b),
+    2 S[a, b] S[a + 1, b] at (h + a, b) and 2 (S[a, b] S[a + 1, b + 1] +
+    S[a, b + 1] S[a + 1, b]) at (h + a, w + b)."""
+    n, h, w = cells.shape
+    pairs = np.empty((n, 2 * h - 1, 2 * w - 1))
+    pairs[:, :h, :w] = cells * cells
+    pairs[:, :h, w:] = 2 * (cells[:, :, :-1] * cells[:, :, 1:])
+    pairs[:, h:, :w] = 2 * (cells[:, :-1] * cells[:, 1:])
+    pairs[:, h:, w:] = 2 * (cells[:, :-1, :-1] * cells[:, 1:, 1:] + cells[:, :-1, 1:] * cells[:, 1:, :-1])
+    return pairs.reshape(n, -1)
+
+
 @lru_cache(maxsize=8)
-def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, LatentGrid]:
-    """Clean h x w render of every character, its normalised crisp row, and
-    the shape's template sheet: character k's latent tile in channel k.  The
-    crisp rows are the renders sampled at the patch points through a flat
-    quad, all characters in one gather as the channels of one grid.  The
-    tiles are the block means of the renders, each on a zero sheet of whole
-    blocks.  The slot's top-left pixel is the sheet's origin, and the views
-    read every position off the sheet as zero, so offsetting the slot points
-    reproduces any cell-to-content displacement on this one sheet, with no
-    margin."""
+def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, LatentGrid, np.ndarray]:
+    """Clean h x w render of every character, its normalised crisp row, the
+    shape's template sheet (character k's latent tile in channel k) and the
+    sheet's cell pairs (_cell_pairs), read-only.  The crisp rows are the
+    renders sampled at the patch points through a flat quad, all characters
+    in one gather as the channels of one grid.  The tiles are the block
+    means of the renders, each on a zero sheet of whole blocks.  The slot's
+    top-left pixel is the sheet's origin, and the views read every position
+    off the sheet as zero, so offsetting the slot points reproduces any
+    cell-to-content displacement on this one sheet, with no margin."""
     flats = tuple(render_text_block(h, w, ch).data for ch in default_font().charset)
     px, py = quad_points(pixel_box(0, 0, w, h), *_patch_fractions(h, w))
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
-    crisp.flags.writeable = False
     sheets = np.zeros((len(flats), FACTOR * math.ceil(h / FACTOR), FACTOR * math.ceil(w / FACTOR)))
     sheets[:, :h, :w] = flats
-    return flats, crisp, _block_means(sheets)
+    sheet = _block_means(sheets)
+    pairs = _cell_pairs(sheet.data)
+    crisp.flags.writeable = pairs.flags.writeable = False
+    return flats, crisp, sheet, pairs
 
 
 def _axis_weights(pos: np.ndarray, n: int) -> np.ndarray:
@@ -147,10 +169,12 @@ def _axis_weights(pos: np.ndarray, n: int) -> np.ndarray:
     latent cells read FACTOR times repeated, zero outside: (points, offsets,
     n).  Cell c holds pixels FACTOR * c to FACTOR * c + FACTOR - 1, so its
     weight ramps up over the pixel before them, is one across them and ramps
-    down over the last; a corner outside the axis gets no weight, as in
+    down over the last: a position weighs the cell it lies in and at most
+    the next one.  A corner outside the axis gets no weight, as in
     sample_at."""
     start = pos[..., None] - FACTOR * np.arange(n)
-    return np.clip(start + 1, 0.0, 1.0) - np.clip(start - (FACTOR - 1), 0.0, 1.0)
+    rise = np.minimum(np.maximum(start + 1, 0.0), 1.0)
+    return rise - np.minimum(np.maximum(start - (FACTOR - 1), 0.0), 1.0)
 
 
 def _view(data: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
@@ -160,6 +184,7 @@ def _view(data: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
 
 def _scores(
     sheet: LatentGrid,
+    pairs: np.ndarray,
     wy: np.ndarray,
     wx: np.ndarray,
     unit: np.ndarray,
@@ -167,49 +192,49 @@ def _scores(
 ) -> np.ndarray:
     """Correlation of the unit patch against the view of every channel of the
     template sheet, plus the (points, ys, xs) base view if given, through the
-    (points, ys, h) and (points, xs, w) axis weights.  Returns (chars,
-    offsets), offsets y-major.
+    (points, ys, h) and (points, xs, w) axis weights; pairs are the sheet's
+    _cell_pairs.  Returns (chars, offsets), offsets y-major.
 
     By moments, after J. P. Lewis, "Fast Normalized Cross-Correlation"
     (1995): the unit patch is centred, so the numerator is `unit @ view`, and
     a view's centred squared norm is `sum v^2 - (sum v)^2 / n`.  A view is
     bilinear in its character's cells S, so the moments never need the views:
-    the dots and sums are S against one product of the weights, and the
-    squares are the cell products S[a, b] S[a', b'] against the products of
-    the y and the x weights summed over the points.  The base adds its own
-    moments and twice its dot with each view.  A view whose centred norm is
-    1e-9 or less, or under 1e-6 of its root sum of squares (lost to the
-    moments' rounding), scores +0.0, as every constant view does."""
+    the dots and sums are S against one product of the weights.  The squares
+    are the cell products S[a, b] S[a', b'] against the products of the y
+    and the x weights summed over the points.  A weight reaches a cell and
+    its next neighbour only, so the only products that can count are a cell
+    times itself and times its next neighbour along y, x or both: the
+    pairs, against the squared weights and the products of neighbouring
+    weights.  The base adds its own moments and twice its dot with each
+    view.  A view whose centred norm is 1e-9 or less, or under 1e-6 of its
+    root sum of squares (lost to the moments' rounding), scores +0.0, as
+    every constant view does."""
     n_pts, n_y, h = wy.shape
     n_x, w = wx.shape[1:]
     cells = sheet.data.reshape(len(sheet.data), h * w)
-    wx = wx.transpose(0, 2, 1)
-    # (2, ys, h * w, xs) weights of each cell in the dots and the sums
-    pair = np.stack((unit, np.ones(n_pts)))[:, :, None, None] * wy
-    moments = np.matmul(pair.reshape(2, n_pts, n_y * h).transpose(0, 2, 1), wx.reshape(n_pts, -1))
-    dots, sums = cells @ moments.reshape(2, n_y, h * w, n_x)
-    # (ys, h * h * w * w, xs) weights of each cell product in the squares
-    yy = (wy[..., :, None] * wy[..., None, :]).reshape(n_pts, -1)
-    xx = (wx[:, :, None] * wx[:, None]).reshape(n_pts, -1)
-    grams = (yy.T @ xx).reshape(n_y, h * h * w * w, n_x)
-    products = sheet.data[:, :, None, :, None] * sheet.data[:, None, :, None, :]
-    squares = products.reshape(len(cells), -1) @ grams
+    # (2, h * w, offsets): the weights of each cell in the dots and the sums
+    ends = np.stack((unit[:, None, None] * wy, wy), axis=1).reshape(n_pts, -1)
+    moments = (ends.T @ wx.reshape(n_pts, -1)).reshape(2, n_y, h, n_x, w)
+    dots, sums = cells @ moments.transpose(0, 2, 4, 1, 3).reshape(2, h * w, -1)
+    # ((2h - 1) * (2w - 1), offsets): the weights of each cell pair in the squares
+    yy, xx = (np.concatenate((a * a, a[..., :-1] * a[..., 1:]), axis=2).reshape(n_pts, -1) for a in (wy, wx))
+    grams = (yy.T @ xx).reshape(n_y, 2 * h - 1, n_x, 2 * w - 1).transpose(1, 3, 0, 2)
+    squares = pairs @ grams.reshape(-1, n_y * n_x)
     if base is not None:
-        dots += (unit @ base.reshape(n_pts, -1)).reshape(n_y, 1, n_x)
-        sums += base.sum(axis=0)[:, None]
+        flat = base.reshape(n_pts, -1)
+        dots += unit @ flat
+        sums += flat.sum(axis=0)
         # (xs, ys * h, w): the base times the weights of each cell, summed
         # over the points
         cross = np.matmul(
             (base[:, :, None] * wy[..., None]).reshape(n_pts, n_y * h, n_x).transpose(2, 1, 0),
-            wx.transpose(2, 0, 1),
+            wx.transpose(1, 0, 2),
         )
-        cross = cross.reshape(n_x, n_y, h * w).transpose(1, 2, 0)
-        squares += (base * base).sum(axis=0)[:, None] + 2 * (cells @ cross)
+        cross = cross.reshape(n_x, n_y, h * w).transpose(2, 1, 0).reshape(h * w, -1)
+        squares += (flat * flat).sum(axis=0) + 2 * (cells @ cross)
     var = squares - sums * sums / n_pts
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = dots / np.sqrt(var)
-    corr[~(var > np.maximum(1e-18, 1e-12 * squares))] = 0.0
-    return corr.transpose(1, 0, 2).reshape(len(cells), n_y * n_x)
+    ok = var > np.maximum(1e-18, 1e-12 * squares)
+    return np.divide(dots, np.sqrt(var, out=var, where=ok), out=np.zeros_like(var), where=ok)
 
 
 def _top(scores: np.ndarray) -> tuple[int, bool]:
@@ -280,7 +305,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     # each live cell's template sheet and its slot points on that sheet,
     # turned once per (h, w, tilt key), and its scores against the crisp rows
     slots = {key: _slot_points(*key) for key in {frames[i][1:] for i in live}}
-    templates = {i: (_flat_templates(*frames[i][1:3])[2], slots[frames[i][1:]]) for i in live}
+    templates = {i: (*_flat_templates(*frames[i][1:3])[2:], slots[frames[i][1:]]) for i in live}
     crisp = {i: _flat_templates(*frames[i][1:3])[1] @ units[i] for i in live}
 
     xs, ys = _offset_axes(SEARCH_X, SEARCH_Y, 1.0)
@@ -305,7 +330,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         each live cell's correlations there."""
         per_cell = []
         for i in live:
-            sheet, points = templates[i]
+            sheet, pairs, points = templates[i]
             dx, dy = anchors[i, 0] + xs, anchors[i, 1] + ys
             wy = _axis_weights(points[1][:, None] + dy, sheet.shape[1])
             wx = _axis_weights(points[0][:, None] + dx, sheet.shape[2])
@@ -313,15 +338,19 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
             if context is not None:
                 # each candidate reads (decoded text with this cell replaced
                 # by the candidate): the text's view minus the cell's own
-                # stamp, plus the candidate's
+                # stamp, plus the candidate's.  Both sheets' rows start at
+                # the top, so equal heights share the y weights
+                cy = wy
+                if context.shape[1] != sheet.shape[1]:
+                    cy = _axis_weights(points[1][:, None] + dy, context.shape[1])
                 base = _view(
                     context.data[0],
-                    _axis_weights(points[1][:, None] + dy, context.shape[1]),
+                    cy,
                     _axis_weights(points[0][:, None] + (dx + lefts[i]), context.shape[2]),
                 )
                 if decoded[i] in charset:
                     base -= _view(sheet.data[charset.index(decoded[i])], wy, wx)
-            per_cell.append(_scores(sheet, wy, wx, units[i], base))
+            per_cell.append(_scores(sheet, pairs, wy, wx, units[i], base))
         # Only confident reads steer the alignment; weaker cells ride along
         # on the rigid-block geometry instead of dragging it toward noise.
         total = sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)

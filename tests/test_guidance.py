@@ -60,9 +60,9 @@ def positive(verts: np.ndarray) -> PolygonMask:
     return PolygonMask(verts[::-1] if polygon_area(verts) < 0 else verts)
 
 
-def arc_mask() -> PolygonMask:
-    """A 140-degree arch of radii 14 and 26, 24 vertices per side."""
-    th = np.radians(np.linspace(200.0, 340.0, 24))
+def arc_mask(n: int = 24) -> PolygonMask:
+    """A 140-degree arch of radii 14 and 26, n vertices per side."""
+    th = np.radians(np.linspace(200.0, 340.0, n))
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     return positive(np.vstack([(31.5, 44.0) + 26.0 * ring, (31.5, 44.0) + 14.0 * ring[::-1]]))
 
@@ -364,13 +364,19 @@ class TestGeneratePipeline:
         assert res.layout == flatten_segments(want, corpus.canvas)
 
     # sha256 of the guided image bytes (float64, numpy 2.4): every cut,
-    # quad inverse and guidance step on a curved mask must stay bitwise put
+    # quad inverse and guidance step on a curved mask must stay bitwise put.
+    # The 64-vertex arc also pins the rounding of the boundary cubics' fit:
+    # its image moves if the fit's Bernstein terms are summed in another
+    # order (as strided column views of one shared basis sum them), which
+    # the two other masks do not show
     @pytest.mark.parametrize("mask_fn,text,n_segments,digest", [
         (arc_mask, "CURVED", 2,
          "58b53874a6b18bff272cee7af3b332a9b7bfa61cc79e6a7e7756e20f80b3ac6b"),
         (s_curve_mask, "WAVY4", 2,
          "a8181a319203905117bf60e9837c3803e50a2e7867516efea4828c549b2432fe"),
-    ], ids=["arc", "s_curve"])
+        (lambda: arc_mask(64), "BENDS", 2,
+         "7b6b09fc122165251839cd1d134307f19fedd58089ea00c07405b8a52186cfec"),
+    ], ids=["arc", "s_curve", "arc64"])
     def test_curved_outputs_pinned(self, corpus, mask_fn, text, n_segments, digest):
         res = generate(text, mask_fn(), 3, seed=11, corpus=corpus)
         assert len(res.segments) == n_segments

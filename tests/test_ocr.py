@@ -6,6 +6,7 @@ per-cell code it replaced, the tie rule, the pinned reads of the seed-0
 benchmark, and a pinned curved read that builds two template sets."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from slantext.diffusion import FACTOR, LatentCodec
 from slantext.errors import InputError
 from slantext.fontdata import GLYPH_H, GLYPH_W
 from slantext.geometry import PolygonMask, divide_mask, pixel_box, polygon_area, rotate_points
-from slantext.glyph import char_cells, default_font, glyph_scale, render_glyph_image
+from slantext.glyph import char_cells, default_font, glyph_scale, render_glyph_image, render_text_block
 from slantext.grid import LatentGrid, quad_points, sample_at
 from slantext.guidance import GuidanceConfig
 from slantext.ocr import OCR_SENTINEL, OcrResult, ocr_decode
@@ -113,6 +114,34 @@ class TestOcrDecode:
         with pytest.raises(InputError):
             OcrResult("AB", (0.5,))
 
+    def test_cells_of_two_heights_read(self):
+        # a 14 px and a 22 px tall cell: the first cell's template sheet has
+        # 4 latent rows and the context sheet 6, so its context views take
+        # their own y weights
+        image = np.zeros(CANVAS)
+        image[10:24, 4:16] = render_text_block(14, 12, "A").data
+        image[10:32, 16:28] = render_text_block(22, 12, "B").data
+        cells = [pixel_box(4, 10, 12, 14), pixel_box(16, 10, 12, 22)]
+        assert ocr_decode(image, cells).decoded == "AB"
+
+    def test_canvas_sized_cell_reads_in_little_memory(self):
+        # a 64 x 64 px cell on the 64 x 64 canvas has a 16 x 16 latent sheet;
+        # its squares weigh each cell against itself and its next neighbours
+        # only, not against all 256 cells, so a read peaks at a few MiB
+        # (133 MiB when every cell pair was formed)
+        assert CANVAS == (64, 64)
+        image = render_text_block(64, 64, "W").data
+        cells = [pixel_box(0, 0, 64, 64)]
+        ocr_decode(image, cells)  # warm the per-shape caches
+        tracemalloc.start()
+        try:
+            result = ocr_decode(image, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.decoded == "W"
+        assert peak < 16 * 2**20
+
 
 def repeated(sheet):
     """The latent sheet repeated FACTOR x FACTOR: the decoded sheet."""
@@ -171,6 +200,12 @@ def unit_patch(n_pts, seed):
     return ocr._normalize_rows(np.random.default_rng(seed).standard_normal((1, n_pts)))[0]
 
 
+def scores(sheet, wy, wx, unit, base=None):
+    """ocr._scores of the sheet, with its cell pairs; a template sheet's are
+    the ones _flat_templates caches beside it."""
+    return ocr._scores(sheet, ocr._cell_pairs(sheet.data), wy, wx, unit, base)
+
+
 def assert_scores_match(got, views, unit, cond=1.0):
     """Scores within 1e-12 (times cond, if given) of normalize_then_gemv on
     the oracle's (chars, offsets, points) views; a constant view scores
@@ -185,7 +220,7 @@ def assert_scores_match(got, views, unit, cond=1.0):
 
 # (h, w, tilt_key) cell shapes, and the search grids of ocr_decode:
 # (center, (half_x, half_y, step)) for the coarse, fine and context stages
-VIEW_CASES = [(7, 5, 0), (11, 8, 37), (14, 12, -90), (9, 17, 180)]
+VIEW_CASES = [(7, 5, 0), (11, 8, 37), (14, 12, -90), (9, 17, 180), (64, 64, 37)]
 SEARCH_GRIDS = (
     (np.zeros(2), (ocr.SEARCH_X, ocr.SEARCH_Y, 1.0)),
     (np.array([2.0, -3.0]), (ocr.FINE_HALF, ocr.FINE_HALF, ocr.FINE_STEP)),
@@ -250,6 +285,22 @@ def view_cases(draw):
 
 
 class TestOcrViews:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_axis_weights_reach_two_adjacent_cells(self, data):
+        # the squares keep only the products of a cell with itself and with
+        # its next neighbour: every position's weights are non-zero on at
+        # most two adjacent cells, at block boundaries, the edges and far
+        # outside too
+        n = data.draw(st.integers(1, 16))
+        pos = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=block_coords(n)))
+        weights = ocr._axis_weights(pos, n)
+        assert weights.shape == (*pos.shape, n)
+        for row in weights.reshape(-1, n):
+            lit = np.flatnonzero(row)
+            assert len(lit) <= 2
+            assert len(lit) < 2 or lit[1] == lit[0] + 1
+
     @given(view_cases())
     @settings(max_examples=300, deadline=None)
     def test_scores_match_sample_at_views_on_repeated_sheet(self, case):
@@ -274,7 +325,7 @@ class TestOcrViews:
         views, scale = (v.transpose(0, 2, 3, 1).reshape(sheet.channels, -1, len(unit)) for v in (want, scale))
         centred = views - views.mean(axis=2, keepdims=True)
         cond = (scale * scale).sum(axis=2) / np.maximum((centred * centred).sum(axis=2), 1e-300)
-        assert_scores_match(ocr._scores(sheet, wy, wx, unit), views, unit, np.maximum(cond, 1.0))
+        assert_scores_match(scores(sheet, wy, wx, unit), views, unit, np.maximum(cond, 1.0))
 
     @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES)
     def test_axis_views_match_full_mesh(self, h, w, tilt_key):
@@ -328,8 +379,8 @@ class TestOcrViews:
                 weights = axis_weights(tiles, slots, xs, ys)
                 padded_weights = axis_weights(padded_tiles, slots, *moved)
                 for b, padded_b in ((None, None), (base, want_base)):
-                    got = ocr._scores(tiles, *weights, unit, b)
-                    want = ocr._scores(padded_tiles, *padded_weights, unit, padded_b)
+                    got = scores(tiles, *weights, unit, b)
+                    want = scores(padded_tiles, *padded_weights, unit, padded_b)
                     assert np.abs(want).max() > 0.1  # the ink is in view
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -378,7 +429,7 @@ class TestCorrelateByMoments:
         xs, ys = ocr._offset_axes(1.0, 1.0, 0.25)
         unit = unit_patch(n_pts, seed)
         views = full_mesh_views(sheet, points, mesh_offsets(xs, ys))
-        got = ocr._scores(sheet, *axis_weights(sheet, points, xs, ys), unit)
+        got = scores(sheet, *axis_weights(sheet, points, xs, ys), unit)
         assert_scores_match(got, views, unit)
         assert got[6:24].all()
         assert not got[24:].any()
@@ -397,7 +448,7 @@ class TestCorrelateByMoments:
             views = full_mesh_views(sheet, slots, mesh_offsets(xs, ys))
             weights = axis_weights(sheet, slots, xs, ys)
             for unit in (one_hot, unit_patch(n_pts, h * w)):
-                assert_scores_match(ocr._scores(sheet, *weights, unit), views, unit)
+                assert_scores_match(scores(sheet, *weights, unit), views, unit)
 
     @pytest.mark.parametrize("h,w,tilt_key", VIEW_CASES)
     def test_context_composites_match_normalize_then_gemv(self, h, w, tilt_key):
@@ -423,7 +474,7 @@ class TestCorrelateByMoments:
                 if own is not None:
                     views -= full_mesh_views(sheet, slots, offsets)[charset.index(own)]
                     base -= ocr._view(sheet.data[charset.index(own)], *weights)
-                assert_scores_match(ocr._scores(sheet, *weights, unit, base), views, unit)
+                assert_scores_match(scores(sheet, *weights, unit, base), views, unit)
 
 
 def old_patch_fractions(h, w):
@@ -530,8 +581,9 @@ class TestSetUpBitwise:
 
     @pytest.mark.parametrize("h,w", [(7, 5), (11, 8), (14, 12), (23, 21), (3, 2)])
     def test_crisp_rows_match_per_character_gather(self, h, w):
-        flats, crisp, sheet = ocr._flat_templates(h, w)
-        assert not (crisp.flags.writeable or sheet.data.flags.writeable)
+        flats, crisp, sheet, pairs = ocr._flat_templates(h, w)
+        assert not (crisp.flags.writeable or sheet.data.flags.writeable or pairs.flags.writeable)
+        assert_bitwise(pairs, ocr._cell_pairs(sheet.data))
         box = pixel_box(0, 0, w, h)
         want = ocr._normalize_rows(np.asarray([
             sample_at(LatentGrid(f[None]), *quad_points(box, *old_patch_fractions(h, w)))[0].ravel()
@@ -553,7 +605,7 @@ class TestSetUpBitwise:
         # the tiles encoded in one band, against the whole RGB sheet with
         # that character alone in the slot, built and encoded
         for w in range(4, 22):
-            flats, _, sheet = ocr._flat_templates(h, w)
+            flats, _, sheet, _ = ocr._flat_templates(h, w)
             sheet_h, sheet_w, _, (corner,) = text_sheet([(h, w)], [None], 0.0)
             assert sheet.shape == (len(flats), sheet_h // FACTOR, sheet_w // FACTOR)
             for channel, flat in zip(sheet.data, flats):
@@ -565,7 +617,7 @@ class TestSetUpBitwise:
 # branches off: a sha256 over one line per ocr_decode call, the decoded
 # string, a colon, and every confidence in float.hex joined by commas; and
 # a sha256 over the decoded strings alone, one per line.
-PINNED_READS = "8ec0d15290bf93f2769ee752b31dfb5fe3367d31cbbea7a72aa1e9dbd2f85779"
+PINNED_READS = "42c06558e52d6551299226a49747b076f13f8ce134dd75cff018aa72ece52e4f"
 PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d69"
 
 
