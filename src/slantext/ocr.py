@@ -8,8 +8,9 @@ sums of squares take each cell times itself and times its next neighbours
 only.  Templates are the font's 0/1 ink averaged over the codec's FACTOR x
 FACTOR blocks, kept at latent resolution, and are sampled through quads
 tilted like the cells; the cells are read as windows onto one rigid text
-block whose residual offset is searched coarse to fine, then again with the
-decoded neighbours stamped in.
+block whose residual offset is searched coarse to fine, then again on
+composites of the decoded neighbours and each candidate, scored the same
+way.
 """
 
 from __future__ import annotations
@@ -105,13 +106,13 @@ def _cell_units(gray: LatentGrid, frames: Sequence[tuple]) -> np.ndarray:
     return _normalize_rows(sample_at(gray, *quad_points(quads, us, vs))[0])
 
 
-def _block_means(sheets: np.ndarray) -> LatentGrid:
+def _block_means(sheets: np.ndarray) -> np.ndarray:
     """Mean of every FACTOR x FACTOR block of each sheet of the (n, H, W)
     stack, sides multiples of FACTOR: the codec's encode of each sheet as a
     gray image.  The sheets hold only the font's 0/1 ink, so every mean is
     k / FACTOR^2, exact in any summation order."""
     n, h, w = sheets.shape
-    return LatentGrid(sheets.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4)))
+    return sheets.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4))
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -143,12 +144,12 @@ def _cell_pairs(cells: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, LatentGrid, np.ndarray]:
+def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Clean h x w render of every character, its normalised crisp row, the
-    shape's template sheet (character k's latent tile in channel k) and the
-    sheet's cell pairs (_cell_pairs), read-only.  The crisp rows are the
-    renders sampled at the patch points through a flat quad, all characters
-    in one gather as the channels of one grid.  The tiles are the block
+    shape's template sheet (a (chars, h, w) stack, character k's latent tile
+    at k) and the sheet's cell pairs (_cell_pairs), read-only.  The crisp
+    rows are the renders sampled at the patch points through a flat quad,
+    all characters in one gather as the channels of one grid.  The tiles are the block
     means of the renders, each on a zero sheet of whole blocks.  The slot's
     top-left pixel is the sheet's origin, and the views read every position
     off the sheet as zero, so offsetting the slot points reproduces any
@@ -159,8 +160,8 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     sheets = np.zeros((len(flats), FACTOR * math.ceil(h / FACTOR), FACTOR * math.ceil(w / FACTOR)))
     sheets[:, :h, :w] = flats
     sheet = _block_means(sheets)
-    pairs = _cell_pairs(sheet.data)
-    crisp.flags.writeable = pairs.flags.writeable = False
+    pairs = _cell_pairs(sheet)
+    crisp.flags.writeable = sheet.flags.writeable = pairs.flags.writeable = False
     return flats, crisp, sheet, pairs
 
 
@@ -177,23 +178,19 @@ def _axis_weights(pos: np.ndarray, n: int) -> np.ndarray:
     return rise - np.minimum(np.maximum(start - (FACTOR - 1), 0.0), 1.0)
 
 
-def _view(data: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
-    """(points, ys, xs) view of one latent channel through the axis weights."""
-    return (wy @ data) @ wx.transpose(0, 2, 1)
-
-
 def _scores(
-    sheet: LatentGrid,
-    pairs: np.ndarray,
+    sheets: np.ndarray,
     wy: np.ndarray,
     wx: np.ndarray,
     unit: np.ndarray,
-    base: Optional[np.ndarray] = None,
+    pairs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Correlation of the unit patch against the view of every channel of the
-    template sheet, plus the (points, ys, xs) base view if given, through the
-    (points, ys, h) and (points, xs, w) axis weights; pairs are the sheet's
-    _cell_pairs.  Returns (chars, offsets), offsets y-major.
+    """Correlation of the unit patch against the view of every sheet of the
+    (chars, h, w) stack through the (points, ys, h) and (points, xs, w) axis
+    weights.  pairs are the stack's _cell_pairs; without them the stack and
+    the x weights are first cut to the columns the weights reach, so a wide
+    stack costs no more than a narrow one.  Returns (chars, offsets),
+    offsets y-major.
 
     By moments, after J. P. Lewis, "Fast Normalized Cross-Correlation"
     (1995): the unit patch is centred, so the numerator is `unit @ view`, and
@@ -205,13 +202,17 @@ def _scores(
     its next neighbour only, so the only products that can count are a cell
     times itself and times its next neighbour along y, x or both: the
     pairs, against the squared weights and the products of neighbouring
-    weights.  The base adds its own moments and twice its dot with each
-    view.  A view whose centred norm is 1e-9 or less, or under 1e-6 of its
+    weights.  A view whose centred norm is 1e-9 or less, or under 1e-6 of its
     root sum of squares (lost to the moments' rounding), scores +0.0, as
     every constant view does."""
+    if pairs is None:
+        reached = np.flatnonzero(wx.any(axis=(0, 1)))
+        cols = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, 1)
+        sheets, wx = sheets[:, :, cols], wx[:, :, cols]
+        pairs = _cell_pairs(sheets)
     n_pts, n_y, h = wy.shape
     n_x, w = wx.shape[1:]
-    cells = sheet.data.reshape(len(sheet.data), h * w)
+    cells = sheets.reshape(len(sheets), h * w)
     # (2, h * w, offsets): the weights of each cell in the dots and the sums
     ends = np.stack((unit[:, None, None] * wy, wy), axis=1).reshape(n_pts, -1)
     moments = (ends.T @ wx.reshape(n_pts, -1)).reshape(2, n_y, h, n_x, w)
@@ -220,18 +221,6 @@ def _scores(
     yy, xx = (np.concatenate((a * a, a[..., :-1] * a[..., 1:]), axis=2).reshape(n_pts, -1) for a in (wy, wx))
     grams = (yy.T @ xx).reshape(n_y, 2 * h - 1, n_x, 2 * w - 1).transpose(1, 3, 0, 2)
     squares = pairs @ grams.reshape(-1, n_y * n_x)
-    if base is not None:
-        flat = base.reshape(n_pts, -1)
-        dots += unit @ flat
-        sums += flat.sum(axis=0)
-        # (xs, ys * h, w): the base times the weights of each cell, summed
-        # over the points
-        cross = np.matmul(
-            (base[:, :, None] * wy[..., None]).reshape(n_pts, n_y * h, n_x).transpose(2, 1, 0),
-            wx.transpose(1, 0, 2),
-        )
-        cross = cross.reshape(n_x, n_y, h * w).transpose(2, 1, 0).reshape(h * w, -1)
-        squares += (flat * flat).sum(axis=0) + 2 * (cells @ cross)
     var = squares - sums * sums / n_pts
     ok = var > np.maximum(1e-18, 1e-12 * squares)
     return np.divide(dots, np.sqrt(var, out=var, where=ok), out=np.zeros_like(var), where=ok)
@@ -251,18 +240,28 @@ def _offset_axes(half_x: float, half_y: float, step: float) -> tuple[np.ndarray,
     )
 
 
-def _context_grid(frames: Sequence[tuple], decoded: str, lefts: Sequence[int]) -> LatentGrid:
-    """Blocked sheet of the currently decoded text, cell i's render with its
-    top-left pixel at (lefts[i], 0); a character outside the charset leaves
-    its place blank."""
+def _composites(
+    frames: Sequence[tuple], decoded: str, lefts: Sequence[int], i: int
+) -> tuple[np.ndarray, int]:
+    """(chars, H, W) block means of the decoded text with cell i's place
+    taken by each candidate in turn, and cell i's left edge on them.  Every
+    other cell's render has its top-left pixel at (lefts[j] + pad, 0), the
+    pad putting cell i's left edge on a block edge, so each candidate's
+    cached tile adds on whole blocks; renders that overlap add, and a
+    character outside the charset leaves its place blank."""
     charset = default_font().charset
+    pad = -lefts[i] % FACTOR
     sheet_h = FACTOR * math.ceil(max(h for _, h, _, _ in frames) / FACTOR)
-    sheet_w = FACTOR * math.ceil(max(x0 + w for x0, (_, _, w, _) in zip(lefts, frames)) / FACTOR)
+    sheet_w = FACTOR * math.ceil((pad + max(x0 + w for x0, (_, _, w, _) in zip(lefts, frames))) / FACTOR)
     sheet = np.zeros((1, sheet_h, sheet_w))
-    for x0, (_, h, w, _), ch in zip(lefts, frames, decoded):
-        if ch in charset:
-            sheet[0, :h, x0 : x0 + w] = _flat_templates(h, w)[0][charset.index(ch)]
-    return _block_means(sheet)
+    for j, (x0, (_, h, w, _), ch) in enumerate(zip(lefts, frames, decoded)):
+        if j != i and ch in charset:
+            sheet[0, :h, pad + x0 : pad + x0 + w] += _flat_templates(h, w)[0][charset.index(ch)]
+    tiles = _flat_templates(*frames[i][1:3])[2]
+    composites = np.repeat(_block_means(sheet), len(tiles), axis=0)
+    col = (pad + lefts[i]) // FACTOR
+    composites[:, : tiles.shape[1], col : col + tiles.shape[2]] += tiles
+    return composites, pad + lefts[i]
 
 
 def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
@@ -278,9 +277,8 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     merely resembles a character somewhere nearby.  A second pass rebuilds
     each template with the neighboring decoded characters stamped beside the
     candidate, so ink spilling across tilted cell borders is matched instead
-    of fought; the block means and the sampler are linear, so each
-    composite's moments come from the candidate's and one view of the
-    decoded text, without a sheet per candidate."""
+    of fought: each candidate is scored, the same way as in the search, on a
+    composite of its tile and the neighbours' block means."""
     img = np.asarray(image, dtype=np.float64)
     gray = LatentGrid((img.mean(axis=2) if img.ndim == 3 else img)[None])
 
@@ -298,7 +296,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
         [frames[i][0].mean(axis=0) - np.array([i * pitch, 0.0]) for i in range(len(frames))]
     )
     anchors = anchors - anchors[live].mean(axis=0)
-    # each cell's left edge on the context sheet
+    # each cell's left edge in the decoded text
     lefts = [int(round(i * pitch)) for i in range(len(frames))]
 
     charset = default_font().charset
@@ -324,33 +322,21 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     def stage(
         xs: np.ndarray,
         ys: np.ndarray,
-        context: Optional[LatentGrid] = None,
+        text: Optional[str] = None,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """The search grid's first offset voted within TOL of the best, and
-        each live cell's correlations there."""
+        each live cell's correlations there; given the decoded text, each
+        candidate is read with the text's other characters beside it."""
         per_cell = []
         for i in live:
-            sheet, pairs, points = templates[i]
+            sheets, pairs, points = templates[i]
             dx, dy = anchors[i, 0] + xs, anchors[i, 1] + ys
-            wy = _axis_weights(points[1][:, None] + dy, sheet.shape[1])
-            wx = _axis_weights(points[0][:, None] + dx, sheet.shape[2])
-            base = None
-            if context is not None:
-                # each candidate reads (decoded text with this cell replaced
-                # by the candidate): the text's view minus the cell's own
-                # stamp, plus the candidate's.  Both sheets' rows start at
-                # the top, so equal heights share the y weights
-                cy = wy
-                if context.shape[1] != sheet.shape[1]:
-                    cy = _axis_weights(points[1][:, None] + dy, context.shape[1])
-                base = _view(
-                    context.data[0],
-                    cy,
-                    _axis_weights(points[0][:, None] + (dx + lefts[i]), context.shape[2]),
-                )
-                if decoded[i] in charset:
-                    base -= _view(sheet.data[charset.index(decoded[i])], wy, wx)
-            per_cell.append(_scores(sheet, pairs, wy, wx, units[i], base))
+            if text is not None:
+                sheets, left = _composites(frames, text, lefts, i)
+                dx, pairs = dx + left, None
+            wy = _axis_weights(points[1][:, None] + dy, sheets.shape[1])
+            wx = _axis_weights(points[0][:, None] + dx, sheets.shape[2])
+            per_cell.append(_scores(sheets, wy, wx, units[i], pairs))
         # Only confident reads steer the alignment; weaker cells ride along
         # on the rigid-block geometry instead of dragging it toward noise.
         total = sum(np.maximum(c.max(axis=0) - VOTE_FLOOR, 0.0) for c in per_cell)
@@ -366,7 +352,7 @@ def ocr_decode(image: np.ndarray, cells: Sequence[np.ndarray]) -> OcrResult:
     decoded, confs = read_out(at_best)
 
     for _ in range(2):
-        center, at_best = stage(*around(center, 1.0), _context_grid(frames, decoded, lefts))
+        center, at_best = stage(*around(center, 1.0), decoded)
         redecoded, confs = read_out(at_best)
         if redecoded == decoded:
             break

@@ -10,7 +10,14 @@ configs of BENCH_8.json, and prints:
 - one sha256 over the 900 gate reads and one over the 750 held-out reads.
   A read is one line per `ocr_decode` call, in run order: the decoded
   string, a space, then its confidences in `float.hex` joined by commas;
-  the lines are joined by newlines.
+  the lines are joined by newlines;
+- one sha256 over 800 curved reads, in the same line format, and how many
+  of their characters read correctly.  They are the texts of perfbench's
+  `curved_cases` batches 0-4 at seeds 0 and 101, rendered along their
+  divided segments at the corpus ink amplitude, each read raw and then
+  after a codec round trip, in case order.  Most of their cells' left
+  edges in the decoded text lie off block edges, as no gate read's do.
+  These lines do not affect the exit status.
 
 With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
 to FILE.  With `--compare A B` it compares two such files, written on two
@@ -42,13 +49,17 @@ from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
+from workloads import CURVED_BATCH, curved_cases
 
 from slantext import bench, ocr
 from slantext.bench import generate_benchmark, run_bench
-from slantext.corpus import build_corpus
+from slantext.corpus import CANVAS, INK_AMP, build_corpus
+from slantext.diffusion import LatentCodec
+from slantext.geometry import PolygonMask, divide_mask
+from slantext.glyph import char_cells, render_glyph_image
 from slantext.guidance import GuidanceConfig
 
 CONFIGS = {
@@ -60,11 +71,17 @@ CONFIGS = {
 }
 GATE_SEEDS = (0, 1, 2, 3, 4, 101)
 HELD_OUT_SEEDS = (5, 6, 7, 8, 9)
+CURVED_SEEDS = (0, 101)
+CURVED_BATCHES = 5
 GAP_BAND = (1e-10, 1e-7)
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def read_line(result: ocr.OcrResult) -> str:
+    return result.decoded + " " + ",".join(c.hex() for c in result.confidences)
 
 
 def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
@@ -81,7 +98,7 @@ def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
         # one read per case, in manifest order
         run["read"] = f"{run['key']} {run['cases'][len(lines) - run['start']].case_id}"
         result = ocr.ocr_decode(image, cells)
-        lines.append(result.decoded + " " + ",".join(c.hex() for c in result.confidences))
+        lines.append(read_line(result))
         return result
 
     def watched(scores):
@@ -107,11 +124,39 @@ def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
                 matched += digests == pinned.get(key)
                 print(key, digests["report.json"], digests["report.csv"], flush=True)
         reads[group] = (len(lines) - first, sha256("\n".join(lines[first:]).encode()))
+    bench.ocr_decode = ocr.ocr_decode
+    ocr._top = top
     total = len(GATE_SEEDS) * len(CONFIGS)
     print(f"gate reports equal to BENCH_17.json: {matched} of {total}")
     for group, (n, digest) in reads.items():
         print(f"{group} reads: {n} {digest}")
     return matched == total, lines, gaps
+
+
+def run_curved() -> None:
+    """Read the curved texts raw and after a codec round trip, and print the
+    reads' sha256 and their correct characters."""
+    codec = LatentCodec()
+    lines = []
+    correct = {"raw": 0, "codec round trip": 0}
+    total = 0
+    for seed in CURVED_SEEDS:
+        for k in range(CURVED_BATCHES):
+            for case in curved_cases(seed, k, CURVED_BATCH):
+                text = case["text"]
+                segments = divide_mask(PolygonMask(np.asarray(case["vertices"])), text)
+                cells = char_cells(segments, text)
+                ink = INK_AMP * render_glyph_image(segments, text, CANVAS).data
+                coded = codec.decode(codec.encode(np.repeat(ink[:, :, None], 3, axis=2)))
+                for kind, image in zip(correct, (ink, coded)):
+                    result = ocr.ocr_decode(image, cells)
+                    lines.append(read_line(result))
+                    correct[kind] += sum(a == b for a, b in zip(result.decoded, text))
+                total += len(text)
+    digest = sha256("\n".join(lines).encode())
+    print(f"curved reads: {len(lines)} {digest}")
+    counts = ", ".join(f"{n} {kind}" for kind, n in correct.items())
+    print(f"curved characters read correctly of {total}: {counts}")
 
 
 def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
@@ -141,6 +186,7 @@ def main() -> None:
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two read files")
     args = parser.parse_args()
     passed, lines, gaps = run_gate()
+    run_curved()
     if args.reads:
         args.reads.write_text("\n".join(lines))
     if args.compare:
