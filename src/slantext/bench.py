@@ -368,10 +368,12 @@ def run_bench(
     corpus = corpus if corpus is not None else build_corpus()
     run_case = partial(_run_case, config=config, schedule=schedule, corpus=corpus)
 
-    if jobs == 1:
+    # a fork pool starts all its workers at the first submit
+    workers = min(jobs, len(cases))
+    if workers == 1:
         records = [run_case(case) for case in cases]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_case, cases))
 
     records = tuple(sorted(records, key=lambda r: r.case_id))

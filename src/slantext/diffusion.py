@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, ScheduleError, ShapeError
-from .grid import LatentGrid
+from .grid import LatentGrid, frozen
 
 # denoiser: (z_t, alpha_bar_t) -> predicted noise
 Denoiser = Callable[[LatentGrid, float], LatentGrid]
@@ -25,6 +25,14 @@ TraceFn = Callable[[int, LatentGrid], None]
 # Side of the pixel block one latent cell stands for; canvas sides must be
 # multiples of it.
 FACTOR = 4
+
+
+def block_means(stack: np.ndarray) -> np.ndarray:
+    """Mean of every FACTOR x FACTOR block of each sheet of the (n, H, W)
+    stack, sides multiples of FACTOR: the codec's encode and the OCR's sheets.
+    On 0/1 ink every mean is k / FACTOR^2, exact in any summation order."""
+    n, h, w = stack.shape
+    return stack.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4))
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,8 @@ class NoiseSchedule:
             raise ScheduleError("betas must be finite")
         if betas.min() <= 0.0 or betas.max() >= 1.0:
             raise ScheduleError("betas must lie strictly inside (0, 1)")
-        b = betas.copy()
-        b.flags.writeable = False
-        a = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-        a.flags.writeable = False
-        object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "alpha_bars", a)
+        object.__setattr__(self, "betas", frozen(betas))
+        object.__setattr__(self, "alpha_bars", frozen(np.concatenate([[1.0], np.cumprod(1.0 - betas)])))
 
     @property
     def steps(self) -> int:
@@ -139,11 +143,10 @@ class LatentCodec:
         if img.ndim != 3 or img.shape[2] != 3:
             raise ShapeError(f"expected (H, W, 3) image, got shape {img.shape}")
         h, w, _ = img.shape
-        f = FACTOR
-        if h % f or w % f:
-            raise ShapeError(f"image size {(h, w)} not divisible by factor {f}")
-        blocks = img.reshape(h // f, f, w // f, f, 3).mean(axis=(1, 3))
-        return LatentGrid(blocks.transpose(2, 0, 1))
+        if h % FACTOR or w % FACTOR:
+            raise ShapeError(f"image size {(h, w)} not divisible by factor {FACTOR}")
+        # the channel-first view: a copy would sum each block in another order
+        return LatentGrid(block_means(img.transpose(2, 0, 1)))
 
     def decode(self, z: LatentGrid) -> np.ndarray:
         img = z.data.transpose(1, 2, 0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InputError, LayoutError
-from .grid import RegionMask
+from .grid import MAX_CORNER, RegionMask, frozen
 
 # split candidates whose tangent stays within this of the segment entry
 # direction are discarded: the curve has not actually turned
@@ -97,6 +97,9 @@ class PolygonMask:
         pts = _as_points(self.vertices)
         if pts.shape[0] < 4:
             raise GeometryError(f"polygon needs >= 4 vertices, got {pts.shape[0]}")
+        # far larger coordinates overflow the shoelace area to inf
+        if not (np.abs(pts) <= MAX_CORNER).all():
+            raise GeometryError("polygon vertices must lie within +-2^52")
         if polygon_area(pts) <= 0.0:
             raise GeometryError("polygon must have positive signed area (wrong winding?)")
         # Edge i against every later edge j >= i + 2 but the pair (0, n-1),
@@ -119,9 +122,7 @@ class PolygonMask:
                 cross[0, -1] = False
             if cross.any():
                 raise GeometryError("polygon is self-intersecting")
-        arr = pts.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "vertices", frozen(pts))
 
     @property
     def area(self) -> float:
@@ -149,9 +150,7 @@ class BezierCurve:
         pts = _as_points(self.control)
         if pts.shape[0] != 4:
             raise GeometryError(f"cubic curve needs 4 control points, got {pts.shape[0]}")
-        arr = pts.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "control", arr)
+        object.__setattr__(self, "control", frozen(pts))
 
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -226,9 +225,7 @@ class QuadSegment:
         start, stop = self.text_slice
         if stop <= start:
             raise GeometryError(f"empty text slice {self.text_slice}")
-        arr = pts.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "corners", arr)
+        object.__setattr__(self, "corners", frozen(pts))
 
     @property
     def width(self) -> float:

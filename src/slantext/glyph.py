@@ -5,14 +5,12 @@ neighbor replication only, so rendered ink is exactly reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CharsetError, InputError, ShapeError
 from .fontdata import FONT_ROWS, GLYPH_H, GLYPH_W
 from .geometry import FlatLayout, QuadSegment
-from .grid import LatentGrid, paste_region_with_mask
+from .grid import LatentGrid, RegionMask, paste_region_with_mask
 
 
 class BitmapFont:
@@ -57,27 +55,6 @@ def default_font() -> BitmapFont:
     return _DEFAULT_FONT
 
 
-@dataclass(frozen=True)
-class GlyphImage:
-    """Grayscale ink image, values in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"glyph image must be 2-d, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ShapeError("glyph image values must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
 def glyph_scale(rect_h: int, rect_w: int, n_chars: int) -> int:
     """Largest integer scale where n glyphs plus single-unit gaps fit the
     rect: height 7k, total width (6n - 1)k. Never below 1."""
@@ -115,7 +92,7 @@ def _stamp(canvas: np.ndarray, ox: int, oy: int, iw: int, ih: int,
         canvas[ry0:ry1, rx0:rx1] = np.maximum(canvas[ry0:ry1, rx0:rx1], sub)
 
 
-def render_text_block(h: int, w: int, text: str) -> GlyphImage:
+def render_text_block(h: int, w: int, text: str) -> RegionMask:
     """Standalone (h, w) block with `text` laid out across it."""
     font = default_font()
     font.validate(text)
@@ -123,10 +100,10 @@ def render_text_block(h: int, w: int, text: str) -> GlyphImage:
         raise ShapeError(f"block size must be positive, got {(h, w)}")
     canvas = np.zeros((int(h), int(w)), dtype=np.float64)
     _stamp(canvas, 0, 0, int(w), int(h), text, font)
-    return GlyphImage(canvas)
+    return RegionMask(canvas)
 
 
-def render_flat_glyph(layout: FlatLayout, text: str) -> GlyphImage:
+def render_flat_glyph(layout: FlatLayout, text: str) -> RegionMask:
     """Render each layout rect's share of `text` onto the flat canvas."""
     font = default_font()
     font.validate(text)
@@ -141,14 +118,14 @@ def render_flat_glyph(layout: FlatLayout, text: str) -> GlyphImage:
             _round_half_up(rw), _round_half_up(rh),
             text[a:b], font,
         )
-    return GlyphImage(canvas)
+    return RegionMask(canvas)
 
 
 def render_glyph_image(
     segments: list[QuadSegment],
     text: str,
     canvas: tuple[int, int],
-) -> GlyphImage:
+) -> RegionMask:
     """Render each segment's share of `text` flat at the segment's own size,
     then warp it onto the canvas through the segment quad. Overlapping
     segments max-composite."""
@@ -167,7 +144,7 @@ def render_glyph_image(
         local = render_text_block(lh, lw, text[a:b])
         pasted, _ = paste_region_with_mask(blank, LatentGrid(local.data[None]), seg.corners)
         acc = np.maximum(acc, pasted.data[0])
-    return GlyphImage(np.clip(acc, 0.0, 1.0))
+    return RegionMask(np.clip(acc, 0.0, 1.0))
 
 
 def char_cells(segments: list[QuadSegment], text: str) -> list[np.ndarray]:

@@ -18,7 +18,8 @@ from .errors import ShapeError
 STD_FLOOR = 1e-5
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def frozen(arr) -> np.ndarray:
+    """Read-only float64 copy of arr."""
     out = np.asarray(arr, dtype=np.float64).copy()
     out.flags.writeable = False
     return out
@@ -36,7 +37,7 @@ class LatentGrid:
             raise ShapeError(f"grid must be (C, H, W) with positive dims, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ShapeError("grid values must be finite")
-        object.__setattr__(self, "data", _frozen(arr))
+        object.__setattr__(self, "data", frozen(arr))
 
     @property
     def channels(self) -> int:
@@ -70,7 +71,7 @@ class RegionMask:
             raise ShapeError("mask values must be finite")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ShapeError("mask values must lie in [0, 1]")
-        object.__setattr__(self, "data", _frozen(arr))
+        object.__setattr__(self, "data", frozen(arr))
 
     @property
     def height(self) -> int:
@@ -81,18 +82,10 @@ class RegionMask:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """Per-channel mean and population std of a grid."""
-
-    mean: np.ndarray  # (C,)
-    std: np.ndarray   # (C,)
-
-
-def channel_stats(g: LatentGrid) -> ChannelStats:
-    """Mean and population std over the full spatial extent of each channel."""
+def channel_stats(g: LatentGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(C,) mean and population std of each channel over the grid, read-only."""
     flat = g.data.reshape(g.channels, -1)
-    return ChannelStats(mean=_frozen(flat.mean(axis=1)), std=_frozen(flat.std(axis=1)))
+    return frozen(flat.mean(axis=1)), frozen(flat.std(axis=1))
 
 
 def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
@@ -107,11 +100,11 @@ def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
         raise ShapeError(
             f"channel mismatch: content has {content.channels}, style has {style.channels}"
         )
-    cs = channel_stats(content)
-    ss = channel_stats(style)
-    denom = np.maximum(cs.std, STD_FLOOR)[:, None, None]
-    normalized = (content.data - cs.mean[:, None, None]) / denom
-    return LatentGrid(normalized * ss.std[:, None, None] + ss.mean[:, None, None])
+    c_mean, c_std = channel_stats(content)
+    s_mean, s_std = channel_stats(style)
+    denom = np.maximum(c_std, STD_FLOOR)[:, None, None]
+    normalized = (content.data - c_mean[:, None, None]) / denom
+    return LatentGrid(normalized * s_std[:, None, None] + s_mean[:, None, None])
 
 
 def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffusion import FACTOR
+from .diffusion import FACTOR, block_means
 from .errors import InputError
 from .fontdata import GLYPH_H, GLYPH_W
 from .geometry import pixel_box, rotate_points
@@ -106,15 +106,6 @@ def _cell_units(gray: LatentGrid, frames: Sequence[tuple]) -> np.ndarray:
     return _normalize_rows(sample_at(gray, *quad_points(quads, us, vs))[0])
 
 
-def _block_means(sheets: np.ndarray) -> np.ndarray:
-    """Mean of every FACTOR x FACTOR block of each sheet of the (n, H, W)
-    stack, sides multiples of FACTOR: the codec's encode of each sheet as a
-    gray image.  The sheets hold only the font's 0/1 ink, so every mean is
-    k / FACTOR^2, exact in any summation order."""
-    n, h, w = sheets.shape
-    return sheets.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4))
-
-
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Center each row of the 2-d rows and scale it to unit length, in place;
     a row whose centered norm is 1e-9 or less becomes +0.0.  Returns rows."""
@@ -159,7 +150,7 @@ def _flat_templates(h: int, w: int) -> tuple[tuple[np.ndarray, ...], np.ndarray,
     crisp = _normalize_rows(sample_at(LatentGrid(np.stack(flats)), px, py))
     sheets = np.zeros((len(flats), FACTOR * math.ceil(h / FACTOR), FACTOR * math.ceil(w / FACTOR)))
     sheets[:, :h, :w] = flats
-    sheet = _block_means(sheets)
+    sheet = block_means(sheets)
     pairs = _cell_pairs(sheet)
     crisp.flags.writeable = sheet.flags.writeable = pairs.flags.writeable = False
     return flats, crisp, sheet, pairs
@@ -258,7 +249,7 @@ def _composites(
         if j != i and ch in charset:
             sheet[0, :h, pad + x0 : pad + x0 + w] += _flat_templates(h, w)[0][charset.index(ch)]
     tiles = _flat_templates(*frames[i][1:3])[2]
-    composites = np.repeat(_block_means(sheet), len(tiles), axis=0)
+    composites = np.repeat(block_means(sheet), len(tiles), axis=0)
     col = (pad + lefts[i]) // FACTOR
     composites[:, : tiles.shape[1], col : col + tiles.shape[2]] += tiles
     return composites, pad + lefts[i]

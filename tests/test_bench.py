@@ -253,6 +253,32 @@ class TestRunBench:
         assert blob == json.dumps(two.to_json_dict(), sort_keys=True)
         assert blob == json.dumps(par.to_json_dict(), sort_keys=True)
 
+    def test_pool_never_outnumbers_cases(self, corpus, tiny_cases, monkeypatch):
+        # a fork pool starts all its workers at the first submit, so --jobs
+        # 64 on 3 cases must ask for 3; a serial stand-in records the ask
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        report = run_bench(tiny_cases, corpus=corpus, jobs=64)
+        assert asked == [3]
+        serial = run_bench(tiny_cases, corpus=corpus)
+        assert report.to_json_dict() == serial.to_json_dict()
+        run_bench(tiny_cases[:1], corpus=corpus, jobs=64)
+        assert asked == [3]  # one case runs without a pool
+
     def test_failed_case_scores_zero_and_batch_survives(self, corpus, tiny_cases):
         bad = BenchCase("easy_bad", 0, "no!", text_mask("no!"), "easy", 0.0, 1)
         report = run_bench([tiny_cases[0], bad], corpus=corpus)

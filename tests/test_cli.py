@@ -171,6 +171,14 @@ class TestGenerate:
         assert main(["generate", str(bad), "CAT", "--out", str(tmp_path / "x")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["generate", "decompose"])
+    def test_mask_beyond_max_corner(self, tmp_path, capsys, command):
+        bad = tmp_path / "m.json"
+        side = 1e160
+        bad.write_text(json.dumps([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]]))
+        assert main([command, str(bad), "CAT", "--out", str(tmp_path / "x")]) == 1
+        assert "2^52" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_rotated_rect_single_segment(self, tmp_path):
@@ -360,6 +368,13 @@ class TestExitCodes:
         manifest = edited_manifest(tmp_path, "mask", mask)
         assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
         assert "malformed manifest" in capsys.readouterr().err
+
+    def test_manifest_mask_beyond_max_corner_is_validation(self, tmp_path, capsys):
+        # such a row used to abort the whole run as an internal error
+        side = 1e160
+        manifest = edited_manifest(tmp_path, "mask", [[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+        assert main(["bench-run", manifest, "--out", str(tmp_path / "x")]) == 1
+        assert "2^52" in capsys.readouterr().err
 
     @staticmethod
     def reading(tmp_path, what, path):

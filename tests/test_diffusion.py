@@ -185,6 +185,20 @@ class TestLatentCodec:
         with pytest.raises(ShapeError):
             LatentCodec().encode(np.zeros((10, 8, 3)))
 
+    @pytest.mark.parametrize("size", [(4, 4), (8, 12), (20, 16), (64, 64), (96, 160)])
+    def test_encode_rounds_as_pixel_major_block_means(self, size):
+        # encode takes the block means of the image's channel-first view, so
+        # each block's sum runs in the image's own memory order, bitwise the
+        # pixel-major formula; a channel-first copy sums in another order
+        h, w = size
+        rng = np.random.default_rng(h * w)
+        for _ in range(20):
+            img = rng.standard_normal((h, w, 3)) * rng.uniform(0.1, 100.0)
+            want = img.reshape(h // 4, 4, w // 4, 4, 3).mean(axis=(1, 3)).transpose(2, 0, 1)
+            got = LatentCodec().encode(img).data
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestCorpus:
     def test_counts_and_rows(self):

@@ -78,6 +78,14 @@ class TestPolygonMask:
         with pytest.raises(GeometryError):
             PolygonMask([[0, 0], [4, 4], [4, 0], [0, 4]])
 
+    @pytest.mark.parametrize("side", [1e155, 1e160, 1e300, 2.0**52 * (1 + 2.0**-52)])
+    def test_vertex_beyond_max_corner(self, side):
+        # the larger squares' shoelace areas overflow to inf, which then
+        # escaped divide_mask as a NaN-to-int ValueError; the bound comes
+        # first, so no overflow warning is raised (warnings are errors here)
+        with pytest.raises(GeometryError, match="2\\^52"):
+            PolygonMask([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+
     def test_rotation_preserves_area(self):
         p = rect_polygon(10, 10, 6, 3)
         q = p.rotated(0.7)

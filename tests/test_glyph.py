@@ -8,9 +8,9 @@ from slantext import glyph
 from slantext.errors import CharsetError, InputError, ShapeError
 from slantext.fontdata import FONT_ROWS, GLYPH_H, GLYPH_W
 from slantext.geometry import FlatLayout, QuadSegment, SimilarityTransform
+from slantext.grid import RegionMask
 from slantext.glyph import (
     BitmapFont,
-    GlyphImage,
     char_cells,
     default_font,
     glyph_scale,
@@ -121,21 +121,6 @@ class TestRenderTextBlock:
             render_text_block(0, 10, "A")
 
 
-class TestGlyphImage:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            GlyphImage(np.full((4, 4), 1.5))
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ShapeError):
-            GlyphImage(np.zeros((2, 4, 4)))
-
-    def test_frozen(self):
-        img = GlyphImage(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            img.data[0, 0] = 1.0
-
-
 class TestRenderFlatGlyph:
     def layout(self, slices=((0, 2),)):
         return FlatLayout(
@@ -167,6 +152,7 @@ class TestRenderGlyphImage:
         )
         img = render_glyph_image([seg], "AB", (64, 64))
         block = render_text_block(14, 24, "AB")
+        assert isinstance(img, RegionMask) and isinstance(block, RegionMask)
         assert np.array_equal(img.data[16:30, 0:24], block.data)
         outside = img.data.copy()
         outside[16:30, 0:24] = 0

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from slantext import bench, ocr
 from slantext.bench import BaseSpec, base_mask, generate_benchmark, run_bench
 from slantext.corpus import CANVAS, CHAR_W, TEXT_H, _scene_images, scene_background
-from slantext.diffusion import FACTOR, LatentCodec
+from slantext.diffusion import FACTOR, LatentCodec, block_means
 from slantext.errors import InputError
 from slantext.fontdata import GLYPH_H, GLYPH_W
 from slantext.geometry import PolygonMask, divide_mask, pixel_box, polygon_area, rotate_points
@@ -391,7 +391,7 @@ class TestOcrViews:
         sheet = np.zeros((sheet_h, sheet_w))
         for x0 in (3, 17, 30):
             sheet[:7, x0 : x0 + 5] = rng.integers(0, 2, (7, 5))
-        latent = ocr._block_means(sheet[None])
+        latent = block_means(sheet[None])
         assert latent.shape == (1, sheet_h // factor, sheet_w // factor)
         codec = LatentCodec()
         want = codec.decode(codec.encode(np.repeat(sheet[:, :, None], 3, axis=2))).mean(axis=2)
