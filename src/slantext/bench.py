@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
@@ -373,6 +372,9 @@ def run_bench(
     if workers == 1:
         records = [run_case(case) for case in cases]
     else:
+        # imported here: only --jobs > 1 pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_case, cases))
 

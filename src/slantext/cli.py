@@ -38,6 +38,11 @@ from .pnm import write_pgm, write_ppm
 PIXEL_SHIFT = 1.0
 PIXEL_RANGE = 4.0
 
+# decompose grows its debug canvas past the configured one to cover the
+# mask, up to this many pixels a side (each float64 render is then at most
+# 32 MiB); a mask reaching further is rejected
+MAX_RENDER_SIDE = 2048
+
 # The settings, each declared once: config section -> key -> (field, value
 # type).  [guidance] keys are GuidanceConfig fields, the rest RunConfig
 # fields; the dataclasses hold the defaults.  A flag that overrides a setting
@@ -252,11 +257,18 @@ def _layout_payload(text: str, segments, layout) -> dict:
 
 def _render_canvas(mask: PolygonMask, base: tuple[int, int]) -> tuple[int, int]:
     """Smallest codec-aligned canvas covering both the base size and the
-    mask, so decompose can debug-render shapes bigger than a scene."""
+    mask, so decompose can debug-render shapes bigger than a scene.  A mask
+    that would grow a side past both the base and MAX_RENDER_SIDE raises
+    InputError before anything is allocated."""
     hi = mask.vertices.max(axis=0)
-    w = max(base[1], FACTOR * math.ceil((hi[0] + 2.5) / FACTOR))
-    h = max(base[0], FACTOR * math.ceil((hi[1] + 2.5) / FACTOR))
-    return (int(h), int(w))
+    need_w = FACTOR * math.ceil((hi[0] + 2.5) / FACTOR)
+    need_h = FACTOR * math.ceil((hi[1] + 2.5) / FACTOR)
+    if need_w > max(base[1], MAX_RENDER_SIDE) or need_h > max(base[0], MAX_RENDER_SIDE):
+        raise InputError(
+            f"mask reaches ({hi[0]:g}, {hi[1]:g}): decompose renders at most"
+            f" {MAX_RENDER_SIDE} px a side beyond the configured canvas {base}"
+        )
+    return (int(max(base[0], need_h)), int(max(base[1], need_w)))
 
 
 def cmd_generate(args) -> int:

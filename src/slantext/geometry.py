@@ -40,10 +40,15 @@ def _as_points(points) -> np.ndarray:
 
 
 def polygon_area(points) -> float:
-    """Signed shoelace area; positive for our canonical vertex order."""
+    """Signed shoelace area; positive for our canonical vertex order.  The
+    sum runs on the vertices less the first one, so a small polygon far from
+    the origin keeps its area instead of losing it to the rounding of huge
+    products.  The first vertex is then (0, 0), and the two shoelace terms
+    that touch it are zero and left out."""
     pts = _as_points(points)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    d = pts - pts[0]
+    x, y = d[:, 0], d[:, 1]
+    return 0.5 * float(np.sum(x[1:-1] * y[2:] - x[2:] * y[1:-1]))
 
 
 def polygon_centroid(points) -> np.ndarray:
@@ -102,21 +107,25 @@ class PolygonMask:
             raise GeometryError("polygon vertices must lie within +-2^52")
         if polygon_area(pts) <= 0.0:
             raise GeometryError("polygon must have positive signed area (wrong winding?)")
-        # Edge i against every later edge j >= i + 2 but the pair (0, n-1),
-        # which shares vertex 0: a proper crossing puts each edge's end
-        # points strictly on different sides of the other's line.  A block
-        # of rows i0 <= i < i1 meets the columns j >= i0 + 2, and its upper
-        # triangle keeps j >= i + 2.
+        # Edge i runs from ring[i] to ring[i + 1], ring being the vertices
+        # and vertex 0 again.  Edge i meets every later edge j >= i + 2 but
+        # the pair (0, n-1), which shares vertex 0: a proper crossing puts
+        # each edge's end points strictly on different sides of the other's
+        # line.  A block of rows i0 <= i < i1 meets the columns j >= i0 + 2,
+        # and its upper triangle keeps j >= i + 2.  Each side is taken once
+        # per edge and vertex: `left` holds the row edges against the
+        # vertices ring[i0 + 2:], whose neighbouring columns are a column
+        # edge's ends, and `right` the column edges against ring[i0:i1 + 1],
+        # whose neighbouring columns are a row edge's ends.
         n = pts.shape[0]
-        starts, ends = pts, np.roll(pts, -1, axis=0)
+        ring = np.concatenate([pts, pts[:1]])
         rows = max(1, PAIR_BLOCK // n)
         for i0 in range(0, n - 2, rows):
             i1 = min(i0 + rows, n - 2)
-            p1, p2 = starts[i0:i1, None], ends[i0:i1, None]
-            p3, p4 = starts[i0 + 2 :], ends[i0 + 2 :]
+            left = _orient(ring[i0:i1, None], ring[i0 + 1 : i1 + 1, None], ring[i0 + 2 :]) > 0
+            right = _orient(ring[i0 + 2 : n, None], ring[i0 + 3 :, None], ring[i0 : i1 + 1]) > 0
             cross = np.triu(
-                ((_orient(p3, p4, p1) > 0) != (_orient(p3, p4, p2) > 0))
-                & ((_orient(p1, p2, p3) > 0) != (_orient(p1, p2, p4) > 0))
+                (right[:, :-1].T != right[:, 1:].T) & (left[:, :-1] != left[:, 1:])
             )
             if i0 == 0:
                 cross[0, -1] = False
@@ -155,14 +164,23 @@ class BezierCurve:
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         s = 1.0 - t
-        w = np.stack([s**3, 3 * s**2 * t, 3 * s * t**2, t**3], axis=-1)
+        # the Bernstein weights along a last axis, filled in place: the same
+        # array np.stack builds, at a fraction of its cost
+        w = np.empty(t.shape + (4,))
+        w[..., 0] = s**3
+        w[..., 1] = 3 * s**2 * t
+        w[..., 2] = 3 * s * t**2
+        w[..., 3] = t**3
         return w @ self.control
 
     def tangent(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         s = 1.0 - t
         d = np.diff(self.control, axis=0)  # (3, 2)
-        w = np.stack([s**2, 2 * s * t, t**2], axis=-1)
+        w = np.empty(t.shape + (3,))
+        w[..., 0] = s**2
+        w[..., 1] = 2 * s * t
+        w[..., 2] = t**2
         return 3.0 * (w @ d)
 
     def arc_lengths(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +232,10 @@ class QuadSegment:
         if not (-math.pi < self.angle <= math.pi):
             raise GeometryError(f"segment angle {self.angle} outside (-pi, pi]")
         # convexity and consistent turning direction
+        corners = pts.tolist()
         signs = []
         for i in range(4):
-            a, b, c = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+            a, b, c = corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]
             signs.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
         if abs(polygon_area(pts)) < 1e-12:
             raise GeometryError("segment quad has ~zero area")
@@ -310,7 +329,7 @@ def min_area_rect(points) -> OrientedRect:
     `np.linalg.norm(edge)` and `hull @ d` on one edge do; one gemm or an
     elementwise sum would round differently.  The first edge wins a tie."""
     hull = convex_hull(_as_points(points))
-    edges = np.roll(hull, -1, axis=0) - hull
+    edges = np.concatenate([hull[1:], hull[:1]]) - hull
     norm = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0]
     keep = norm[:, 0] >= 1e-12
     d = edges[keep] / norm[keep]

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import CharsetError, InputError, ShapeError
 from .fontdata import FONT_ROWS, GLYPH_H, GLYPH_W
 from .geometry import FlatLayout, QuadSegment
-from .grid import LatentGrid, RegionMask, paste_region_with_mask
+from .grid import LatentGrid, RegionMask, quad_cells
 
 
 class BitmapFont:
@@ -79,7 +79,7 @@ def _stamp(canvas: np.ndarray, ox: int, oy: int, iw: int, ih: int,
     pad_y = (ih - gh) // 2
     ch_, cw_ = canvas.shape
     for idx, ch in enumerate(text):
-        big = np.kron(font.bitmap(ch), np.ones((k, k)))
+        big = font.bitmap(ch).repeat(k, 0).repeat(k, 1)
         slot_w = iw / n
         gx = _round_half_up(idx * slot_w + (slot_w - gw) / 2.0)
         y0, x0 = oy + pad_y, ox + gx
@@ -128,13 +128,14 @@ def render_glyph_image(
 ) -> RegionMask:
     """Render each segment's share of `text` flat at the segment's own size,
     then warp it onto the canvas through the segment quad. Overlapping
-    segments max-composite."""
+    segments max-composite: each segment's samples are maxed into the
+    canvas cells its quad covers (`grid.quad_cells`), in place, and no
+    other cell is touched."""
     default_font().validate(text)
     if not segments:
         raise InputError("no segments to render")
     h, w = int(canvas[0]), int(canvas[1])
     acc = np.zeros((h, w), dtype=np.float64)
-    blank = LatentGrid(np.zeros((1, h, w)))
     for seg in segments:
         a, b = seg.text_slice
         if not (0 <= a < b <= len(text)):
@@ -142,8 +143,8 @@ def render_glyph_image(
         lw = max(1, _round_half_up(seg.width))
         lh = max(1, _round_half_up(seg.height))
         local = render_text_block(lh, lw, text[a:b])
-        pasted, _ = paste_region_with_mask(blank, LatentGrid(local.data[None]), seg.corners)
-        acc = np.maximum(acc, pasted.data[0])
+        rows, cols, values = quad_cells(LatentGrid(local.data[None]), seg.corners, h, w)
+        acc[rows, cols] = np.maximum(acc[rows, cols], values[0])
     return RegionMask(np.clip(acc, 0.0, 1.0))
 
 

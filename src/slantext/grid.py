@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class LatentGrid:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
+    @cached_property
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C,) mean and population std of each channel over the grid,
+        read-only.  The grid never changes, so they are computed on first
+        use and kept with it."""
+        flat = self.data.reshape(self.channels, -1)
+        return frozen(flat.mean(axis=1)), frozen(flat.std(axis=1))
+
 
 @dataclass(frozen=True)
 class RegionMask:
@@ -83,9 +92,9 @@ class RegionMask:
 
 
 def channel_stats(g: LatentGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(C,) mean and population std of each channel over the grid, read-only."""
-    flat = g.data.reshape(g.channels, -1)
-    return frozen(flat.mean(axis=1)), frozen(flat.std(axis=1))
+    """(C,) mean and population std of each channel over the grid, read-only
+    (`LatentGrid.stats`)."""
+    return g.stats
 
 
 def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
@@ -220,30 +229,32 @@ def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray):
     (p - A - v*F) must run parallel to (E + v*G), where E, F span the quad
     edges at A and G is the non-affine residual.  That is a quadratic in v
     whose v^2 term cross(F, G) vanishes for a parallelogram, leaving a
-    linear solve; a quad where it does not vanish raises ShapeError.
+    linear solve; a quad where it does not vanish raises ShapeError.  The
+    corner terms are Python floats, whose sums and products are the same
+    IEEE doubles as numpy's; only the per-point terms are arrays.
     """
     eps = 1e-9
-    a, b, c, d = quad
-    e = b - a          # u direction at v=0
-    f = d - a          # v direction at u=0
-    gvec = a - b + c - d
-    qx = px - a[0]
-    qy = py - a[1]
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = quad.tolist()
+    ex, ey = bx - ax, by - ay                  # u direction at v=0
+    fx, fy = dx - ax, dy - ay                  # v direction at u=0
+    gx, gy = ax - bx + cx - dx, ay - by + cy - dy
+    qx = px - ax
+    qy = py - ay
 
     # cross(q - vF, E + vG) = cross(q,E) + v*(cross(q,G) - cross(F,E)) - v^2*cross(F,G)
-    scale = max(np.abs(quad).max(), 1.0)
-    if not abs(_cross(f[0], f[1], gvec[0], gvec[1])) < eps * scale * scale:
+    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(dx), abs(dy), 1.0)
+    if not abs(_cross(fx, fy, gx, gy)) < eps * scale * scale:
         raise ShapeError("quad must be a parallelogram")
-    k1 = _cross(qx, qy, gvec[0], gvec[1]) - _cross(f[0], f[1], e[0], e[1])
-    k0 = _cross(qx, qy, e[0], e[1])
+    k1 = _cross(qx, qy, gx, gy) - _cross(fx, fy, ex, ey)
+    k0 = _cross(qx, qy, ex, ey)
     denom = np.where(np.abs(k1) < eps * scale * scale, np.nan, k1)
     v = -k0 / denom
 
-    dirx = e[0] + v * gvec[0]
-    diry = e[1] + v * gvec[1]
+    dirx = ex + v * gx
+    diry = ey + v * gy
     norm2 = dirx * dirx + diry * diry
     norm2 = np.where(norm2 < eps * scale * scale, np.nan, norm2)
-    u = ((qx - v * f[0]) * dirx + (qy - v * f[1]) * diry) / norm2
+    u = ((qx - v * fx) * dirx + (qy - v * fy) * diry) / norm2
 
     inside = (
         np.isfinite(u) & np.isfinite(v)
@@ -265,42 +276,44 @@ def extract_region(g: LatentGrid, corners, out_h: int, out_w: int) -> LatentGrid
     return LatentGrid(sample_at(g, px, py))
 
 
+def quad_cells(src: LatentGrid, corners, h: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of an (h, w) grid inside the parallelogram `corners` (UL,
+    UR, LR, LL), as (rows, cols, values): row and column indices, in row-major
+    order, and `src` sampled bilinearly where each cell sits in the quad,
+    shaped (C, n).  Only the quad's bounding box is searched, and a quad
+    whose box misses the grid is not checked for being a parallelogram."""
+    quad = _quad_array(corners)
+    qx, qy = quad.T.tolist()
+    x0 = min(max(math.floor(min(qx)), 0), w)
+    x1 = min(max(math.ceil(max(qx)) + 1, 0), w)
+    y0 = min(max(math.floor(min(qy)), 0), h)
+    y1 = min(max(math.ceil(max(qy)) + 1, 0), h)
+    if x0 >= x1 or y0 >= y1:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros((src.channels, 0))
+
+    # the box's column and row axes broadcast to its cells
+    u, v, inside = _quad_params(
+        quad, np.arange(x0, x1, dtype=float), np.arange(y0, y1, dtype=float)[:, None]
+    )
+    rows, cols = np.nonzero(inside)
+    values = sample_at(src, u[inside] * src.width - 0.5, v[inside] * src.height - 0.5)
+    return rows + y0, cols + x0, values
+
+
 def paste_region_with_mask(
     dst: LatentGrid, src: LatentGrid, corners
 ) -> tuple[LatentGrid, np.ndarray]:
     """Write `src` into the parallelogram `corners` (UL, UR, LR, LL) of `dst`;
     cells outside it keep their dst values. Returns the new grid plus the
     boolean (H, W) mask of cells that were written."""
-    quad = _quad_array(corners)
     if dst.channels != src.channels:
         raise ShapeError(
             f"channel mismatch: dst has {dst.channels}, src has {src.channels}"
         )
-    h, w = dst.height, dst.width
-    qx, qy = quad.T.tolist()
-    x0 = min(max(math.floor(min(qx)), 0), w)
-    x1 = min(max(math.ceil(max(qx)) + 1, 0), w)
-    y0 = min(max(math.floor(min(qy)), 0), h)
-    y1 = min(max(math.ceil(max(qy)) + 1, 0), h)
-    written = np.zeros((h, w), dtype=bool)
-    if x0 >= x1 or y0 >= y1:
-        return LatentGrid(dst.data), written
-
-    # the box's column and row axes broadcast to its cells
-    u, v, inside = _quad_params(
-        quad, np.arange(x0, x1, dtype=float), np.arange(y0, y1, dtype=float)[:, None]
-    )
-    if not inside.any():
-        return LatentGrid(dst.data), written
-
-    sx = u[inside] * src.width - 0.5
-    sy = v[inside] * src.height - 0.5
-    values = sample_at(src, sx, sy)
-
+    rows, cols, values = quad_cells(src, corners, dst.height, dst.width)
     out = dst.data.copy()
-    iy, ix = np.nonzero(inside)
-    iy += y0
-    ix += x0
-    out[:, iy, ix] = values
-    written[iy, ix] = True
+    out[:, rows, cols] = values
+    written = np.zeros((dst.height, dst.width), dtype=bool)
+    written[rows, cols] = True
     return LatentGrid(out), written

@@ -1,4 +1,5 @@
 """Benchmark: edit metrics, tier cases, mask placement, batch runner."""
+import concurrent.futures
 import hashlib
 import json
 from functools import lru_cache
@@ -271,7 +272,7 @@ class TestRunBench:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         report = run_bench(tiny_cases, corpus=corpus, jobs=64)
         assert asked == [3]
         serial = run_bench(tiny_cases, corpus=corpus)

@@ -1,6 +1,10 @@
 """Command-line interface: config resolution, commands, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,20 @@ def edited_manifest(tmp_path, key, value) -> str:
     rows[0][key] = value
     manifest.write_text(json.dumps(rows))
     return str(manifest)
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this package."""
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only bench-run --jobs > 1 needs it, so start-up does not pay for it
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, slantext.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert run.stdout.strip() == "False", run.stderr
 
 
 class TestConfigResolution:
@@ -206,6 +224,40 @@ class TestDecompose:
         mask = write_mask(tmp_path / "m.json", flat_rect())
         assert main(["decompose", mask, "", "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err != ""
+
+    def test_far_mask_exits_1_under_a_memory_bound(self, tmp_path):
+        # A 60 x 14 mask at (20000, 20000) once sized the debug canvas
+        # 20020 x 20064, and under this bound the command died with a
+        # MemoryError (exit 2).  The child caps its own address space, so a
+        # regression fails to allocate instead of taking the memory.
+        x, y = 20000.0, 20000.0
+        mask = write_mask(tmp_path / "m.json", PolygonMask(np.array(
+            [[x, y], [x + 60.0, y], [x + 60.0, y + 14.0], [x, y + 14.0]])))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+            "from slantext.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child, "decompose", mask, "HELLO", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert run.returncode == 1, run.stderr
+        assert f"{cli.MAX_RENDER_SIDE} px a side" in run.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_canvas_grows_up_to_the_render_bound(self, tmp_path):
+        # flat_rect's right edge is x = 35.5, and the canvas reaches 2.5 px
+        # past the mask, rounded up to a whole latent cell
+        side = cli.MAX_RENDER_SIDE
+        for x, ok in ((side - 38.0, True), (side - 37.0, False)):
+            mask = write_mask(tmp_path / "m.json", flat_rect().translated(x, 0.0))
+            out = tmp_path / f"at{x:g}"
+            assert main(["decompose", mask, "CAT", "--out", str(out)]) == (0 if ok else 1)
+            if ok:
+                layout = json.loads((out / "layout.json").read_text())
+                assert layout["layout"]["canvas"] == [64, side]
 
 
 class TestBenchCommands:

@@ -86,6 +86,22 @@ class TestPolygonMask:
         with pytest.raises(GeometryError, match="2\\^52"):
             PolygonMask([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
 
+    @pytest.mark.parametrize("far", [1e12, 2.0**40, 2.0**52 - 64])
+    def test_far_rectangle_keeps_its_area(self, far):
+        # uncentred shoelace products of this size round the 840 away, and
+        # the mask was rejected as wrongly wound
+        verts = np.array([[far - 60.0, far - 14.0], [far, far - 14.0], [far, far], [far - 60.0, far]])
+        assert PolygonMask(verts).area == 840.0
+        assert polygon_area(verts[::-1]) == -840.0
+
+    @pytest.mark.parametrize("shift", [1e12, 2.0**45])
+    def test_far_bench_masks_divide(self, shift):
+        # warnings are errors in this suite, so a division that only warns
+        # fails here too
+        for case in generate_benchmark(10, 0):
+            segments = divide_mask(PolygonMask(case.mask.vertices + shift), case.text)
+            assert segments[-1].text_slice[1] == len(case.text)
+
     def test_rotation_preserves_area(self):
         p = rect_polygon(10, 10, 6, 3)
         q = p.rotated(0.7)
@@ -146,7 +162,71 @@ def assert_matches_crossing_oracle(verts):
                 PolygonMask(verts)
 
 
+def four_orient_crossings(verts) -> bool:
+    """The crossing check as it was first vectorised, kept as a reference:
+    per row block, four `_orient` passes, both end points of each edge
+    against the other edge's line."""
+    n = verts.shape[0]
+    starts, ends = verts, np.roll(verts, -1, axis=0)
+    orient = geometry._orient
+    rows = max(1, geometry.PAIR_BLOCK // n)
+    for i0 in range(0, n - 2, rows):
+        i1 = min(i0 + rows, n - 2)
+        p1, p2 = starts[i0:i1, None], ends[i0:i1, None]
+        p3, p4 = starts[i0 + 2 :], ends[i0 + 2 :]
+        cross = np.triu(
+            ((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0))
+            & ((orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0))
+        )
+        if i0 == 0:
+            cross[0, -1] = False
+        if cross.any():
+            return True
+    return False
+
+
+def random_polygon(kind, n, rng):
+    """n vertices: integer-grid points (many collinear triples and repeated
+    points), a near-circular ring, its integer rounding, or a Gaussian
+    cloud; returned with non-negative signed area."""
+    if kind == "lattice":
+        verts = rng.integers(0, 6, size=(n, 2)).astype(np.float64)
+    elif kind == "gaussian":
+        verts = rng.normal(size=(n, 2))
+    else:
+        th = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        r = 40.0 * (1.0 + rng.uniform(-0.15, 0.15, n))
+        verts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        if kind == "round":
+            verts = np.round(verts)
+    return verts[::-1] if polygon_area(verts) < 0 else verts
+
+
 class TestSelfIntersection:
+    @pytest.mark.parametrize("kind", ["lattice", "gaussian", "ring", "round"])
+    def test_accepts_as_the_four_orient_check(self, kind):
+        # up to 300 vertices, so that the default PAIR_BLOCK splits the rows
+        # into blocks (54 rows a block at n = 300)
+        rng = np.random.default_rng(len(kind))
+        verdicts = set()
+        for n in [4, 5, 6, 9, 16, 40, 130, 200, 300] * 6:
+            verts = random_polygon(kind, n, rng)
+            if polygon_area(verts) == 0.0:
+                continue
+            crosses = four_orient_crossings(verts)
+            verdicts.add(crosses)
+            for block in (24, geometry.PAIR_BLOCK):
+                with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                    if crosses:
+                        with pytest.raises(GeometryError, match="self-intersecting"):
+                            PolygonMask(verts)
+                    else:
+                        PolygonMask(verts)
+        if kind in ("ring", "round"):
+            assert False in verdicts
+        if kind in ("lattice", "gaussian"):
+            assert True in verdicts
+
     # Small lattices make orient() exactly 0 often: collinear edges, a vertex
     # touching another edge, a vertex visited twice.
     @settings(max_examples=400, deadline=None)
@@ -451,6 +531,23 @@ def trim_oracle(chain, axis):
     while pts.shape[0] > 2 and cap_like(pts[-2], pts[-1]):
         pts = pts[:-1]
     return pts
+
+
+class TestBezierCurve:
+    @pytest.mark.parametrize("t", [0.3, 0.0, 1.0, np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 257)])
+    def test_point_and_tangent_match_stacked_weights(self, t):
+        # the weights are filled in place, and must round as the np.stack
+        # formula does
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            curve = BezierCurve(rng.normal(scale=40.0, size=(4, 2)))
+            tt = np.asarray(t, dtype=np.float64)
+            s = 1.0 - tt
+            w = np.stack([s**3, 3 * s**2 * tt, 3 * s * tt**2, tt**3], axis=-1)
+            assert curve.point(t).tobytes() == (w @ curve.control).tobytes()
+            w = np.stack([s**2, 2 * s * tt, tt**2], axis=-1)
+            d = np.diff(curve.control, axis=0)
+            assert curve.tangent(t).tobytes() == (3.0 * (w @ d)).tobytes()
 
 
 class TestBoundaryFit:

@@ -5,10 +5,19 @@ import numpy as np
 import pytest
 
 from slantext import glyph
+from slantext.bench import generate_benchmark
+from slantext.corpus import CANVAS
 from slantext.errors import CharsetError, InputError, ShapeError
 from slantext.fontdata import FONT_ROWS, GLYPH_H, GLYPH_W
-from slantext.geometry import FlatLayout, QuadSegment, SimilarityTransform
-from slantext.grid import RegionMask
+from slantext.geometry import (
+    FlatLayout,
+    PolygonMask,
+    QuadSegment,
+    SimilarityTransform,
+    divide_mask,
+    polygon_area,
+)
+from slantext.grid import LatentGrid, RegionMask, paste_region_with_mask
 from slantext.glyph import (
     BitmapFont,
     char_cells,
@@ -79,10 +88,12 @@ class TestGlyphScale:
 
 
 class TestRenderTextBlock:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_single_char_exact_scaled_copy(self, k):
-        img = render_text_block(GLYPH_H * k, GLYPH_W * k, "A")
-        assert np.array_equal(img.data, kron_glyph("A", k))
+        # every glyph, scaled by replication, bitwise as the np.kron formula
+        for ch in default_font().charset:
+            img = render_text_block(GLYPH_H * k, GLYPH_W * k, ch)
+            assert img.data.tobytes() == kron_glyph(ch, k).tobytes()
 
     def test_two_chars_slot_positions(self):
         img = render_text_block(14, 24, "AB")
@@ -172,6 +183,57 @@ class TestRenderGlyphImage:
     def test_empty_segments_raise(self):
         with pytest.raises(InputError):
             render_glyph_image([], "A", (64, 64))
+
+    @staticmethod
+    def pasted_oracle(segments, text, canvas):
+        """Each segment's block pasted onto a zero grid of the whole canvas,
+        then max-composited: the render as it was first written."""
+        h, w = canvas
+        acc = np.zeros((h, w))
+        blank = LatentGrid(np.zeros((1, h, w)))
+        for seg in segments:
+            a, b = seg.text_slice
+            lw = max(1, glyph._round_half_up(seg.width))
+            lh = max(1, glyph._round_half_up(seg.height))
+            local = render_text_block(lh, lw, text[a:b])
+            pasted, _ = paste_region_with_mask(blank, LatentGrid(local.data[None]), seg.corners)
+            acc = np.maximum(acc, pasted.data[0])
+        return np.clip(acc, 0.0, 1.0)
+
+    def assert_matches_pasted(self, segments, text, canvas=CANVAS):
+        got = render_glyph_image(segments, text, canvas).data
+        assert got.tobytes() == self.pasted_oracle(segments, text, canvas).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 101])
+    def test_bench_masks_match_pasted_oracle(self, seed):
+        for case in generate_benchmark(10, seed):
+            self.assert_matches_pasted(divide_mask(case.mask, case.text), case.text)
+
+    @pytest.mark.parametrize("span", [100.0, 150.0, 180.0])
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_curved_masks_match_pasted_oracle(self, span, n):
+        th = math.radians(span) * np.linspace(-0.5, 0.5, n) - math.pi / 2.0
+        ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+        verts = np.vstack([27.0 * ring, 15.0 * ring[::-1]]) + (31.5, 50.0)
+        mask = PolygonMask(verts[::-1] if polygon_area(verts) < 0 else verts)
+        segments = divide_mask(mask, "CURVED7")
+        assert len(segments) >= 2
+        self.assert_matches_pasted(segments, "CURVED7")
+
+    def test_overlapping_segments_match_pasted_oracle(self):
+        # two crossing bands, one partly off the canvas, and a third inside
+        # the first: their cells overlap and max-composite
+        base = np.array([[-20.0, -6.0], [20.0, -6.0], [20.0, 6.0], [-20.0, 6.0]])
+        segments = []
+        for i, (ang, centre, scale) in enumerate(
+            [(0.3, (30.0, 30.0), 1.0), (-0.9, (34.0, 28.0), 1.0), (0.3, (30.0, 30.0), 0.5),
+             (1.2, (60.0, 5.0), 1.0)]
+        ):
+            rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+            corners = scale * base @ rot.T + centre
+            segments.append(make_segment(corners, ang, index=i, text_slice=(i, i + 2)))
+        self.assert_matches_pasted(segments, "WAVES", (64, 64))
+        self.assert_matches_pasted(segments, "WAVES", (48, 80))
 
 
 class TestCharCells:

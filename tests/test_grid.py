@@ -1,5 +1,6 @@
 """Grid ops against independent scalar oracles."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from slantext import grid
 from slantext.errors import ShapeError
 from slantext.grid import (
+    STD_FLOOR,
     LatentGrid,
     RegionMask,
     adain,
@@ -56,8 +59,43 @@ class TestChannelStats:
         g = LatentGrid(np.array([[[0.0, 2.0]]]))
         assert channel_stats(g)[1][0] == pytest.approx(1.0, abs=1e-15)
 
+    def test_computed_once_and_read_only(self):
+        g = rand_grid(np.random.default_rng(8))
+        with mock.patch.object(grid, "frozen", wraps=grid.frozen) as freeze:
+            first = channel_stats(g)
+            assert channel_stats(g) is first and g.stats is first
+        # one freeze for the mean and one for the std, on the first read only
+        assert freeze.call_count == 2
+        flat = g.data.reshape(3, -1)
+        for got, want in zip(first, (flat.mean(axis=1), flat.std(axis=1))):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+
+def uncached_adain(content, style):
+    """adain with both grids' statistics taken afresh, as a reference."""
+    cf = content.data.reshape(content.channels, -1)
+    sf = style.data.reshape(style.channels, -1)
+    c_mean, c_std, s_mean, s_std = cf.mean(axis=1), cf.std(axis=1), sf.mean(axis=1), sf.std(axis=1)
+    normalized = (content.data - c_mean[:, None, None]) / np.maximum(c_std, STD_FLOOR)[:, None, None]
+    return normalized * s_std[:, None, None] + s_mean[:, None, None]
+
 
 class TestAdain:
+    def test_bitwise_equal_to_uncached_formula(self):
+        # the same style grid serves many contents, as z_t does within one
+        # hooked step and z_ref and z_glyph do across a case's steps
+        rng = np.random.default_rng(9)
+        style = rand_grid(rng, scale=2.0)
+        contents = [rand_grid(rng, scale=rng.uniform(0.1, 3.0)) for _ in range(5)]
+        contents.append(LatentGrid(np.full((3, 8, 8), 2.5)))
+        for _ in range(2):
+            for content in contents:
+                for c, s in ((content, style), (style, content)):
+                    assert adain(c, s).data.tobytes() == uncached_adain(c, s).tobytes()
+
     def test_against_scalar_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

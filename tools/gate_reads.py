@@ -17,7 +17,12 @@ configs of BENCH_8.json, and prints:
   divided segments at the corpus ink amplitude, each read raw and then
   after a codec round trip, in case order.  Most of their cells' left
   edges in the decoded text lie off block edges, as no gate read's do.
-  These lines do not affect the exit status.
+  These lines do not affect the exit status;
+- one sha256 over the guided `generate` images of perfbench's curved
+  batch 0 at seeds 0 and 101 (80 cases, default `GuidanceConfig`), each
+  image's float64 bytes in case order.  It covers the mask checks, the
+  division, the glyph prior, the reference warp and the guidance hook on
+  curved masks, and does not affect the exit status either.
 
 With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
 to FILE.  With `--compare A B` it compares two such files, written on two
@@ -60,7 +65,7 @@ from slantext.corpus import CANVAS, INK_AMP, build_corpus
 from slantext.diffusion import LatentCodec
 from slantext.geometry import PolygonMask, divide_mask
 from slantext.glyph import char_cells, render_glyph_image
-from slantext.guidance import GuidanceConfig
+from slantext.guidance import GuidanceConfig, generate
 
 CONFIGS = {
     "none": GuidanceConfig(use_srb=False, use_sib=False, use_adain=False),
@@ -159,6 +164,21 @@ def run_curved() -> None:
     print(f"curved characters read correctly of {total}: {counts}")
 
 
+def run_curved_images() -> None:
+    """Generate perfbench's curved batch 0 at each curved seed, guided, and
+    print one sha256 over the images."""
+    corpus = build_corpus()
+    digest = hashlib.sha256()
+    n = 0
+    for seed in CURVED_SEEDS:
+        for case in curved_cases(seed, 0, CURVED_BATCH):
+            mask = PolygonMask(np.asarray(case["vertices"], dtype=np.float64))
+            result = generate(case["text"], mask, case["scene_id"], case["seed"], corpus=corpus)
+            digest.update(result.image.tobytes())
+            n += 1
+    print(f"curved generate images: {n} {digest.hexdigest()}")
+
+
 def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
     """Print the tolerance gate of two read files and this tree's reads."""
     reads_a, reads_b = (p.read_text().split("\n") for p in (a, b))
@@ -187,6 +207,7 @@ def main() -> None:
     args = parser.parse_args()
     passed, lines, gaps = run_gate()
     run_curved()
+    run_curved_images()
     if args.reads:
         args.reads.write_text("\n".join(lines))
     if args.compare:
