@@ -112,19 +112,20 @@ def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
     sqrt(abar) tau^2 / var * (z - sqrt(abar) mu_k); this blend leaves it
     out, so x_bar is always a convex mix of stored exemplars.
 
-    The exemplars are kept as one (M, C*H*W) matrix, scaled by sqrt(abar_t)
-    on each call, and x_bar is one (1, M) x (M, C*H*W) np.dot, the product
-    np.tensordot makes.
+    The denoiser takes and returns (C, H, W) arrays, as `diffusion.sample`
+    runs its chain.  The exemplars are kept as one (M, C*H*W) matrix, scaled
+    by sqrt(abar_t) on each call, and x_bar is one (1, M) x (M, C*H*W)
+    np.dot, the product np.tensordot makes.
     """
     members = corpus.for_scene(scene_id)
     if not members:
         raise ConditionError(f"no exemplars for scene id {scene_id}")
     mat = np.stack([ex.latent.data.ravel() for ex in members])  # (M, C*H*W)
 
-    def denoise(z: LatentGrid, abar_t: float) -> LatentGrid:
+    def denoise(z: np.ndarray, abar_t: float) -> np.ndarray:
         root = math.sqrt(abar_t)
         var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
-        flat = z.data.reshape(-1)
+        flat = z.reshape(-1)
         diff = flat - root * mat
         log_w = -(diff * diff).sum(axis=1) / (2.0 * var)
         log_w -= log_w.max()
@@ -132,6 +133,6 @@ def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
         w /= w.sum()
         x_bar = np.dot(w[None], mat)[0]
         eps = (flat - root * x_bar) / math.sqrt(1.0 - abar_t)
-        return LatentGrid(eps.reshape(z.shape))
+        return eps.reshape(z.shape)
 
     return denoise

@@ -3,6 +3,10 @@ pixel/latent block codec.
 
 Timesteps run t = 1..T with cumulative signal level alpha_bars[t];
 alpha_bars[0] == 1 so the final step lands exactly on the clean estimate.
+
+`sample` runs its chain on plain (C, H, W) float64 arrays: the denoiser and
+the hook take and return arrays, and only the result (and each state a trace
+asks for) is wrapped in a `LatentGrid`.
 """
 from __future__ import annotations
 
@@ -15,10 +19,10 @@ import numpy as np
 from .errors import InputError, ScheduleError, ShapeError
 from .grid import LatentGrid, frozen
 
-# denoiser: (z_t, alpha_bar_t) -> predicted noise
-Denoiser = Callable[[LatentGrid, float], LatentGrid]
-# hook: (z_t, t) -> adjusted z_t, applied before denoising
-StepHook = Callable[[LatentGrid, int], LatentGrid]
+# denoiser: (z_t, alpha_bar_t) -> predicted noise, (C, H, W) arrays
+Denoiser = Callable[[np.ndarray, float], np.ndarray]
+# hook: (z_t, t) -> adjusted z_t, (C, H, W) arrays, applied before denoising
+StepHook = Callable[[np.ndarray, int], np.ndarray]
 # trace: (t, z_t_after_step) -> None
 TraceFn = Callable[[int, LatentGrid], None]
 
@@ -66,14 +70,41 @@ def linear_schedule(steps: int = 20, beta_start: float = 1e-3,
     return NoiseSchedule(betas=np.linspace(beta_start, beta_end, steps))
 
 
-def predict_x0(z_t: LatentGrid, eps: LatentGrid, abar_t: float) -> LatentGrid:
-    """Clean-sample estimate implied by a noise prediction at level abar_t."""
+def _x0(z: np.ndarray, eps: np.ndarray, abar_t: float) -> np.ndarray:
+    """Clean-sample estimate of the arrays z and eps at level abar_t."""
     if not 0.0 < abar_t <= 1.0:
         raise ScheduleError(f"alpha_bar must be in (0, 1], got {abar_t}")
-    if z_t.shape != eps.shape:
-        raise ShapeError(f"z {z_t.shape} and eps {eps.shape} differ")
-    return LatentGrid((z_t.data - math.sqrt(1.0 - abar_t) * eps.data)
-                      / math.sqrt(abar_t))
+    if z.shape != eps.shape:
+        raise ShapeError(f"z {z.shape} and eps {eps.shape} differ")
+    return (z - math.sqrt(1.0 - abar_t) * eps) / math.sqrt(abar_t)
+
+
+def _step(z: np.ndarray, eps: np.ndarray, abar_t: float, abar_p: float,
+          eta: float = 0.0, noise: Optional[np.ndarray] = None) -> np.ndarray:
+    """One reverse step from level abar_t to abar_p on (C, H, W) arrays."""
+    x0 = _x0(z, eps, abar_t)
+    sigma2 = 0.0
+    if eta > 0.0:
+        sigma2 = (eta ** 2) * (1.0 - abar_p) / (1.0 - abar_t) * (1.0 - abar_t / abar_p)
+    dir_coef = math.sqrt(max(1.0 - abar_p - sigma2, 0.0))
+    out = math.sqrt(abar_p) * x0 + dir_coef * eps
+    if sigma2 > 0.0:
+        if noise is None:
+            raise InputError("eta > 0 needs a noise draw")
+        if noise.shape != z.shape:
+            raise ShapeError(f"noise {noise.shape} and z {z.shape} differ")
+        out = out + math.sqrt(sigma2) * noise
+    return out
+
+
+def _require_finite(z: np.ndarray, what: str) -> None:
+    if not np.isfinite(z).all():
+        raise ShapeError(f"{what} values must be finite")
+
+
+def predict_x0(z_t: LatentGrid, eps: LatentGrid, abar_t: float) -> LatentGrid:
+    """Clean-sample estimate implied by a noise prediction at level abar_t."""
+    return LatentGrid(_x0(z_t.data, eps.data, abar_t))
 
 
 def ddim_step(
@@ -92,19 +123,8 @@ def ddim_step(
         raise ScheduleError(f"eta must be >= 0, got {eta}")
     abar_t = float(schedule.alpha_bars[t])
     abar_p = float(schedule.alpha_bars[t - 1])
-    x0 = predict_x0(z_t, eps, abar_t)
-    sigma2 = 0.0
-    if eta > 0.0:
-        sigma2 = (eta ** 2) * (1.0 - abar_p) / (1.0 - abar_t) * (1.0 - abar_t / abar_p)
-    dir_coef = math.sqrt(max(1.0 - abar_p - sigma2, 0.0))
-    out = math.sqrt(abar_p) * x0.data + dir_coef * eps.data
-    if sigma2 > 0.0:
-        if noise is None:
-            raise InputError("eta > 0 needs a noise draw")
-        if noise.shape != z_t.shape:
-            raise ShapeError(f"noise {noise.shape} and z {z_t.shape} differ")
-        out = out + math.sqrt(sigma2) * noise.data
-    return LatentGrid(out)
+    noise_data = None if noise is None else noise.data
+    return LatentGrid(_step(z_t.data, eps.data, abar_t, abar_p, eta, noise_data))
 
 
 def sample(
@@ -117,17 +137,25 @@ def sample(
     """Run the full deterministic (eta = 0) reverse chain from z_T to z_0.
 
     The hook, when present, adjusts z_t before each denoiser call; trace
-    sees the state after each step, keyed by the step it produced.
+    sees the state after each step, keyed by the step it produced, as a
+    LatentGrid.  Every step is ddim_step's at eta = 0 on z_init.data's
+    arrays, so the result is bitwise that of chaining ddim_step; a
+    prediction of another shape, or a non-finite hook output, prediction
+    or step raises ShapeError at that step.
     """
-    z = z_init
+    z = z_init.data
+    alpha_bars = schedule.alpha_bars.tolist()
     for t in range(schedule.steps, 0, -1):
         if hook is not None:
             z = hook(z, t)
-        eps = denoiser(z, float(schedule.alpha_bars[t]))
-        z = ddim_step(z, eps, t, schedule)
+            _require_finite(z, "hook output")
+        eps = denoiser(z, alpha_bars[t])
+        _require_finite(eps, "noise prediction")
+        z = _step(z, eps, alpha_bars[t], alpha_bars[t - 1])
+        _require_finite(z, "step output")
         if trace is not None:
-            trace(t - 1, z)
-    return z
+            trace(t - 1, LatentGrid(z))
+    return LatentGrid(z)
 
 
 class LatentCodec:

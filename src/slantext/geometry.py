@@ -133,14 +133,6 @@ class PolygonMask:
                 raise GeometryError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", frozen(pts))
 
-    @property
-    def area(self) -> float:
-        return polygon_area(self.vertices)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return polygon_centroid(self.vertices)
-
     def translated(self, dx: float, dy: float) -> "PolygonMask":
         return PolygonMask(self.vertices + np.array([dx, dy]))
 
@@ -263,13 +255,6 @@ class SimilarityTransform:
     angle: float
     tx: float
     ty: float
-
-    def matrix(self) -> np.ndarray:
-        return self.scale * rotation_matrix(self.angle)
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.matrix().T + np.array([self.tx, self.ty])
 
 
 @dataclass(frozen=True)

@@ -150,13 +150,15 @@ def make_guidance_hook(
     ref_mask: Optional[RegionMask] = None,
     z_glyph: Optional[LatentGrid] = None,
 ):
-    """Step hook applying guidance on the first refine_steps steps only."""
+    """Step hook applying guidance on the first refine_steps steps only.
+    It takes and returns the sampler's (C, H, W) arrays, and returns z
+    itself on the steps it leaves alone."""
     total = schedule.steps
 
-    def hook(z: LatentGrid, t: int) -> LatentGrid:
+    def hook(z: np.ndarray, t: int) -> np.ndarray:
         if total - t >= config.refine_steps:
             return z
-        return apply_guidance(z, t, total, config, mask, z_ref, ref_mask, z_glyph)
+        return apply_guidance(LatentGrid(z), t, total, config, mask, z_ref, ref_mask, z_glyph).data
 
     return hook
 

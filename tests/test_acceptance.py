@@ -24,7 +24,13 @@ from slantext.bench import (
 from slantext.cli import main
 from slantext.corpus import build_corpus, make_denoiser
 from slantext.diffusion import LatentCodec, ddim_step, linear_schedule, predict_x0, sample
-from slantext.geometry import PolygonMask, divide_mask, flatten_segments, min_area_rect
+from slantext.geometry import (
+    PolygonMask,
+    divide_mask,
+    flatten_segments,
+    min_area_rect,
+    rotation_matrix,
+)
 from slantext.glyph import char_cells, default_font, render_glyph_image
 from slantext.grid import LatentGrid, RegionMask, adain
 from slantext.guidance import (
@@ -269,6 +275,12 @@ def sweep_min_area(pts, step_deg=0.01):
                   * (pv.max(axis=1) - pv.min(axis=1))).min())
 
 
+def to_segment_frame(tf, points):
+    """SimilarityTransform's map p -> scale * R(angle) @ p + (tx, ty), row by
+    row."""
+    return points @ (tf.scale * rotation_matrix(tf.angle)).T + np.array([tf.tx, tf.ty])
+
+
 def test_criterion_05_geometry_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(505)
@@ -291,7 +303,7 @@ def test_criterion_05_geometry_oracles():
             layout = flatten_segments(segs, (64, 128))
             (x, y, w, h), tf = layout.rects[0], layout.transforms[0]
             corners = np.array([[x, y], [x + w, y], [x + w, y + h], [x, y + h]])
-            err = np.linalg.norm(tf.apply(corners) - segs[0].corners, axis=1)
+            err = np.linalg.norm(to_segment_frame(tf, corners) - segs[0].corners, axis=1)
             assert err.max() < 0.5
 
     band = PolygonMask(_arc_band_vertices())
@@ -299,7 +311,7 @@ def test_criterion_05_geometry_oracles():
     layout = flatten_segments(segs, (64, 128))
     for seg, (x, y, w, h), tf in zip(segs, layout.rects, layout.transforms):
         corners = np.array([[x, y], [x + w, y], [x + w, y + h], [x, y + h]])
-        err = np.linalg.norm(tf.apply(corners) - seg.corners, axis=1)
+        err = np.linalg.norm(to_segment_frame(tf, corners) - seg.corners, axis=1)
         assert err.max() < 0.5
     assert time.perf_counter() - start < 30.0
 

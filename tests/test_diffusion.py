@@ -126,15 +126,35 @@ class TestDdimStep:
             ddim_step(z, z, t=3, schedule=s)
 
 
+def as_state(z, data):
+    """data as the same type as the chain's state z, an array or a
+    LatentGrid, so that a test denoiser or hook hands back a bad value of the
+    kind the chain expects and the chain's own checks must catch it."""
+    return LatentGrid(data) if isinstance(z, LatentGrid) else data
+
+
+def chained_ddim_steps(denoiser, z_init, schedule, hook=None):
+    """sample written out with the LatentGrid wrappers, one ddim_step a step."""
+    z = z_init
+    for t in range(schedule.steps, 0, -1):
+        if hook is not None:
+            z = grid(hook(z.data, t))
+        eps = grid(denoiser(z.data, float(schedule.alpha_bars[t])))
+        z = ddim_step(z, eps, t, schedule)
+    return z
+
+
 class TestSample:
     def test_hook_and_trace_order(self):
         s = linear_schedule(4)
         calls = []
 
         def denoiser(z, abar):
-            return grid(np.zeros(z.shape))
+            assert isinstance(z, np.ndarray)
+            return np.zeros(z.shape)
 
         def hook(z, t):
+            assert isinstance(z, np.ndarray)
             calls.append(("hook", t))
             return z
 
@@ -151,9 +171,94 @@ class TestSample:
         den = make_denoiser(corpus, 0)
         rng = np.random.default_rng(11)
         z_t = grid(rng.standard_normal((3, 16, 16)))
+        seen = []
+
+        def identity(z, t):
+            seen.append(type(z))
+            return z
+
         a = sample(den, z_t, s)
-        b = sample(den, z_t, s, hook=lambda z, t: z)
+        b = sample(den, z_t, s, hook=identity)
+        assert seen == [np.ndarray] * 8
         assert np.array_equal(a.data, b.data)
+
+    def test_trace_receives_latent_grids(self):
+        s = linear_schedule(6)
+        den = make_denoiser(build_corpus(), 1)
+        z_init = grid(np.random.default_rng(12).standard_normal((3, 16, 16)))
+        seen = []
+        out = sample(den, z_init, s, trace=lambda t, z: seen.append((t, z)))
+        assert [t for t, _ in seen] == [5, 4, 3, 2, 1, 0]
+        assert all(isinstance(z, LatentGrid) for _, z in seen)
+        assert isinstance(out, LatentGrid)
+        assert np.array_equal(seen[-1][1].data, out.data)
+
+    @pytest.mark.parametrize("with_hook", [False, True])
+    def test_bitwise_equal_to_chained_ddim_steps(self, with_hook):
+        s = linear_schedule(20)
+        den = make_denoiser(build_corpus(), 2)
+        rng = np.random.default_rng(13)
+        z_init = grid(rng.standard_normal((3, 16, 16)))
+        hook = None
+        if with_hook:
+            nudge = 0.3 * rng.standard_normal((3, 16, 16))
+
+            def hook(z, t):
+                return z + nudge if t > 17 else z
+
+        out = sample(den, z_init, s, hook=hook)
+        assert np.array_equal(out.data, chained_ddim_steps(den, z_init, s, hook).data)
+
+    def test_eps_of_another_shape_raises(self):
+        # a (1, H, W) prediction broadcasts against a (3, H, W) state as an
+        # array, so the chain must check the shape itself
+        s = linear_schedule(4)
+
+        def denoiser(z, abar):
+            return as_state(z, np.zeros((1, 4, 4)))
+
+        with pytest.raises(ShapeError):
+            sample(denoiser, grid(np.ones((3, 4, 4))), s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eps_at_a_middle_step_raises(self, bad):
+        s = linear_schedule(6)
+        calls = []
+        traced = []
+
+        def denoiser(z, abar):
+            calls.append(abar)
+            data = np.zeros((3, 4, 4))
+            if len(calls) == 3:
+                data[1, 2, 3] = bad
+            return as_state(z, data)
+
+        with pytest.raises(ShapeError):
+            sample(denoiser, grid(np.ones((3, 4, 4))), s,
+                   trace=lambda t, z: traced.append(t))
+        assert len(calls) == 3
+        assert traced == [5, 4]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_hook_output_raises(self, bad):
+        s = linear_schedule(6)
+        den = make_denoiser(build_corpus(), 0)
+        calls = []
+
+        def denoiser(z, abar):
+            calls.append(abar)
+            return den(z, abar)
+
+        def hook(z, t):
+            if t != 4:
+                return z
+            data = np.zeros((3, 16, 16))
+            data[0, 5, 5] = bad
+            return as_state(z, data)
+
+        with pytest.raises(ShapeError):
+            sample(denoiser, grid(np.zeros((3, 16, 16))), s, hook=hook)
+        assert len(calls) == 2
 
 
 class TestLatentCodec:
@@ -257,16 +362,17 @@ class TestCorpus:
 
 def tensordot_denoise(members, z, abar_t):
     """The mixture denoiser written out over the (M, C, H, W) exemplar stack
-    with np.tensordot: the reference the denoiser must equal bitwise."""
+    with np.tensordot, on the (C, H, W) array z: the reference the denoiser
+    must equal bitwise."""
     stack = np.stack([ex.latent.data for ex in members])
     var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
-    diff = z.data[None] - math.sqrt(abar_t) * stack
+    diff = z[None] - math.sqrt(abar_t) * stack
     log_w = -np.sum(diff * diff, axis=(1, 2, 3)) / (2.0 * var)
     log_w -= log_w.max()
     w = np.exp(log_w)
     w /= w.sum()
     x_bar = np.tensordot(w, stack, axes=1)
-    return (z.data - math.sqrt(abar_t) * x_bar) / math.sqrt(1.0 - abar_t)
+    return (z - math.sqrt(abar_t) * x_bar) / math.sqrt(1.0 - abar_t)
 
 
 class TestMixtureDenoiser:
@@ -287,9 +393,10 @@ class TestMixtureDenoiser:
                 math.sqrt(abar_t) * members[int(rng.integers(len(members)))].latent.data
                 + math.sqrt(1.0 - abar_t) * rng.standard_normal((3, 16, 16)),
             ]
-            for data in states:
-                z = grid(data)
-                assert np.array_equal(den(z, abar_t).data, tensordot_denoise(members, z, abar_t))
+            for z in states:
+                eps = den(z, abar_t)
+                assert isinstance(eps, np.ndarray) and eps.shape == z.shape
+                assert np.array_equal(eps, tensordot_denoise(members, z, abar_t))
 
     def test_single_exemplar_convergence(self):
         """With one exemplar the clean estimate is that exemplar at every
@@ -322,9 +429,8 @@ class TestMixtureDenoiser:
     def test_log_domain_stability(self):
         corpus = build_corpus()
         den = make_denoiser(corpus, 0)
-        z = grid(np.full((3, 16, 16), 1e6))
-        eps = den(z, 0.5)
-        assert np.isfinite(eps.data).all()
+        eps = den(np.full((3, 16, 16), 1e6), 0.5)
+        assert np.isfinite(eps).all()
 
     def test_unknown_scene_rejected(self):
         corpus = build_corpus()

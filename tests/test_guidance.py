@@ -218,8 +218,12 @@ class TestApplyGuidance:
         cfg = GuidanceConfig(use_srb=False, refine_steps=3)
         sched = linear_schedule(20)
         hook = make_guidance_hook(cfg, sched, self.mask, z_glyph=self.z_g)
-        assert hook(self.z_t, 17) is self.z_t
-        assert hook(self.z_t, 18) is not self.z_t
+        z = self.z_t.data
+        assert hook(z, 17) is z
+        out = hook(z, 18)
+        assert isinstance(out, np.ndarray) and out is not z
+        want = apply_guidance(self.z_t, 18, 20, cfg, self.mask, z_glyph=self.z_g)
+        assert np.array_equal(out, want.data)
 
 
 class TestAlignReference:

@@ -6,7 +6,8 @@ configs of BENCH_8.json, and prints:
 
 - the sha256 of each run's report.json and report.csv, and how many of the
   30 gate runs match the digests recorded in BENCH_17.json; the script
-  exits with status 1, after all its other output, unless all 30 do;
+  exits with status 1, after all its other output, unless all 30 do and
+  both curved image digests below match their pins;
 - one sha256 over the 900 gate reads and one over the 750 held-out reads.
   A read is one line per `ocr_decode` call, in run order: the decoded
   string, a space, then its confidences in `float.hex` joined by commas;
@@ -18,11 +19,14 @@ configs of BENCH_8.json, and prints:
   after a codec round trip, in case order.  Most of their cells' left
   edges in the decoded text lie off block edges, as no gate read's do.
   These lines do not affect the exit status;
-- one sha256 over the guided `generate` images of perfbench's curved
-  batch 0 at seeds 0 and 101 (80 cases, default `GuidanceConfig`), each
-  image's float64 bytes in case order.  It covers the mask checks, the
-  division, the glyph prior, the reference warp and the guidance hook on
-  curved masks, and does not affect the exit status either.
+- one sha256 over the `generate` images of perfbench's curved batch 0 at
+  seeds 0 and 101 (80 cases) under each of the `full` and `both_off`
+  configs, each image's float64 bytes in case order, and how many of the
+  two equal the digests recorded in BENCH_28.json.  The guided digest
+  covers the mask checks, the division, the glyph prior, the reference
+  warp, the guidance hook and both sampling chains on curved masks; the
+  unguided one covers the division and the main chain alone.  The script
+  also exits with status 1 unless both match.
 
 With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
 to FILE.  With `--compare A B` it compares two such files, written on two
@@ -78,6 +82,7 @@ GATE_SEEDS = (0, 1, 2, 3, 4, 101)
 HELD_OUT_SEEDS = (5, 6, 7, 8, 9)
 CURVED_SEEDS = (0, 101)
 CURVED_BATCHES = 5
+CURVED_IMAGE_CONFIGS = ("full", "both_off")
 GAP_BAND = (1e-10, 1e-7)
 
 
@@ -164,19 +169,28 @@ def run_curved() -> None:
     print(f"curved characters read correctly of {total}: {counts}")
 
 
-def run_curved_images() -> None:
-    """Generate perfbench's curved batch 0 at each curved seed, guided, and
-    print one sha256 over the images."""
+def run_curved_images() -> bool:
+    """Generate perfbench's curved batch 0 at each curved seed under each
+    curved image config, print one sha256 over each config's images, and
+    return whether all equal BENCH_28.json's."""
+    pinned = json.loads((ROOT / "BENCH_28.json").read_text())["curved_generate_digests"]
     corpus = build_corpus()
-    digest = hashlib.sha256()
-    n = 0
-    for seed in CURVED_SEEDS:
-        for case in curved_cases(seed, 0, CURVED_BATCH):
-            mask = PolygonMask(np.asarray(case["vertices"], dtype=np.float64))
-            result = generate(case["text"], mask, case["scene_id"], case["seed"], corpus=corpus)
-            digest.update(result.image.tobytes())
-            n += 1
-    print(f"curved generate images: {n} {digest.hexdigest()}")
+    matched = 0
+    for name in CURVED_IMAGE_CONFIGS:
+        digest = hashlib.sha256()
+        n = 0
+        for seed in CURVED_SEEDS:
+            for case in curved_cases(seed, 0, CURVED_BATCH):
+                mask = PolygonMask(np.asarray(case["vertices"], dtype=np.float64))
+                result = generate(case["text"], mask, case["scene_id"], case["seed"],
+                                  config=CONFIGS[name], corpus=corpus)
+                digest.update(result.image.tobytes())
+                n += 1
+        matched += digest.hexdigest() == pinned.get(name)
+        print(f"curved generate images, {name}: {n} {digest.hexdigest()}")
+    total = len(CURVED_IMAGE_CONFIGS)
+    print(f"curved generate images equal to BENCH_28.json: {matched} of {total}")
+    return matched == total
 
 
 def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
@@ -207,12 +221,12 @@ def main() -> None:
     args = parser.parse_args()
     passed, lines, gaps = run_gate()
     run_curved()
-    run_curved_images()
+    images_pinned = run_curved_images()
     if args.reads:
         args.reads.write_text("\n".join(lines))
     if args.compare:
         compare(*args.compare, lines, gaps)
-    if not passed:
+    if not (passed and images_pinned):
         sys.exit(1)
 
 
