@@ -38,9 +38,9 @@ from .pnm import write_pgm, write_ppm
 PIXEL_SHIFT = 1.0
 PIXEL_RANGE = 4.0
 
-# decompose grows its debug canvas past the configured one to cover the
-# mask, up to this many pixels a side (each float64 render is then at most
-# 32 MiB); a mask reaching further is rejected
+# Most pixels a side of any canvas: the configured one, and the one decompose
+# grows past it to cover the mask (each float64 render is then at most
+# 32 MiB); a larger canvas, or a mask reaching further, is rejected
 MAX_RENDER_SIDE = 2048
 
 # The settings, each declared once: config section -> key -> (field, value
@@ -91,6 +91,10 @@ class RunConfig:
             raise InputError(
                 f"canvas must be at least 64x64 with sides divisible by {FACTOR},"
                 f" got {self.canvas}"
+            )
+        if h > MAX_RENDER_SIDE or w > MAX_RENDER_SIDE:
+            raise InputError(
+                f"canvas sides must be at most {MAX_RENDER_SIDE}, got {self.canvas}"
             )
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
@@ -258,12 +262,12 @@ def _layout_payload(text: str, segments, layout) -> dict:
 def _render_canvas(mask: PolygonMask, base: tuple[int, int]) -> tuple[int, int]:
     """Smallest codec-aligned canvas covering both the base size and the
     mask, so decompose can debug-render shapes bigger than a scene.  A mask
-    that would grow a side past both the base and MAX_RENDER_SIDE raises
-    InputError before anything is allocated."""
+    that would grow a side past MAX_RENDER_SIDE, which bounds the base too,
+    raises InputError before anything is allocated."""
     hi = mask.vertices.max(axis=0)
     need_w = FACTOR * math.ceil((hi[0] + 2.5) / FACTOR)
     need_h = FACTOR * math.ceil((hi[1] + 2.5) / FACTOR)
-    if need_w > max(base[1], MAX_RENDER_SIDE) or need_h > max(base[0], MAX_RENDER_SIDE):
+    if need_w > MAX_RENDER_SIDE or need_h > MAX_RENDER_SIDE:
         raise InputError(
             f"mask reaches ({hi[0]:g}, {hi[1]:g}): decompose renders at most"
             f" {MAX_RENDER_SIDE} px a side beyond the configured canvas {base}"

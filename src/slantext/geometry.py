@@ -1,8 +1,11 @@
 """Curved-region decomposition: boundary fitting, baseline splitting, and
 flattening of mask segments into axis-aligned rectangles.
 
-Coordinates are image-pixel (x, y) with y growing downward. Polygons are
-stored with positive shoelace area and angles follow atan2(dy, dx).
+Coordinates are image-pixel (x, y) with y growing downward.  The one
+orientation convention: a positive `grid.cross(a, b)` turns a toward b as +x
+turns toward +y, which on screen is clockwise.  Positive angles turn the same
+way and follow atan2(dy, dx), and canonical polygons wind that way too, so
+their shoelace area is positive.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InputError, LayoutError
-from .grid import MAX_CORNER, RegionMask, frozen
+from .grid import MAX_CORNER, RegionMask, cross, frozen
 
 # split candidates whose tangent stays within this of the segment entry
 # direction are discarded: the curve has not actually turned
@@ -40,15 +43,15 @@ def _as_points(points) -> np.ndarray:
 
 
 def polygon_area(points) -> float:
-    """Signed shoelace area; positive for our canonical vertex order.  The
-    sum runs on the vertices less the first one, so a small polygon far from
-    the origin keeps its area instead of losing it to the rounding of huge
-    products.  The first vertex is then (0, 0), and the two shoelace terms
-    that touch it are zero and left out."""
+    """Signed shoelace area, positive for a canonical polygon (see the
+    module docstring).  The sum runs on the vertices less the first one, so
+    a small polygon far from the origin keeps its area instead of losing it
+    to the rounding of huge products.  The first vertex is then (0, 0), and
+    the two shoelace terms that touch it are zero and left out."""
     pts = _as_points(points)
     d = pts - pts[0]
     x, y = d[:, 0], d[:, 1]
-    return 0.5 * float(np.sum(x[1:-1] * y[2:] - x[2:] * y[1:-1]))
+    return 0.5 * float(np.sum(cross(x[1:-1], y[1:-1], x[2:], y[2:])))
 
 
 def polygon_centroid(points) -> np.ndarray:
@@ -56,23 +59,24 @@ def polygon_centroid(points) -> np.ndarray:
     pts = _as_points(points)
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * cross.sum()
-    cx = float(((x + xn) * cross).sum() / (6.0 * a))
-    cy = float(((y + yn) * cross).sum() / (6.0 * a))
+    terms = cross(x, y, xn, yn)
+    a = 0.5 * terms.sum()
+    cx = float(((x + xn) * terms).sum() / (6.0 * a))
+    cy = float(((y + yn) * terms).sum() / (6.0 * a))
     return np.array([cx, cy])
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
-    """2 x 2 matrix turning column vectors by `angle` radians (positive
-    turns +x toward +y)."""
+    """2 x 2 matrix turning column vectors by `angle` radians, in the module
+    docstring's sense.  Its columns are the unit axis at `angle` and that
+    axis turned a quarter further."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 
 
 def rotate_points(points, angle: float) -> np.ndarray:
-    """Polygon vertices turned by `angle` radians (positive turns +x toward
-    +y) about their shoelace centroid."""
+    """Polygon vertices turned by `angle` radians (see rotation_matrix)
+    about their shoelace centroid."""
     pts = _as_points(points)
     c = polygon_centroid(pts)
     return (pts - c) @ rotation_matrix(angle).T + c
@@ -87,9 +91,10 @@ def pixel_box(x, y, w, h) -> np.ndarray:
 
 
 def _orient(a, b, c):
-    """Twice the signed area of triangle abc, over (..., 2) point arrays."""
-    ab_x, ab_y = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
-    return ab_x * (c[..., 1] - a[..., 1]) - ab_y * (c[..., 0] - a[..., 0])
+    """Twice the signed area of triangle abc, over (..., 2) point arrays:
+    cross(b - a, c - a)."""
+    ax, ay = a[..., 0], a[..., 1]
+    return cross(b[..., 0] - ax, b[..., 1] - ay, c[..., 0] - ax, c[..., 1] - ay)
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,12 @@ class PolygonMask:
             i1 = min(i0 + rows, n - 2)
             left = _orient(ring[i0:i1, None], ring[i0 + 1 : i1 + 1, None], ring[i0 + 2 :]) > 0
             right = _orient(ring[i0 + 2 : n, None], ring[i0 + 3 :, None], ring[i0 : i1 + 1]) > 0
-            cross = np.triu(
+            crossing = np.triu(
                 (right[:, :-1].T != right[:, 1:].T) & (left[:, :-1] != left[:, 1:])
             )
             if i0 == 0:
-                cross[0, -1] = False
-            if cross.any():
+                crossing[0, -1] = False
+            if crossing.any():
                 raise GeometryError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", frozen(pts))
 
@@ -139,6 +144,12 @@ class PolygonMask:
     def rotated(self, angle: float) -> "PolygonMask":
         """Rotate by `angle` radians about the centroid (see rotate_points)."""
         return PolygonMask(rotate_points(self.vertices, angle))
+
+
+def _bernstein(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four cubic Bernstein weights of t, one array each."""
+    s = 1.0 - t
+    return s**3, 3 * s**2 * t, 3 * s * t**2, t**3
 
 
 @dataclass(frozen=True)
@@ -155,14 +166,10 @@ class BezierCurve:
 
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        s = 1.0 - t
-        # the Bernstein weights along a last axis, filled in place: the same
-        # array np.stack builds, at a fraction of its cost
+        # the weights along a last axis, filled in place: the same array
+        # np.stack builds, at a fraction of its cost
         w = np.empty(t.shape + (4,))
-        w[..., 0] = s**3
-        w[..., 1] = 3 * s**2 * t
-        w[..., 2] = 3 * s * t**2
-        w[..., 3] = t**3
+        w[..., 0], w[..., 1], w[..., 2], w[..., 3] = _bernstein(t)
         return w @ self.control
 
     def tangent(self, t) -> np.ndarray:
@@ -223,12 +230,14 @@ class QuadSegment:
             raise GeometryError("segment quad needs exactly 4 corners")
         if not (-math.pi < self.angle <= math.pi):
             raise GeometryError(f"segment angle {self.angle} outside (-pi, pi]")
-        # convexity and consistent turning direction
+        # convexity and consistent turning direction: cross(b - a, c - b) at
+        # every corner b
         corners = pts.tolist()
-        signs = []
-        for i in range(4):
-            a, b, c = corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]
-            signs.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
+        ring = corners + corners[:2]
+        signs = [
+            cross(bx - ax, by - ay, cx - bx, cy - by)
+            for (ax, ay), (bx, by), (cx, cy) in zip(ring, ring[1:], ring[2:])
+        ]
         if abs(polygon_area(pts)) < 1e-12:
             raise GeometryError("segment quad has ~zero area")
         if not (all(s > 0 for s in signs) or all(s < 0 for s in signs)):
@@ -276,9 +285,9 @@ class FlatLayout:
 
 
 def convex_hull(points) -> np.ndarray:
-    """Monotone-chain hull, counter-clockwise in (x, y) math orientation.
-    The chain runs over Python floats, whose products and differences are
-    the same IEEE doubles as numpy's."""
+    """Monotone-chain hull, wound as the module docstring's canonical
+    polygons are.  The chain runs over Python floats, whose products and
+    differences are the same IEEE doubles as numpy's."""
     pts = _as_points(points)
     # the distinct rows sorted by x, then y: the order the chain walks in
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -286,38 +295,47 @@ def convex_hull(points) -> np.ndarray:
     if pts.shape[0] < 3:
         raise GeometryError("hull needs at least 3 distinct points")
     pts = pts.tolist()
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
+    # the lower chain walks the points forward, the upper one backward; each
+    # pops its last point a, o being the one before, until p lies a positive
+    # turn past o -> a
+    ring: list = []
+    for walk in (pts, pts[::-1]):
+        chain: list = []
+        for p in walk:
+            px, py = p
+            while len(chain) >= 2:
+                ox, oy = chain[-2]
+                ax, ay = chain[-1]
+                if cross(ax - ox, ay - oy, px - ox, py - oy) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        ring += chain[:-1]
+    hull = np.array(ring)
     if hull.shape[0] < 3:
         raise GeometryError("points are collinear, no hull area")
     return hull
 
 
+def _edge_lengths(edges: np.ndarray) -> np.ndarray:
+    """Length of each (x, y) row, as a batched (1, 2) @ (2, 1) dot: it rounds
+    as `np.linalg.norm` on one row does, where an elementwise sum would
+    not."""
+    return np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0, 0]
+
+
 def min_area_rect(points) -> OrientedRect:
     """Smallest-area enclosing rectangle via rotating calipers: the optimum
     is aligned with some hull edge, so each edge direction is tried, all in
-    one stack.  Each edge's squared length is a batched (1, 2) @ (2, 1) dot
-    and its projections a batched (n, 2) @ (2, 1) gemv, which round as
-    `np.linalg.norm(edge)` and `hull @ d` on one edge do; one gemm or an
-    elementwise sum would round differently.  The first edge wins a tie."""
+    one stack.  Each edge's length is `_edge_lengths`' and its projections a
+    batched (n, 2) @ (2, 1) gemv, which rounds as `hull @ d` on one edge
+    does; one gemm would round differently.  The first edge wins a tie."""
     hull = convex_hull(_as_points(points))
     edges = np.concatenate([hull[1:], hull[:1]]) - hull
-    norm = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0]
-    keep = norm[:, 0] >= 1e-12
-    d = edges[keep] / norm[keep]
+    norm = _edge_lengths(edges)
+    keep = norm >= 1e-12
+    d = edges[keep] / norm[keep, None]
     m = d.shape[0]
     if m == 0:
         raise GeometryError("degenerate point set for min-area rect")
@@ -347,11 +365,11 @@ def _cyclic_slice(n: int, i: int, j: int) -> list[int]:
 def _trim_cap_edges(chain: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Drop end vertices whose edge runs closer to the cross axis than the
     long axis; those edges are the band's end caps, not boundary.  Every
-    edge is tested in one stack: its length and its unit vector's reach
-    along the axis are batched (1, 2) @ (2, 1) dots, which round as
-    `np.linalg.norm(e)` and `e @ axis` on one edge do."""
+    edge is tested in one stack: its length is `_edge_lengths`', and its
+    unit vector's reach along the axis a batched (1, 2) @ (2, 1) dot, which
+    rounds as `e @ axis` on one edge does."""
     edges = np.diff(chain, axis=0)
-    norm = np.sqrt(np.matmul(edges[:, None, :], edges[:, :, None]))[:, 0, 0]
+    norm = _edge_lengths(edges)
     short = norm < 1e-12
     unit = edges / np.where(short, 1.0, norm)[:, None]
     along = np.abs(np.matmul(unit[:, None, :], axis[:, None]))[:, 0, 0]
@@ -366,9 +384,9 @@ def _trim_cap_edges(chain: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 def _boundary_chains(poly: PolygonMask) -> tuple[np.ndarray, np.ndarray, OrientedRect]:
     rect = min_area_rect(poly.vertices)
-    a = rect.long_axis_angle
-    axis = np.array([math.cos(a), math.sin(a)])
-    perp = np.array([-axis[1], axis[0]])
+    # the unit long axis and its normal, copied into contiguous rows: a
+    # strided operand can send the dots below to another BLAS kernel
+    axis, perp = rotation_matrix(rect.long_axis_angle).T.copy()
     verts = poly.vertices
     proj = verts @ axis
     i_lo = int(np.argmin(proj))
@@ -408,11 +426,7 @@ def _fit_cubic_chain(pts: np.ndarray) -> BezierCurve:
     if total < 1e-12:
         raise GeometryError("chain has no length")
     t = np.concatenate([[0.0], np.cumsum(steps)]) / total
-    s = 1.0 - t
-    b0 = s**3
-    b1 = 3 * s**2 * t
-    b2 = 3 * s * t**2
-    b3 = t**3
+    b0, b1, b2, b3 = _bernstein(t)
     a11 = float((b1 * b1).sum())
     a12 = float((b1 * b2).sum())
     a22 = float((b2 * b2).sum())
@@ -468,7 +482,7 @@ def _tangent_parallel_params(curve: BezierCurve, rect: OrientedRect) -> list[flo
     roots: list[float] = []
     for a in (rect.angle, rect.angle + math.pi / 2.0):
         ux, uy = math.cos(a), math.sin(a)
-        c0, c1, c2 = (x * uy - y * ux for x, y in d)
+        c0, c1, c2 = (cross(x, y, ux, uy) for x, y in d)
         qa, qb, qc = c0 - 2.0 * c1 + c2, 2.0 * (c1 - c0), c0
         if max(abs(qa), abs(qb), abs(qc)) <= noise:
             continue
@@ -591,7 +605,7 @@ def divide_mask(poly: PolygonMask, text: str) -> list[QuadSegment]:
         half_h = float(gap.mean()) / 2.0
         if half_h < 1e-9:
             raise GeometryError(f"segment {idx} has no height between boundaries")
-        down = np.array([-math.sin(angle), math.cos(angle)]) * half_h
+        down = rotation_matrix(angle)[:, 1] * half_h
         corners = np.array([a - down, b - down, b + down, a + down])
         segments.append(
             QuadSegment(

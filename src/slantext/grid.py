@@ -91,12 +91,6 @@ class RegionMask:
         return self.data.shape[1]
 
 
-def channel_stats(g: LatentGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(C,) mean and population std of each channel over the grid, read-only
-    (`LatentGrid.stats`)."""
-    return g.stats
-
-
 def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
     """Renormalize each content channel to the style channel's mean/std.
 
@@ -109,8 +103,8 @@ def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
         raise ShapeError(
             f"channel mismatch: content has {content.channels}, style has {style.channels}"
         )
-    c_mean, c_std = channel_stats(content)
-    s_mean, s_std = channel_stats(style)
+    c_mean, c_std = content.stats
+    s_mean, s_std = style.stats
     denom = np.maximum(c_std, STD_FLOOR)[:, None, None]
     normalized = (content.data - c_mean[:, None, None]) / denom
     return LatentGrid(normalized * s_std[:, None, None] + s_mean[:, None, None])
@@ -218,7 +212,9 @@ def quad_points(quad: np.ndarray, us: np.ndarray, vs: np.ndarray) -> tuple[np.nd
     return px, py
 
 
-def _cross(ax, ay, bx, by):
+def cross(ax, ay, bx, by):
+    """The 2-D cross product (ax, ay) x (bx, by), over floats or broadcast
+    arrays alike; its sign convention is stated in `geometry`."""
     return ax * by - ay * bx
 
 
@@ -243,10 +239,10 @@ def _quad_params(quad: np.ndarray, px: np.ndarray, py: np.ndarray):
 
     # cross(q - vF, E + vG) = cross(q,E) + v*(cross(q,G) - cross(F,E)) - v^2*cross(F,G)
     scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(dx), abs(dy), 1.0)
-    if not abs(_cross(fx, fy, gx, gy)) < eps * scale * scale:
+    if not abs(cross(fx, fy, gx, gy)) < eps * scale * scale:
         raise ShapeError("quad must be a parallelogram")
-    k1 = _cross(qx, qy, gx, gy) - _cross(fx, fy, ex, ey)
-    k0 = _cross(qx, qy, ex, ey)
+    k1 = cross(qx, qy, gx, gy) - cross(fx, fy, ex, ey)
+    k0 = cross(qx, qy, ex, ey)
     denom = np.where(np.abs(k1) < eps * scale * scale, np.nan, k1)
     v = -k0 / denom
 

@@ -142,6 +142,48 @@ class TestConfigResolution:
         with pytest.raises(InputError):
             resolve_config(parse(["bench-run", "x.json", "--jobs", "0"]))
 
+    def test_canvas_sides_up_to_the_render_bound(self, tmp_path):
+        side = cli.MAX_RENDER_SIDE
+        ini = tmp_path / "cfg.ini"
+        for canvas, ok in (([side, 64], True), ([64, side], True),
+                           ([side + 4, 64], False), ([64, side + 4], False)):
+            ini.write_text(f"[scene]\ncanvas = {json.dumps(canvas)}\n")
+            argv = parse(["bench-run", "x.json", "--config", str(ini)])
+            if ok:
+                assert resolve_config(argv).canvas == tuple(canvas)
+            else:
+                with pytest.raises(InputError, match=f"at most {side}"):
+                    resolve_config(argv)
+
+    @pytest.mark.parametrize("command", ["generate", "bench-run"])
+    def test_oversized_canvas_exits_1_under_a_memory_bound(self, tmp_path, command):
+        # A [20000, 20000] canvas once reached the scene background's
+        # allocation, and under this bound the command died with a
+        # MemoryError (exit 2).  The child caps its own address space, so a
+        # regression fails to allocate instead of taking the memory.
+        if command == "generate":
+            args = [write_mask(tmp_path / "m.json", flat_rect()), "CAT"]
+        else:
+            gen = tmp_path / "gen"
+            assert main(["bench-gen", "--count", "1", "--out", str(gen)]) == 0
+            args = [str(gen / "manifest.json")]
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[scene]\ncanvas = [20000, 20000]\n")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))\n"
+            "from slantext.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child, command, *args, "--config", str(ini),
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert run.returncode == 1, run.stderr
+        assert f"canvas sides must be at most {cli.MAX_RENDER_SIDE}" in run.stderr
+        assert not (tmp_path / "x").exists()
+
 
 class TestGenerate:
     def test_flat_run_writes_artifacts(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from slantext.geometry import (
     FlatLayout,
     OrientedRect,
     PolygonMask,
+    QuadSegment,
     SimilarityTransform,
     PARALLEL_FILTER_RAD,
     _angle_diff_mod_pi,
@@ -916,20 +917,26 @@ class TestApportion:
 
 
 @lru_cache(maxsize=None)
-def translation_masks():
-    """(vertices, text, division) of the seed-0 bench masks and perfbench's
-    curved batch 0 at seed 0: 30 rectangles and 40 arc and S-curve bands of
-    8-128 vertices a side."""
+def curved_batch_0(seed):
+    """(vertices, text) of perfbench's curved batch 0 at `seed`: 40 arc and
+    S-curve bands of 8-128 vertices a side."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    masks = [(case.mask.vertices, case.text) for case in generate_benchmark(10, 0)]
-    masks += [
+    return [
         (np.asarray(case["vertices"], dtype=np.float64), case["text"])
-        for case in workloads.curved_cases(0, 0, workloads.CURVED_BATCH)
+        for case in workloads.curved_cases(seed, 0, workloads.CURVED_BATCH)
     ]
+
+
+@lru_cache(maxsize=None)
+def translation_masks():
+    """(vertices, text, division) of the seed-0 bench masks and perfbench's
+    curved batch 0 at seed 0: 30 rectangles and 40 curved bands."""
+    masks = [(case.mask.vertices, case.text) for case in generate_benchmark(10, 0)]
+    masks += curved_batch_0(0)
     return [(v, text, divide_mask(PolygonMask(v), text)) for v, text in masks]
 
 
@@ -1034,6 +1041,221 @@ class TestRasterizeMask:
         poly = rect_polygon(5, 5, 4, 4)
         with pytest.raises(GeometryError):
             rasterize_mask(poly, 10, 10, downscale=3)
+
+
+# Each 2-D primitive is written once (`grid.cross`, one hull chain walk,
+# one Bernstein fill); the oracles below are the per-site expressions they
+# replaced, written out, and every result must match them bit for bit.
+
+
+def written_out_hull(points):
+    """Monotone chain over Python floats, one closure turn test and one loop
+    per chain."""
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
+    if pts.shape[0] < 3:
+        raise GeometryError("hull needs at least 3 distinct points")
+    pts = pts.tolist()
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if hull.shape[0] < 3:
+        raise GeometryError("points are collinear, no hull area")
+    return hull
+
+
+def written_out_area(points):
+    pts = np.asarray(points, dtype=np.float64)
+    d = pts - pts[0]
+    x, y = d[:, 0], d[:, 1]
+    return 0.5 * float(np.sum(x[1:-1] * y[2:] - x[2:] * y[1:-1]))
+
+
+def written_out_centroid(points):
+    pts = np.asarray(points, dtype=np.float64)
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * cross.sum()
+    cx = float(((x + xn) * cross).sum() / (6.0 * a))
+    cy = float(((y + yn) * cross).sum() / (6.0 * a))
+    return np.array([cx, cy])
+
+
+def written_out_quad_verdict(corners):
+    """QuadSegment's corner checks as a per-corner loop: None when the quad
+    is accepted, else the error message."""
+    pts = np.asarray(corners, dtype=np.float64)
+    corners = pts.tolist()
+    signs = []
+    for i in range(4):
+        a, b, c = corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]
+        signs.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
+    if abs(written_out_area(pts)) < 1e-12:
+        return "segment quad has ~zero area"
+    if not (all(s > 0 for s in signs) or all(s < 0 for s in signs)):
+        return "segment quad must be convex"
+    return None
+
+
+def quad_verdict(corners):
+    try:
+        QuadSegment(corners=corners, angle=0.0, index=0, text_slice=(0, 1))
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def written_out_fit(pts):
+    """`_fit_cubic_chain`'s control points with the Bernstein weights
+    written out one array each."""
+    p0, p3 = pts[0], pts[-1]
+    chord = p3 - p0
+    thirds = np.array([p0, p0 + chord / 3.0, p0 + 2.0 * chord / 3.0, p3])
+    if pts.shape[0] == 2:
+        return thirds
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    t = np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
+    s = 1.0 - t
+    b0 = s**3
+    b1 = 3 * s**2 * t
+    b2 = 3 * s * t**2
+    b3 = t**3
+    a11 = float((b1 * b1).sum())
+    a12 = float((b1 * b2).sum())
+    a22 = float((b2 * b2).sum())
+    det = a11 * a22 - a12 * a12
+    if abs(det) < 1e-12:
+        return thirds
+    rest = pts - np.outer(b0, p0) - np.outer(b3, p3)
+    r1 = b1 @ rest
+    r2 = b2 @ rest
+    p1 = (a22 * r1 - a12 * r2) / det
+    p2 = (a11 * r2 - a12 * r1) / det
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        return thirds
+    return np.array([p0, p1, p2, p3])
+
+
+def assert_hull_written_out(points):
+    """Both hulls raise GeometryError with one message, or return equal bytes."""
+    try:
+        want = written_out_hull(points)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=str(exc)):
+            convex_hull(points)
+        return
+    assert convex_hull(points).tobytes() == want.tobytes()
+
+
+@st.composite
+def nearly_collinear(draw):
+    """Points a few multiples of eps off one line, along x or along y."""
+    n = draw(st.integers(3, 30))
+    xs = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))) * 0.37
+    offs = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    slope = draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, -2.9, 1e3]))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]))
+    pts = np.stack([xs, slope * xs + 0.5 + offs * eps], axis=1)
+    return pts[:, ::-1] if draw(st.booleans()) else pts
+
+
+@st.composite
+def nudged_quads(draw):
+    """A w x h rect turned by `tilt`, h down to rounding noise, each corner
+    moved a few multiples of eps: thin, barely convex, barely reflex and
+    crossed quads."""
+    w = draw(st.floats(1.0, 50.0))
+    h = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-3, 1.0, 7.0]))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3, 1.0]))
+    steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=8, max_size=8)), dtype=float)
+    tilt = draw(st.floats(-math.pi, math.pi))
+    corners = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]]) + steps.reshape(4, 2) * eps
+    return corners @ rotation_matrix(tilt).T + 12.5
+
+
+@st.composite
+def bent_quads(draw):
+    """A triangle whose fourth corner sits a few multiples of eps off one
+    edge: a corner turn that rounding can zero or flip."""
+    a, b, c = (np.array(draw(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0))))
+               for _ in range(3))
+    f = draw(st.sampled_from([0.5, 1.0 / 3.0, 0.7, 0.01]))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]))
+    nudge = np.array(draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))), dtype=float)
+    shift = draw(st.sampled_from([0.0, 12.5, 1e3]))
+    return np.array([a, b, c, c + f * (a - c) + nudge * eps]) + shift
+
+
+class TestPrimitivesMatchWrittenOut:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=30),
+        st.sampled_from([1.0, 0.1, 1e-3, -7.3]),
+    )
+    def test_hull_on_lattices(self, pts, scale):
+        assert_hull_written_out(np.asarray(pts, dtype=np.float64) * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=5)
+        .flatmap(lambda base: st.lists(st.sampled_from(base), min_size=3, max_size=40))
+    )
+    def test_hull_on_repeated_points(self, pts):
+        assert_hull_written_out(np.asarray(pts, dtype=np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nearly_collinear())
+    def test_hull_on_nearly_collinear_points(self, pts):
+        assert_hull_written_out(pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        nudged_quads(),
+        bent_quads(),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=4, max_size=4)
+        .map(lambda c: np.asarray(c, dtype=np.float64)),
+    ))
+    @example(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]]))  # accepted
+    @example(np.array([[0.0, 0.0], [4.0, 2.0], [4.0, 0.0], [0.0, 2.0]]))  # crossed
+    @example(np.array([[0.0, 0.0], [4.0, 0.0], [8.0, 0.0], [2.0, 0.0]]))  # flat
+    def test_quad_checks_on_near_degenerate_quads(self, corners):
+        assert quad_verdict(corners) == written_out_quad_verdict(corners)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=20),
+        st.sampled_from([0.0, 0.5, 1e12]),
+    )
+    @example([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)], 0.0)
+    @example([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], 0.0)  # no area: the centroid divides by 0
+    def test_shoelace_area_and_centroid(self, pts, shift):
+        pts = np.asarray(pts, dtype=np.float64) + shift
+        assert polygon_area(pts).hex() == written_out_area(pts).hex()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert polygon_centroid(pts).tobytes() == written_out_centroid(pts).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 101])
+    def test_cubic_fit_on_curved_batch_0(self, seed):
+        # the fit's Bernstein dots are BLAS calls; CI runs this on one thread
+        for vertices, _ in curved_batch_0(seed):
+            upper, lower, _ = geometry._boundary_chains(PolygonMask(vertices))
+            for chain in (upper, lower):
+                got = geometry._fit_cubic_chain(chain).control
+                assert got.tobytes() == written_out_fit(chain).tobytes()
 
 
 def band_vertices(kind, k, size, thickness, bend, tilt):

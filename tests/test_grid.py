@@ -15,7 +15,6 @@ from slantext.grid import (
     LatentGrid,
     RegionMask,
     adain,
-    channel_stats,
     extract_region,
     masked_blend,
     paste_region_with_mask,
@@ -49,7 +48,7 @@ class TestChannelStats:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         g = rand_grid(rng)
-        mean, std = channel_stats(g)
+        mean, std = g.stats
         for ch in range(3):
             assert mean[ch] == pytest.approx(g.data[ch].mean(), abs=1e-12)
             assert std[ch] == pytest.approx(g.data[ch].std(), abs=1e-12)
@@ -57,13 +56,13 @@ class TestChannelStats:
     def test_population_std(self):
         # two values 0 and 2: population std is 1, sample std would be sqrt(2)
         g = LatentGrid(np.array([[[0.0, 2.0]]]))
-        assert channel_stats(g)[1][0] == pytest.approx(1.0, abs=1e-15)
+        assert g.stats[1][0] == pytest.approx(1.0, abs=1e-15)
 
     def test_computed_once_and_read_only(self):
         g = rand_grid(np.random.default_rng(8))
         with mock.patch.object(grid, "frozen", wraps=grid.frozen) as freeze:
-            first = channel_stats(g)
-            assert channel_stats(g) is first and g.stats is first
+            first = g.stats
+            assert g.stats is first
         # one freeze for the mean and one for the std, on the first read only
         assert freeze.call_count == 2
         flat = g.data.reshape(3, -1)
@@ -111,7 +110,7 @@ class TestAdain:
             c = rand_grid(rng)
             s = rand_grid(rng, h=6, w=10)
             out = adain(c, s)
-            assert np.allclose(channel_stats(out), channel_stats(s), atol=1e-6)
+            assert np.allclose(out.stats, s.stats, atol=1e-6)
 
     def test_identity(self):
         rng = np.random.default_rng(3)
@@ -123,7 +122,7 @@ class TestAdain:
         c = LatentGrid(np.full((3, 4, 4), 2.5))
         s = rand_grid(rng)
         out = adain(c, s).data
-        s_mean, _ = channel_stats(s)
+        s_mean, _ = s.stats
         for ch in range(3):
             assert np.allclose(out[ch], s_mean[ch], atol=1e-12)
 
