@@ -28,7 +28,7 @@ from .corpus import (
     build_corpus,
     scene_background,
 )
-from .diffusion import LatentCodec, NoiseSchedule, linear_schedule
+from .diffusion import DEFAULT_SCHEDULE, LatentCodec, NoiseSchedule
 from .errors import GeometryError, InputError, SlantextError
 from .geometry import PolygonMask, pixel_box
 from .glyph import char_cells
@@ -267,18 +267,17 @@ class BenchReport:
 
 def report_config(
     config: GuidanceConfig,
-    schedule: Optional[NoiseSchedule] = None,
+    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
     canvas: tuple[int, int] = CANVAS,
 ) -> dict:
     """The resolved spec a report is scored under: the guidance fields, the
-    sampler's betas (default: `linear_schedule()`) and the canvas."""
-    schedule = schedule if schedule is not None else linear_schedule()
+    sampler's betas and the canvas."""
     return {**asdict(config), "betas": schedule.betas.tolist(), "canvas": list(canvas)}
 
 
 def config_fingerprint(
     config: GuidanceConfig,
-    schedule: Optional[NoiseSchedule] = None,
+    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
     canvas: tuple[int, int] = CANVAS,
 ) -> str:
     blob = json.dumps(report_config(config, schedule, canvas), sort_keys=True)
@@ -348,10 +347,10 @@ def run_bench(
     corpus: Optional[FlatTextCorpus] = None,
     out_dir=None,
     jobs: int = 1,
-    schedule: Optional[NoiseSchedule] = None,
+    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
 ) -> BenchReport:
     """Score every case under one guidance config and sampler schedule
-    (default: `linear_schedule()`, as in `generate`).  Results are assembled
+    (default: `DEFAULT_SCHEDULE`, as in `generate`).  Results are assembled
     sorted by case id, so --jobs parallelism never changes the report.
 
     A case that fails with a SlantextError scores zero, carries the error as
@@ -363,7 +362,6 @@ def run_bench(
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     config = config or GuidanceConfig()
-    schedule = schedule if schedule is not None else linear_schedule()
     corpus = corpus if corpus is not None else build_corpus()
     run_case = partial(_run_case, config=config, schedule=schedule, corpus=corpus)
 

@@ -114,25 +114,34 @@ def make_denoiser(corpus: FlatTextCorpus, scene_id: int) -> Denoiser:
 
     The denoiser takes and returns (C, H, W) arrays, as `diffusion.sample`
     runs its chain.  The exemplars are kept as one (M, C*H*W) matrix, scaled
-    by sqrt(abar_t) on each call, and x_bar is one (1, M) x (M, C*H*W)
-    np.dot, the product np.tensordot makes.
+    by sqrt(abar_t) on each call into one (M, C*H*W) buffer that the closure
+    keeps and reuses for the differences and their squares, and x_bar is one
+    (1, M) x (M, C*H*W) np.dot, the product np.tensordot makes.  The
+    returned noise is a fresh array.
     """
     members = corpus.for_scene(scene_id)
     if not members:
         raise ConditionError(f"no exemplars for scene id {scene_id}")
     mat = np.stack([ex.latent.data.ravel() for ex in members])  # (M, C*H*W)
+    diff = np.empty_like(mat)
 
     def denoise(z: np.ndarray, abar_t: float) -> np.ndarray:
         root = math.sqrt(abar_t)
         var = (1.0 - abar_t) + abar_t * GMM_TAU * GMM_TAU
         flat = z.reshape(-1)
-        diff = flat - root * mat
-        log_w = -(diff * diff).sum(axis=1) / (2.0 * var)
+        np.multiply(root, mat, out=diff)
+        np.subtract(flat, diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        log_w = diff.sum(axis=1)
+        np.negative(log_w, out=log_w)
+        log_w /= 2.0 * var
         log_w -= log_w.max()
-        w = np.exp(log_w)
+        w = np.exp(log_w, out=log_w)
         w /= w.sum()
-        x_bar = np.dot(w[None], mat)[0]
-        eps = (flat - root * x_bar) / math.sqrt(1.0 - abar_t)
+        eps = np.dot(w[None], mat)[0]
+        eps *= root
+        np.subtract(flat, eps, out=eps)
+        eps /= math.sqrt(1.0 - abar_t)
         return eps.reshape(z.shape)
 
     return denoise

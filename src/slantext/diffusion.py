@@ -34,9 +34,22 @@ FACTOR = 4
 def block_means(stack: np.ndarray) -> np.ndarray:
     """Mean of every FACTOR x FACTOR block of each sheet of the (n, H, W)
     stack, sides multiples of FACTOR: the codec's encode and the OCR's sheets.
-    On 0/1 ink every mean is k / FACTOR^2, exact in any summation order."""
+
+    Each block's values are added one at a time onto +0.0, in row-major
+    order, then divided by FACTOR^2: the order numpy's mean takes on the
+    codec's channel-first view of an (H, W, 3) image, so an encode rounds as
+    it always has, and a one-channel stack as its 3-channel repeat.  The
+    values are copied into one C-ordered sheet per offset within the block,
+    and numpy reduces such a stack one sheet after another.  It would add
+    pairwise if it looped over the offsets innermost, as it does when a
+    sheet holds a single value; a zero column on each sheet rules that out.
+    On 0/1 ink every mean is k / FACTOR^2, exact in any order."""
     n, h, w = stack.shape
-    return stack.reshape(n, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4))
+    rows, cols = h // FACTOR, w // FACTOR
+    terms = np.zeros((FACTOR, FACTOR, n, rows, cols + 1))
+    terms[..., :cols] = stack.reshape(n, rows, FACTOR, cols, FACTOR).transpose(2, 4, 0, 1, 3)
+    sums = np.add.reduce(terms.reshape(FACTOR * FACTOR, -1), axis=0)
+    return sums.reshape(n, rows, cols + 1)[..., :cols] / (FACTOR * FACTOR)
 
 
 @dataclass(frozen=True)
@@ -70,30 +83,41 @@ def linear_schedule(steps: int = 20, beta_start: float = 1e-3,
     return NoiseSchedule(betas=np.linspace(beta_start, beta_end, steps))
 
 
+# The sampler's default: 20 linear steps.  A schedule is frozen and its
+# arrays read-only, so every caller shares this one.
+DEFAULT_SCHEDULE = linear_schedule()
+
+
 def _x0(z: np.ndarray, eps: np.ndarray, abar_t: float) -> np.ndarray:
     """Clean-sample estimate of the arrays z and eps at level abar_t."""
     if not 0.0 < abar_t <= 1.0:
         raise ScheduleError(f"alpha_bar must be in (0, 1], got {abar_t}")
     if z.shape != eps.shape:
         raise ShapeError(f"z {z.shape} and eps {eps.shape} differ")
-    return (z - math.sqrt(1.0 - abar_t) * eps) / math.sqrt(abar_t)
+    out = math.sqrt(1.0 - abar_t) * eps
+    np.subtract(z, out, out=out)
+    out /= math.sqrt(abar_t)
+    return out
 
 
 def _step(z: np.ndarray, eps: np.ndarray, abar_t: float, abar_p: float,
           eta: float = 0.0, noise: Optional[np.ndarray] = None) -> np.ndarray:
-    """One reverse step from level abar_t to abar_p on (C, H, W) arrays."""
-    x0 = _x0(z, eps, abar_t)
+    """One reverse step from level abar_t to abar_p on (C, H, W) arrays:
+    sqrt(abar_p) * x0 + dir_coef * eps (+ sqrt(sigma2) * noise), built in
+    x0's fresh buffer; z and eps are only read."""
+    out = _x0(z, eps, abar_t)
     sigma2 = 0.0
     if eta > 0.0:
         sigma2 = (eta ** 2) * (1.0 - abar_p) / (1.0 - abar_t) * (1.0 - abar_t / abar_p)
     dir_coef = math.sqrt(max(1.0 - abar_p - sigma2, 0.0))
-    out = math.sqrt(abar_p) * x0 + dir_coef * eps
+    out *= math.sqrt(abar_p)
+    out += dir_coef * eps
     if sigma2 > 0.0:
         if noise is None:
             raise InputError("eta > 0 needs a noise draw")
         if noise.shape != z.shape:
             raise ShapeError(f"noise {noise.shape} and z {z.shape} differ")
-        out = out + math.sqrt(sigma2) * noise
+        out += math.sqrt(sigma2) * noise
     return out
 
 
@@ -139,16 +163,21 @@ def sample(
     The hook, when present, adjusts z_t before each denoiser call; trace
     sees the state after each step, keyed by the step it produced, as a
     LatentGrid.  Every step is ddim_step's at eta = 0 on z_init.data's
-    arrays, so the result is bitwise that of chaining ddim_step; a
-    prediction of another shape, or a non-finite hook output, prediction
-    or step raises ShapeError at that step.
+    arrays, so the result is bitwise that of chaining ddim_step; a hook
+    output or prediction of another shape, or a non-finite hook output,
+    prediction or step raises ShapeError at that step.  A hook that returns
+    z itself hands back a state already checked, so only a new array is.
     """
     z = z_init.data
     alpha_bars = schedule.alpha_bars.tolist()
     for t in range(schedule.steps, 0, -1):
         if hook is not None:
-            z = hook(z, t)
-            _require_finite(z, "hook output")
+            out = hook(z, t)
+            if out is not z:
+                if out.shape != z.shape:
+                    raise ShapeError(f"hook output {out.shape} and state {z.shape} differ")
+                _require_finite(out, "hook output")
+                z = out
         eps = denoiser(z, alpha_bars[t])
         _require_finite(eps, "noise prediction")
         z = _step(z, eps, alpha_bars[t], alpha_bars[t - 1])

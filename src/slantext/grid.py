@@ -61,8 +61,14 @@ class LatentGrid:
         """(C,) mean and population std of each channel over the grid,
         read-only.  The grid never changes, so they are computed on first
         use and kept with it."""
-        flat = self.data.reshape(self.channels, -1)
-        return frozen(flat.mean(axis=1)), frozen(flat.std(axis=1))
+        mean, std = channel_stats(self.data)
+        return frozen(mean), frozen(std)
+
+
+def channel_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C,) mean and population std of each channel of a (C, H, W) array."""
+    flat = data.reshape(data.shape[0], -1)
+    return flat.mean(axis=1), flat.std(axis=1)
 
 
 @dataclass(frozen=True)
@@ -103,11 +109,21 @@ def adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
         raise ShapeError(
             f"channel mismatch: content has {content.channels}, style has {style.channels}"
         )
+    return LatentGrid(restyle(normalized(content), *style.stats))
+
+
+def normalized(content: LatentGrid) -> np.ndarray:
+    """adain's content half, which depends on the content alone: each
+    channel less its mean, over its std floored at STD_FLOOR."""
     c_mean, c_std = content.stats
-    s_mean, s_std = style.stats
     denom = np.maximum(c_std, STD_FLOOR)[:, None, None]
-    normalized = (content.data - c_mean[:, None, None]) / denom
-    return LatentGrid(normalized * s_std[:, None, None] + s_mean[:, None, None])
+    return (content.data - c_mean[:, None, None]) / denom
+
+
+def restyle(norm: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """adain's style half: a normalized (C, H, W) array given the (C,)
+    channel mean and std of the style."""
+    return norm * std[:, None, None] + mean[:, None, None]
 
 
 def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
@@ -119,7 +135,12 @@ def masked_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
             f"mask {mask.data.shape} does not match grid spatial dims {(a.height, a.width)}"
         )
     m = mask.data[None, :, :]
-    return LatentGrid(a.data * m + b.data * (1.0 - m))
+    return LatentGrid(blend(a.data, b.data, m, 1.0 - m))
+
+
+def blend(a: np.ndarray, b: np.ndarray, m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """masked_blend on arrays, a*m + b*keep, given keep = 1 - m."""
+    return a * m + b * keep
 
 
 def sample_at(g: LatentGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

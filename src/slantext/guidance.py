@@ -10,21 +10,22 @@ step weight, so late steps run free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .corpus import INK_AMP, FlatTextCorpus, build_corpus, make_denoiser
 from .diffusion import (
+    DEFAULT_SCHEDULE,
     FACTOR,
     Denoiser,
     LatentCodec,
     NoiseSchedule,
     TraceFn,
-    linear_schedule,
+    block_means,
     sample,
 )
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .geometry import (
     FlatLayout,
     PolygonMask,
@@ -39,9 +40,13 @@ from .grid import (
     LatentGrid,
     RegionMask,
     adain,
+    blend,
+    channel_stats,
     extract_region,
     masked_blend,
-    paste_region_with_mask,
+    normalized,
+    quad_cells,
+    restyle,
 )
 
 
@@ -104,8 +109,11 @@ def merge_priors(z_rect: LatentGrid, z_glyph: LatentGrid, z_t: LatentGrid,
                  rho: float) -> LatentGrid:
     """Blend the two branch outputs: rho parts stat-matched glyph (over the
     whole grid, not masked) against (1 - rho) parts rectified state."""
-    g = adain(z_glyph, z_t)
-    return LatentGrid(rho * g.data + (1.0 - rho) * z_rect.data)
+    return LatentGrid(_merge(adain(z_glyph, z_t).data, z_rect.data, rho))
+
+
+def _merge(glyph: np.ndarray, rect: np.ndarray, rho: float) -> np.ndarray:
+    return rho * glyph + (1.0 - rho) * rect
 
 
 def apply_guidance(
@@ -122,24 +130,58 @@ def apply_guidance(
     masked region at the step weight, leaving the rest untouched."""
     if not (config.use_srb or config.use_sib):
         return z_t
-    z_hat: LatentGrid
-    z_tilde = None
+    return LatentGrid(_guided_step(config, total, mask, z_ref, ref_mask, z_glyph)(z_t.data, t))
+
+
+def _guided_step(
+    config: GuidanceConfig,
+    total: int,
+    mask: RegionMask,
+    z_ref: Optional[LatentGrid],
+    ref_mask: Optional[RegionMask],
+    z_glyph: Optional[LatentGrid],
+) -> Callable[[np.ndarray, int], np.ndarray]:
+    """apply_guidance on (C, H, W) arrays, with what does not change from
+    step to step computed once: adain's content half of z_ref and z_glyph
+    (`grid.normalized`) and 1 - m of both masks.  Each call takes z_t's
+    channel statistics once and runs the branches in apply_guidance's
+    order: semantic_rectify, then merge_priors or structure_inject, then the
+    step-weighted blend."""
+    if config.use_srb and (z_ref is None or ref_mask is None):
+        raise InputError("semantic branch needs z_ref and ref_mask")
+    if config.use_sib and z_glyph is None:
+        raise InputError("structure branch needs z_glyph")
+    grids = [g for g, on in ((z_ref, config.use_srb), (z_glyph, config.use_sib)) if on]
+    masks = [mask, ref_mask] if config.use_srb else [mask]
+    shape = grids[0].shape
+    if any(g.shape != shape for g in grids) or any(mk.data.shape != shape[1:] for mk in masks):
+        raise ShapeError(
+            f"priors {[g.shape for g in grids]} and masks {[mk.data.shape for mk in masks]} differ in size"
+        )
+    m = mask.data[None]
+    keep = 1.0 - m
     if config.use_srb:
-        if z_ref is None or ref_mask is None:
-            raise InputError("semantic branch needs z_ref and ref_mask")
-        z_tilde = semantic_rectify(z_ref, z_t, ref_mask, config.use_adain)
+        ref = normalized(z_ref) if config.use_adain else z_ref.data
+        ref_m = ref_mask.data[None]
+        ref_keep = 1.0 - ref_m
     if config.use_sib:
-        if z_glyph is None:
-            raise InputError("structure branch needs z_glyph")
+        glyph = normalized(z_glyph)
+
+    def step(z: np.ndarray, t: int) -> np.ndarray:
+        if z.shape != shape:
+            raise ShapeError(f"state {z.shape} does not match the priors' {shape}")
+        mean, std = channel_stats(z)
         if config.use_srb:
-            z_hat = merge_priors(z_tilde, z_glyph, z_t, config.rho)
+            src = restyle(ref, mean, std) if config.use_adain else ref
+            z_hat = blend(src, z, ref_m, ref_keep)
+            if config.use_sib:
+                z_hat = _merge(restyle(glyph, mean, std), z_hat, config.rho)
         else:
-            z_hat = structure_inject(z_glyph, z_t, mask)
-    else:
-        z_hat = z_tilde
-    k = kappa(t, total)
-    inner = k * config.lambda_ * z_hat.data + (1.0 - k) * z_t.data
-    return masked_blend(LatentGrid(inner), z_t, mask)
+            z_hat = blend(restyle(glyph, mean, std), z, m, keep)
+        k = kappa(t, total)
+        return blend(k * config.lambda_ * z_hat + (1.0 - k) * z, z, m, keep)
+
+    return step
 
 
 def make_guidance_hook(
@@ -152,13 +194,17 @@ def make_guidance_hook(
 ):
     """Step hook applying guidance on the first refine_steps steps only.
     It takes and returns the sampler's (C, H, W) arrays, and returns z
-    itself on the steps it leaves alone."""
+    itself on the steps it leaves alone.  The priors' per-case constants
+    are built here, once."""
     total = schedule.steps
+    step = None
+    if config.use_srb or config.use_sib:
+        step = _guided_step(config, total, mask, z_ref, ref_mask, z_glyph)
 
     def hook(z: np.ndarray, t: int) -> np.ndarray:
-        if total - t >= config.refine_steps:
+        if step is None or total - t >= config.refine_steps:
             return z
-        return apply_guidance(LatentGrid(z), t, total, config, mask, z_ref, ref_mask, z_glyph).data
+        return step(z, t)
 
     return hook
 
@@ -183,18 +229,21 @@ def align_reference(
 ) -> tuple[LatentGrid, RegionMask]:
     """Carry reference content from each flat layout rect into its segment
     quad, all at latent resolution. Returns the aligned latent (zero where
-    nothing landed) and the mask of cells actually written."""
+    nothing landed) and the mask of cells actually written.  Each patch is
+    written, in place, into the cells its quad covers (`grid.quad_cells`);
+    a later segment overwrites an earlier one where their quads meet."""
     if len(layout.rects) != len(segments):
         raise InputError("layout and segments disagree on segment count")
-    canvas = LatentGrid(np.zeros(z_ref.shape))
+    canvas = np.zeros(z_ref.shape)
     valid = np.zeros((z_ref.height, z_ref.width), dtype=np.float64)
     for (x, y, w, h), seg in zip(layout.rects, segments):
         out_h = max(1, int(round(h / FACTOR)))
         out_w = max(1, int(round(w / FACTOR)))
         patch = extract_region(z_ref, _px_to_latent(pixel_box(x, y, w, h)), out_h, out_w)
-        canvas, written = paste_region_with_mask(canvas, patch, _px_to_latent(seg.corners))
-        valid = np.maximum(valid, written.astype(np.float64))
-    return canvas, RegionMask(valid)
+        rows, cols, values = quad_cells(patch, _px_to_latent(seg.corners), z_ref.height, z_ref.width)
+        canvas[:, rows, cols] = values
+        valid[rows, cols] = 1.0
+    return LatentGrid(canvas), RegionMask(valid)
 
 
 @dataclass(frozen=True)
@@ -216,7 +265,7 @@ def generate(
     seed: int,
     config: Optional[GuidanceConfig] = None,
     corpus: Optional[FlatTextCorpus] = None,
-    schedule: Optional[NoiseSchedule] = None,
+    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
     trace: Optional[TraceFn] = None,
 ) -> GenerationResult:
     """Full pipeline: decompose the mask, build branch priors, run guided
@@ -229,7 +278,6 @@ def generate(
     """
     config = config if config is not None else GuidanceConfig()
     corpus = corpus if corpus is not None else build_corpus()
-    schedule = schedule if schedule is not None else linear_schedule()
     default_font().validate(text)
     if not text:
         raise InputError("text must be non-empty")
@@ -252,9 +300,10 @@ def generate(
         z_ref = None
         ref_mask = None
         if config.use_sib:
+            # the codec's encode of the ink repeated over 3 channels, bit
+            # for bit: block_means adds each block in one fixed order
             glyph = render_glyph_image(segments, text, (h, w))
-            rgb = np.repeat(glyph.data[:, :, None], 3, axis=2)
-            z_glyph = codec.encode(INK_AMP * rgb)
+            z_glyph = LatentGrid(np.repeat(block_means(INK_AMP * glyph.data[None]), 3, axis=0))
         if config.use_srb:
             ref_rng = np.random.default_rng(ref_ss)
             z_flat = build_reference(denoiser, schedule, ref_rng, latent_shape)

@@ -195,7 +195,13 @@ def _scores(
     pairs, against the squared weights and the products of neighbouring
     weights.  A view whose centred norm is 1e-9 or less, or under 1e-6 of its
     root sum of squares (lost to the moments' rounding), scores +0.0, as
-    every constant view does."""
+    every constant view does.
+
+    The coarse stage's calls regrow the heap on a read after the previous
+    read's context passes let glibc trim it, so a read's minor page faults
+    depend on the process's history; no wall time was seen to go with it.
+    It is left as it is: the reader that ROADMAP item 1 step B puts in place
+    of this offset search deletes the cause."""
     if pairs is None:
         reached = np.flatnonzero(wx.any(axis=(0, 1)))
         cols = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, 1)

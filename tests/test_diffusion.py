@@ -16,9 +16,13 @@ from slantext.corpus import (
     make_denoiser,
     scene_background,
 )
+from slantext import diffusion
 from slantext.diffusion import (
+    DEFAULT_SCHEDULE,
+    FACTOR,
     LatentCodec,
     NoiseSchedule,
+    block_means,
     ddim_step,
     linear_schedule,
     predict_x0,
@@ -259,6 +263,106 @@ class TestSample:
         with pytest.raises(ShapeError):
             sample(denoiser, grid(np.zeros((3, 16, 16))), s, hook=hook)
         assert len(calls) == 2
+
+
+    @pytest.mark.parametrize("array_denoiser", [True, False], ids=["zeros", "mixture"])
+    def test_hook_output_of_another_shape_raises(self, array_denoiser):
+        # a hook that crops the state once: an array-level denoiser would
+        # carry the cropped chain on, and the mixture denoiser would fail
+        # to broadcast it against its exemplars
+        s = linear_schedule(4)
+        den = (lambda z, abar: np.zeros(z.shape)) if array_denoiser else make_denoiser(build_corpus(), 0)
+
+        def hook(z, t):
+            return z[:, :8, :8] if t == 3 else z
+
+        with pytest.raises(ShapeError, match="hook output"):
+            sample(den, grid(np.zeros((3, 16, 16))), s, hook=hook)
+
+    def test_hook_returning_its_input_is_not_rechecked(self, monkeypatch):
+        # the state a hook hands back unchanged was checked when it was made
+        s = linear_schedule(5)
+        checked = []
+        require = diffusion._require_finite
+        monkeypatch.setattr(diffusion, "_require_finite",
+                            lambda z, what: checked.append(what) or require(z, what))
+        nudge = np.full((3, 4, 4), 0.25)
+
+        def hook(z, t):
+            return z + nudge if t == 4 else z
+
+        sample(lambda z, abar: np.zeros(z.shape), grid(np.ones((3, 4, 4))), s, hook=hook)
+        assert checked.count("hook output") == 1
+        assert checked.count("noise prediction") == checked.count("step output") == 5
+
+
+class TestDefaultSchedule:
+    def test_is_the_default_linear_schedule_and_read_only(self):
+        want = linear_schedule()
+        assert DEFAULT_SCHEDULE.steps == 20
+        assert np.array_equal(DEFAULT_SCHEDULE.betas, want.betas)
+        assert np.array_equal(DEFAULT_SCHEDULE.alpha_bars, want.alpha_bars)
+        for arr in (DEFAULT_SCHEDULE.betas, DEFAULT_SCHEDULE.alpha_bars):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+class TestBlockMeans:
+    SIZES = [(4, 4), (8, 12), (20, 16), (12, 40), (64, 64), (96, 160)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_channel_first_views_match_numpy_mean(self, size):
+        # the codec's view of an (H, W, 3) image: numpy's mean over the
+        # block axes adds each block's values in row-major order, as
+        # block_means does on any stack
+        h, w = size
+        rng = np.random.default_rng(7 * h + w)
+        for _ in range(20):
+            img = rng.standard_normal((h, w, 3)) * rng.uniform(0.1, 100.0)
+            view = img.transpose(2, 0, 1)
+            want = view.reshape(3, h // FACTOR, FACTOR, w // FACTOR, FACTOR).mean(axis=(2, 4))
+            got = block_means(view)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_channel_rounds_as_its_three_channel_repeat(self, size):
+        # the glyph prior: block_means of one sheet, repeated, is the
+        # codec's encode of the sheet repeated over 3 channels
+        h, w = size
+        rng = np.random.default_rng(h + 11 * w)
+        for _ in range(20):
+            ink = 2.0 * rng.uniform(0.0, 1.0, (h, w))
+            want = LatentCodec().encode(np.repeat(ink[:, :, None], 3, axis=2)).data
+            got = np.repeat(block_means(ink[None]), 3, axis=0)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 8, 12), (1, 4, 4), (3, 4, 4)])
+    def test_block_sum_runs_in_row_major_order(self, shape):
+        # written out: each block's values added one at a time onto +0.0;
+        # their magnitudes spread over 2^60, so another order rounds
+        # otherwise.  A lone block, or one block per sheet, is where numpy
+        # would loop over the block's values innermost and add them pairwise
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30, shape)
+        n, h, w = shape
+        want = np.zeros((n, h // 4, w // 4))
+        for k, i, j in np.ndindex(want.shape):
+            total = 0.0
+            for v in stack[k, 4 * i:4 * i + 4, 4 * j:4 * j + 4].ravel().tolist():
+                total += v
+            want[k, i, j] = total / 16
+        assert block_means(stack).tobytes() == want.tobytes()
+        # numpy's mean of the contiguous stack adds in another order
+        assert not np.array_equal(stack.reshape(n, h // 4, 4, w // 4, 4).mean(axis=(2, 4)), want)
+
+    def test_zero_blocks_mean_positive_zero(self):
+        # the sum starts from +0.0, as numpy's mean does: a block of -0.0
+        # means +0.0
+        stack = np.full((2, 8, 4), -0.0)
+        stack[1, 4:, :] = 0.0
+        got = block_means(stack)
+        assert not np.signbit(got).any()
+        assert not got.any()
 
 
 class TestLatentCodec:

@@ -1,11 +1,8 @@
 """Geometry: hulls, min-area rects, boundary fitting, mask division,
 flattening, rasterization."""
-import importlib.util
 import math
-import sys
 import time
 from functools import lru_cache
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,6 +40,8 @@ from slantext.geometry import (
 )
 from slantext.glyph import render_glyph_image
 from slantext.guidance import generate
+
+from perfbench_cases import curved_cases_0
 
 
 def to_segment_frame(tf, points):
@@ -920,15 +919,7 @@ class TestApportion:
 def curved_batch_0(seed):
     """(vertices, text) of perfbench's curved batch 0 at `seed`: 40 arc and
     S-curve bands of 8-128 vertices a side."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return [
-        (np.asarray(case["vertices"], dtype=np.float64), case["text"])
-        for case in workloads.curved_cases(seed, 0, workloads.CURVED_BATCH)
-    ]
+    return [(np.asarray(case["vertices"], dtype=np.float64), case["text"]) for case in curved_cases_0(seed)]
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from slantext import guidance
 from slantext.bench import generate_benchmark
-from slantext.corpus import build_corpus, make_denoiser
-from slantext.diffusion import linear_schedule, sample
-from slantext.errors import CharsetError, InputError
+from slantext.corpus import INK_AMP, build_corpus, make_denoiser
+from slantext.diffusion import LatentCodec, linear_schedule, sample
+from slantext.errors import CharsetError, InputError, ShapeError
 from slantext.geometry import (
     FlatLayout,
     PolygonMask,
@@ -17,9 +18,19 @@ from slantext.geometry import (
     SimilarityTransform,
     divide_mask,
     flatten_segments,
+    pixel_box,
     polygon_area,
 )
-from slantext.grid import LatentGrid, RegionMask, adain, masked_blend
+from slantext.glyph import render_glyph_image
+from slantext.grid import (
+    STD_FLOOR,
+    LatentGrid,
+    RegionMask,
+    adain,
+    extract_region,
+    masked_blend,
+    paste_region_with_mask,
+)
 from slantext.guidance import (
     GenerationResult,
     GuidanceConfig,
@@ -33,6 +44,8 @@ from slantext.guidance import (
     semantic_rectify,
     structure_inject,
 )
+
+from perfbench_cases import curved_cases_0
 
 
 def grid(arr):
@@ -214,6 +227,28 @@ class TestApplyGuidance:
         with pytest.raises(InputError):
             apply_guidance(self.z_t, 20, 20, GuidanceConfig(use_srb=False), self.mask)
 
+    def test_priors_of_another_size_raise(self):
+        small = rand_grid(np.random.default_rng(8), (3, 4, 4))
+        with pytest.raises(ShapeError):
+            apply_guidance(self.z_t, 20, 20, GuidanceConfig(use_srb=False), self.mask, z_glyph=small)
+        with pytest.raises(ShapeError):
+            make_guidance_hook(GuidanceConfig(), linear_schedule(20), self.mask,
+                               z_ref=self.z_ref, ref_mask=checker_mask(4, 4), z_glyph=self.z_g)
+
+    def test_hook_checks_its_inputs_once_built(self):
+        sched = linear_schedule(20)
+        with pytest.raises(InputError):
+            make_guidance_hook(GuidanceConfig(use_srb=False), sched, self.mask)
+        hook = make_guidance_hook(GuidanceConfig(use_srb=False), sched, self.mask, z_glyph=self.z_g)
+        with pytest.raises(ShapeError):
+            hook(np.zeros((3, 4, 4)), 20)
+
+    def test_hook_with_both_branches_off_returns_z(self):
+        cfg = GuidanceConfig(use_srb=False, use_sib=False)
+        hook = make_guidance_hook(cfg, linear_schedule(20), self.mask)
+        z = self.z_t.data
+        assert hook(z, 20) is z
+
     def test_hook_inactive_after_refine_window(self):
         cfg = GuidanceConfig(use_srb=False, refine_steps=3)
         sched = linear_schedule(20)
@@ -224,6 +259,119 @@ class TestApplyGuidance:
         assert isinstance(out, np.ndarray) and out is not z
         want = apply_guidance(self.z_t, 18, 20, cfg, self.mask, z_glyph=self.z_g)
         assert np.array_equal(out, want.data)
+
+
+def composed_adain(content: LatentGrid, style: LatentGrid) -> LatentGrid:
+    """grid.adain written out on LatentGrids, every statistic taken afresh."""
+    c = content.data.reshape(content.channels, -1)
+    s = style.data.reshape(style.channels, -1)
+    c_mean, c_std = c.mean(axis=1), c.std(axis=1)
+    s_mean, s_std = s.mean(axis=1), s.std(axis=1)
+    denom = np.maximum(c_std, STD_FLOOR)[:, None, None]
+    normalized = (content.data - c_mean[:, None, None]) / denom
+    return LatentGrid(normalized * s_std[:, None, None] + s_mean[:, None, None])
+
+
+def composed_blend(a: LatentGrid, b: LatentGrid, mask: RegionMask) -> LatentGrid:
+    m = mask.data[None, :, :]
+    return LatentGrid(a.data * m + b.data * (1.0 - m))
+
+
+def composed_guidance(z_t, t, total, config, mask, z_ref, ref_mask, z_glyph) -> LatentGrid:
+    """apply_guidance written out as a LatentGrid composition:
+    semantic_rectify, then merge_priors or structure_inject, then the
+    step-weighted masked_blend."""
+    if config.use_srb:
+        src = composed_adain(z_ref, z_t) if config.use_adain else z_ref
+        z_hat = composed_blend(src, z_t, ref_mask)
+        if config.use_sib:
+            g = composed_adain(z_glyph, z_t)
+            z_hat = LatentGrid(config.rho * g.data + (1.0 - config.rho) * z_hat.data)
+    else:
+        z_hat = composed_blend(composed_adain(z_glyph, z_t), z_t, mask)
+    k = 10.0 ** (t - total)
+    inner = k * config.lambda_ * z_hat.data + (1.0 - k) * z_t.data
+    return composed_blend(LatentGrid(inner), z_t, mask)
+
+
+def curved_runs():
+    """(text, mask, scene_id, seed) of perfbench's curved batch 0 at seeds 0
+    and 101: 80 cases."""
+    return [
+        (c["text"], PolygonMask(np.asarray(c["vertices"], dtype=np.float64)), c["scene_id"], c["seed"])
+        for seed in (0, 101) for c in curved_cases_0(seed)
+    ]
+
+
+HOOK_CONFIGS = {
+    "full": GuidanceConfig(),
+    "no_srb": GuidanceConfig(use_srb=False),
+    "no_sib": GuidanceConfig(use_sib=False),
+    "no_adain": GuidanceConfig(use_adain=False),
+    "literal_lambda_zero": GuidanceConfig(lambda_=0.0, literal_lambda_zero=True),
+    "negative_lambda": GuidanceConfig(lambda_=-0.3),
+    "rho_1_5": GuidanceConfig(rho=1.5),
+    "refine_all_steps": GuidanceConfig(refine_steps=20),
+}
+
+
+class TestHookMatchesComposition:
+    # Every guided step of generate's main chain on the curved cases, bit
+    # for bit and down to the sign of a zero, against the written-out
+    # LatentGrid composition, fed the same state and priors.
+    # The chain runs through the denoiser's BLAS dot, so CI runs this on
+    # one OpenBLAS thread with the other pinned outputs.
+    @pytest.mark.parametrize("name", HOOK_CONFIGS)
+    def test_curved_batch_0(self, corpus, monkeypatch, name):
+        config = HOOK_CONFIGS[name]
+        real = guidance.make_guidance_hook
+        guided = []
+
+        def spy(cfg, schedule, mask, z_ref=None, ref_mask=None, z_glyph=None):
+            hook = real(cfg, schedule, mask, z_ref, ref_mask, z_glyph)
+            total = schedule.steps
+
+            def checked(z, t):
+                out = hook(z, t)
+                if total - t >= cfg.refine_steps:
+                    assert out is z
+                else:
+                    want = composed_guidance(LatentGrid(z), t, total, cfg, mask, z_ref, ref_mask, z_glyph)
+                    assert out.tobytes() == want.data.tobytes(), (t, name)
+                    guided.append(t)
+                return out
+
+            return checked
+
+        monkeypatch.setattr(guidance, "make_guidance_hook", spy)
+        runs = curved_runs()
+        for text, mask, scene_id, seed in runs:
+            generate(text, mask, scene_id, seed, config=config, corpus=corpus)
+        assert len(guided) == len(runs) * config.refine_steps
+
+
+class TestGlyphPrior:
+    def test_matches_codec_encode_of_the_ink(self, corpus, monkeypatch):
+        # generate's one-channel prior, repeated, against the codec's
+        # encode of the ink repeated over 3 channels, as it was built before
+        real = guidance.make_guidance_hook
+        priors = []
+
+        def spy(cfg, schedule, mask, z_ref=None, ref_mask=None, z_glyph=None):
+            priors.append(z_glyph)
+            return real(cfg, schedule, mask, z_ref, ref_mask, z_glyph)
+
+        monkeypatch.setattr(guidance, "make_guidance_hook", spy)
+        runs = [(c.text, c.mask, c.scene_id, c.seed) for c in generate_benchmark(10, 0)]
+        runs += curved_runs()
+        codec = LatentCodec()
+        config = GuidanceConfig(use_srb=False)
+        for text, mask, scene_id, seed in runs:
+            res = generate(text, mask, scene_id, seed, config=config, corpus=corpus)
+            ink = render_glyph_image(res.segments, text, corpus.canvas).data
+            want = codec.encode(INK_AMP * np.repeat(ink[:, :, None], 3, axis=2))
+            assert priors[-1].data.tobytes() == want.data.tobytes()
+        assert len(priors) == len(runs)
 
 
 class TestAlignReference:
@@ -250,6 +398,24 @@ class TestAlignReference:
         outside = aligned.data.copy()
         outside[:, 4:8, 0:4] = 0
         assert np.abs(outside).max() == 0.0
+
+    def test_matches_chained_pastes_on_curved_batch_0(self, corpus):
+        # the in-place writes against the paste-per-segment composition
+        # they replaced, overlaps included
+        z_ref = rand_grid(np.random.default_rng(21), (3, 16, 16))
+        for text, mask, _, _ in curved_runs():
+            segments = divide_mask(mask, text)
+            layout = flatten_segments(segments, corpus.canvas)
+            aligned, valid = align_reference(z_ref, layout, segments)
+            canvas = LatentGrid(np.zeros(z_ref.shape))
+            want_valid = np.zeros((16, 16))
+            for (x, y, w, h), seg in zip(layout.rects, segments):
+                box = (pixel_box(x, y, w, h) - 1.5) / 4
+                patch = extract_region(z_ref, box, max(1, int(round(h / 4))), max(1, int(round(w / 4))))
+                canvas, written = paste_region_with_mask(canvas, patch, (seg.corners - 1.5) / 4)
+                want_valid = np.maximum(want_valid, written.astype(np.float64))
+            assert aligned.data.tobytes() == canvas.data.tobytes()
+            assert valid.data.tobytes() == want_valid.tobytes()
 
     def test_count_mismatch_raises(self):
         layout = FlatLayout(rects=(), transforms=(), canvas=(64, 64), text_slices=())

@@ -20,13 +20,15 @@ configs of BENCH_8.json, and prints:
   edges in the decoded text lie off block edges, as no gate read's do.
   These lines do not affect the exit status;
 - one sha256 over the `generate` images of perfbench's curved batch 0 at
-  seeds 0 and 101 (80 cases) under each of the `full` and `both_off`
+  seeds 0 and 101 (80 cases) under each of the `full`, `both_off`,
+  `no_srb` (structure branch alone) and `no_sib` (semantic branch alone)
   configs, each image's float64 bytes in case order, and how many of the
-  two equal the digests recorded in BENCH_28.json.  The guided digest
-  covers the mask checks, the division, the glyph prior, the reference
-  warp, the guidance hook and both sampling chains on curved masks; the
-  unguided one covers the division and the main chain alone.  The script
-  also exits with status 1 unless both match.
+  four equal the digests recorded in BENCH_30.json.  The guided digests
+  cover the mask checks, the division, the guidance hook and the main
+  chain on curved masks, with the glyph prior (`full`, `no_srb`) and the
+  reference chain and warp (`full`, `no_sib`); the unguided one covers the
+  division and the main chain alone.  The script also exits with status 1
+  unless all four match.
 
 With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
 to FILE.  With `--compare A B` it compares two such files, written on two
@@ -82,7 +84,12 @@ GATE_SEEDS = (0, 1, 2, 3, 4, 101)
 HELD_OUT_SEEDS = (5, 6, 7, 8, 9)
 CURVED_SEEDS = (0, 101)
 CURVED_BATCHES = 5
-CURVED_IMAGE_CONFIGS = ("full", "both_off")
+CURVED_IMAGE_CONFIGS = {
+    "full": CONFIGS["full"],
+    "both_off": CONFIGS["both_off"],
+    "no_srb": GuidanceConfig(use_srb=False),
+    "no_sib": GuidanceConfig(use_sib=False),
+}
 GAP_BAND = (1e-10, 1e-7)
 
 
@@ -172,24 +179,24 @@ def run_curved() -> None:
 def run_curved_images() -> bool:
     """Generate perfbench's curved batch 0 at each curved seed under each
     curved image config, print one sha256 over each config's images, and
-    return whether all equal BENCH_28.json's."""
-    pinned = json.loads((ROOT / "BENCH_28.json").read_text())["curved_generate_digests"]
+    return whether all equal BENCH_30.json's."""
+    pinned = json.loads((ROOT / "BENCH_30.json").read_text())["curved_generate_digests"]
     corpus = build_corpus()
     matched = 0
-    for name in CURVED_IMAGE_CONFIGS:
+    for name, config in CURVED_IMAGE_CONFIGS.items():
         digest = hashlib.sha256()
         n = 0
         for seed in CURVED_SEEDS:
             for case in curved_cases(seed, 0, CURVED_BATCH):
                 mask = PolygonMask(np.asarray(case["vertices"], dtype=np.float64))
                 result = generate(case["text"], mask, case["scene_id"], case["seed"],
-                                  config=CONFIGS[name], corpus=corpus)
+                                  config=config, corpus=corpus)
                 digest.update(result.image.tobytes())
                 n += 1
         matched += digest.hexdigest() == pinned.get(name)
         print(f"curved generate images, {name}: {n} {digest.hexdigest()}")
     total = len(CURVED_IMAGE_CONFIGS)
-    print(f"curved generate images equal to BENCH_28.json: {matched} of {total}")
+    print(f"curved generate images equal to BENCH_30.json: {matched} of {total}")
     return matched == total
 
 
