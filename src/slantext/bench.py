@@ -280,8 +280,12 @@ def config_fingerprint(
     schedule: NoiseSchedule = DEFAULT_SCHEDULE,
     canvas: tuple[int, int] = CANVAS,
 ) -> str:
-    blob = json.dumps(report_config(config, schedule, canvas), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _fingerprint(report_config(config, schedule, canvas))
+
+
+def _fingerprint(resolved: dict) -> str:
+    """sha256 of a `report_config` dict's sorted-key JSON."""
+    return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
 
 
 @lru_cache(maxsize=len(DEFAULT_SCENE_TEXTS))
@@ -379,12 +383,13 @@ def run_bench(
     records = tuple(sorted(records, key=lambda r: r.case_id))
     canvas = tuple(corpus.canvas)
     by_tier = {name: [r for r in records if r.tier == name] for name in TIER_NAMES}
+    resolved = report_config(config, schedule, canvas)
     report = BenchReport(
         records=records,
         tiers={name: _summary(sub) for name, sub in by_tier.items() if sub},
         total={**_summary(records), "failed": sum(bool(r.note) for r in records)},
-        config_digest=config_fingerprint(config, schedule, canvas),
-        config=report_config(config, schedule, canvas),
+        config_digest=_fingerprint(resolved),
+        config=resolved,
     )
     if out_dir is not None:
         write_report(report, out_dir)

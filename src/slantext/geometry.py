@@ -26,10 +26,11 @@ PACK_GUTTER = 4.0
 # polyline points of arc lengths
 ARC_SAMPLES = 257
 
-# Most (row, column) pairs one array pass of the crossing check or the
-# even-odd raster holds: each of their temporaries is then 128 KiB.  Four
-# times as many raised the peak RSS of 240 curved generate cases by 3.8%
-# and built masks no faster; see BENCH_10.json `pair_block`.
+# Most pairs one array pass holds: candidate edge pairs in the crossing
+# check, (edge, row) crossings in the even-odd raster.  Each of their
+# temporaries is then at most 128 KiB.  Four times as many raised the peak
+# RSS of 240 curved generate cases by 3.8% and built masks no faster; see
+# BENCH_10.json `pair_block`.
 PAIR_BLOCK = 2**14
 
 
@@ -97,9 +98,30 @@ def _orient(a, b, c):
     return cross(b[..., 0] - ax, b[..., 1] - ay, c[..., 0] - ax, c[..., 1] - ay)
 
 
+def _ranges(start: np.ndarray, stop: np.ndarray):
+    """The pairs (p, q) with start[p] <= q < stop[p], in order of p then q,
+    PAIR_BLOCK at a time: one (p, q) pair of arrays a block.  Flat pair k
+    belongs to the p where k falls in the running sum of the range sizes."""
+    cum = np.cumsum(stop - start)
+    shift = cum - stop
+    total = int(cum[-1])
+    for k0 in range(0, total, PAIR_BLOCK):
+        k = np.arange(k0, min(k0 + PAIR_BLOCK, total))
+        p = np.searchsorted(cum, k, side="right")
+        yield p, k - shift[p]
+
+
 @dataclass(frozen=True)
 class PolygonMask:
-    """Simple polygon with >= 4 vertices and positive signed area."""
+    """Simple polygon with >= 4 vertices and positive signed area.
+
+    Two edges cross when they are not adjacent (edges i and i + 1 share a
+    vertex, and so do the last and the first), their bounding boxes meet,
+    closed in x and in y, and each edge's line has the other edge's end
+    points on different sides: `_orient(a, b, end) > 0` for exactly one of
+    them, so an end point on the line counts with the negative side.  Edges
+    whose boxes lie apart never cross, however rounding falls, so a side
+    split into collinear edges stays valid at any angle."""
 
     vertices: np.ndarray
 
@@ -112,29 +134,30 @@ class PolygonMask:
             raise GeometryError("polygon vertices must lie within +-2^52")
         if polygon_area(pts) <= 0.0:
             raise GeometryError("polygon must have positive signed area (wrong winding?)")
-        # Edge i runs from ring[i] to ring[i + 1], ring being the vertices
-        # and vertex 0 again.  Edge i meets every later edge j >= i + 2 but
-        # the pair (0, n-1), which shares vertex 0: a proper crossing puts
-        # each edge's end points strictly on different sides of the other's
-        # line.  A block of rows i0 <= i < i1 meets the columns j >= i0 + 2,
-        # and its upper triangle keeps j >= i + 2.  Each side is taken once
-        # per edge and vertex: `left` holds the row edges against the
-        # vertices ring[i0 + 2:], whose neighbouring columns are a column
-        # edge's ends, and `right` the column edges against ring[i0:i1 + 1],
-        # whose neighbouring columns are a row edge's ends.
+        # Edge i runs from ends[i, 0] = pts[i] to ends[i, 1] = pts[i + 1],
+        # and edge n-1 back to pts[0].  Sorted by left x, an edge's box can
+        # meet only the later edges whose left x is at most its right x:
+        # sorted edge p meets p < q < stop[p].
         n = pts.shape[0]
         ring = np.concatenate([pts, pts[:1]])
-        rows = max(1, PAIR_BLOCK // n)
-        for i0 in range(0, n - 2, rows):
-            i1 = min(i0 + rows, n - 2)
-            left = _orient(ring[i0:i1, None], ring[i0 + 1 : i1 + 1, None], ring[i0 + 2 :]) > 0
-            right = _orient(ring[i0 + 2 : n, None], ring[i0 + 3 :, None], ring[i0 : i1 + 1]) > 0
-            crossing = np.triu(
-                (right[:, :-1].T != right[:, 1:].T) & (left[:, :-1] != left[:, 1:])
-            )
-            if i0 == 0:
-                crossing[0, -1] = False
-            if crossing.any():
+        ends = np.stack([ring[:-1], ring[1:]], axis=1)
+        lo, hi = np.minimum(ring[:-1], ring[1:]), np.maximum(ring[:-1], ring[1:])
+        order = np.argsort(lo[:, 0], kind="stable")
+        stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+        ylo, yhi = lo[:, 1], hi[:, 1]
+        for p, q in _ranges(np.arange(1, n + 1), stop):
+            pair = order[[p, q]]
+            i, j = pair
+            # Keep the pairs whose closed y ranges meet too, but not adjacent
+            # edges: a gap of n - 1 is the pair (0, n-1), which shares vertex 0.
+            gap = np.abs(i - j)
+            e = ends[pair[:, (gap > 1) & (gap < n - 1) & (ylo[i] <= yhi[j]) & (ylo[j] <= yhi[i])]]
+            # e[0] holds the i edges and e[1] the j edges; side[0] is each i
+            # line against its j edge's two ends, side[1] each j line against
+            # its i edge's, and a crossing splits both (see the docstring).
+            side = _orient(e[:, :, :1], e[:, :, 1:], e[::-1]) > 0
+            splits = side[..., 0] != side[..., 1]
+            if (splits[0] & splits[1]).any():
                 raise GeometryError("polygon is self-intersecting")
         object.__setattr__(self, "vertices", frozen(pts))
 
@@ -678,24 +701,23 @@ def flatten_segments(
 
 
 def _points_in_polygon(verts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test over query points, shaped like xs and ys
-    broadcast.  A block of edges meets every point at once; a point's hit
-    count parity is the XOR of its hits."""
-    shape = np.broadcast_shapes(xs.shape, ys.shape)
-    inside = np.zeros(shape, dtype=bool)
-    x1, y1 = verts[:, 0], verts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    edges = max(1, PAIR_BLOCK // max(1, math.prod(shape)))
-    # a block's edges run along a new leading axis, the points behind it
-    at = (slice(None),) + (None,) * len(shape)
-    for k in range(0, verts.shape[0], edges):
-        e = slice(k, k + edges)
-        ex1, ey1, ex2, ey2 = x1[e][at], y1[e][at], x2[e][at], y2[e][at]
-        crosses = (ey1 > ys) != (ey2 > ys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = ex1 + (ys - ey1) * (ex2 - ex1) / (ey2 - ey1)
-            inside ^= np.logical_xor.reduce(crosses & (xs < xint), axis=0)
-    return inside
+    """Even-odd crossing test at the (h, w) points of an ascending (1, w)
+    column axis and an ascending (h, 1) row axis.  Edge e crosses the rows
+    with (y1 > y) != (y2 > y), the rows r0[e] <= r < r1[e]; each crossing
+    flips the cells left of it, a prefix of the row."""
+    xs, ys = xs[0], ys[:, 0]
+    ring = np.concatenate([verts, verts[:1]])
+    x1, y1, x2, y2 = ring[:-1, 0], ring[:-1, 1], ring[1:, 0], ring[1:, 1]
+    r0 = np.searchsorted(ys, np.minimum(y1, y2))
+    r1 = np.searchsorted(ys, np.maximum(y1, y2))
+    # parity of the crossings per (row, prefix end)
+    flips = np.zeros((ys.size, xs.size + 1), dtype=np.uint8)
+    for e, r in _ranges(r0, r1):
+        ex1, ey1 = x1[e], y1[e]
+        xint = ex1 + (ys[r] - ey1) * (x2[e] - ex1) / (y2[e] - ey1)
+        np.bitwise_xor.at(flips, (r, np.searchsorted(xs, xint)), 1)
+    # a cell's flips are those whose prefix ends right of it
+    return np.bitwise_xor.accumulate(flips[:, :0:-1], axis=1)[:, ::-1].view(bool)
 
 
 def rasterize_mask(poly: PolygonMask, h: int, w: int, downscale: int = 1) -> RegionMask:

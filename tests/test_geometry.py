@@ -35,6 +35,7 @@ from slantext.geometry import (
     polygon_area,
     polygon_centroid,
     rasterize_mask,
+    rotate_points,
     rotation_matrix,
     split_points,
 )
@@ -123,9 +124,10 @@ class TestPolygonMask:
 
     def test_contains(self):
         p = rect_polygon(5, 5, 4, 4)
-        xs = np.array([5.0, 5.0, 20.0])
-        ys = np.array([5.0, 6.9, 5.0])
-        assert _points_in_polygon(p.vertices, xs, ys).tolist() == [True, True, False]
+        # a column axis and a row axis: (5, 5), (20, 5), (5, 6.9), (20, 6.9)
+        xs = np.array([[5.0, 20.0]])
+        ys = np.array([[5.0], [6.9]])
+        assert _points_in_polygon(p.vertices, xs, ys).tolist() == [[True, False], [True, False]]
 
 
 def crossing_oracle(verts) -> bool:
@@ -269,6 +271,58 @@ class TestSelfIntersection:
                 with pytest.raises(GeometryError, match="self-intersecting"):
                     PolygonMask(verts)
 
+    def test_curved_bands_are_accepted(self):
+        for seed in (0, 101):
+            for verts, _ in curved_batch_0(seed):
+                for block in BLOCKS:
+                    with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                        PolygonMask(verts)
+
+    # Swapping vertices at and at + 1 of the first 128-a-side band (an arc)
+    # folds its boundary.  The swap at 255 takes in vertex 0 across the wrap;
+    # the one at 254 leaves a simple polygon (edge 253 skips vertex 254 and
+    # edge 255 runs outward from it), and the all-pairs rule accepts it too.
+    @pytest.mark.parametrize("at, crosses", [
+        (1, True), (60, True), (200, True), (253, True), (254, False), (255, True),
+    ])
+    def test_swapped_band_vertices(self, at, crosses):
+        verts = next(v for v, _ in curved_batch_0(0) if len(v) == 256).copy()
+        swap = [at, (at + 1) % 256]
+        verts[swap] = verts[swap[::-1]]
+        for block in BLOCKS:
+            with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                if crosses:
+                    with pytest.raises(GeometryError, match="self-intersecting"):
+                        PolygonMask(verts)
+                else:
+                    PolygonMask(verts)
+
+
+def split_row_box(k):
+    """The seed-0 bench row box, (-0.5, 15.5) to (59.5, 29.5), with each long
+    side split into k equal collinear edges."""
+    xs = np.linspace(-0.5, 59.5, k + 1)
+    return np.array([(x, 15.5) for x in xs] + [(x, 29.5) for x in xs[::-1]])
+
+
+class TestCollinearSplitSides:
+    def test_turned_split_boxes_are_accepted(self):
+        # Turned, a split side's edges are collinear only up to rounding, and
+        # the all-pairs rule finds edges 4 and 6 of the 11-degree box
+        # "crossing" though their boxes lie apart: 18 of these 445 masks
+        # were rejected so.  A pair that crosses exactly has meeting boxes,
+        # and the check now tests only such pairs.
+        turned = rotate_points(split_row_box(3), math.radians(11.0))
+        assert crossing_oracle(turned)
+        for block in BLOCKS:
+            with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                PolygonMask(turned)
+        for k in range(2, 7):
+            for deg in range(1, 90):
+                PolygonMask(rotate_points(split_row_box(k), math.radians(deg)))
+        result = generate("JUMPY", PolygonMask(turned), 0, 0)
+        assert np.isfinite(result.image).all()
+
 
 def even_odd_oracle(verts, xs, ys):
     """Reference even-odd rule: one edge at a time over all query points."""
@@ -304,8 +358,7 @@ class TestEvenOdd:
         want = even_odd_oracle(verts, xs, ys)
         for block in BLOCKS:
             with mock.patch.object(geometry, "PAIR_BLOCK", block):
-                assert np.array_equal(_points_in_polygon(verts, xs, ys), want)
-                # a row and a column broadcast to the same points
+                # a column axis and a row axis span the oracle's points
                 assert np.array_equal(_points_in_polygon(verts, xs[:1], ys[:, :1]), want)
 
     @settings(max_examples=300, deadline=None)
@@ -326,6 +379,31 @@ class TestEvenOdd:
                 with mock.patch.object(geometry, "PAIR_BLOCK", block):
                     got = rasterize_mask(poly, 16, 16, downscale=d).data
                 assert np.array_equal(got, want.astype(np.float64))
+
+    @pytest.mark.parametrize("spikes", [20, 21])
+    def test_parity_of_many_crossings_left_of_one_column(self, spikes):
+        # a zigzag of 2 * spikes edges between x = 0.1 and 0.9, closed round
+        # x = -1: most of row 2's 2 * spikes + 1 crossings share one of two
+        # prefix ends, and every one of their flips must count
+        zig = np.linspace(0.1, 0.9, 2 * spikes + 1)
+        verts = np.array([(x, 5.0 * (t % 2)) for t, x in enumerate(zig)]
+                         + [(0.95, 6.0), (-1.0, 6.0), (-1.0, -1.0), (0.1, -1.0)])
+        xs, ys = np.meshgrid(np.arange(4.0) - 1.5, np.arange(8.0))
+        want = even_odd_oracle(verts, xs, ys)
+        assert want[2].tolist() == [False, True, spikes % 2 == 0, False]
+        assert np.array_equal(_points_in_polygon(verts, xs[:1], ys[:, :1]), want)
+
+    def test_rasterize_matches_oracle_on_curved_bands(self):
+        for seed in (0, 101):
+            for verts, _ in curved_batch_0(seed):
+                poly = PolygonMask(verts)
+                for d in (1, 4):
+                    js, is_ = np.meshgrid(np.arange(64 // d), np.arange(64 // d))
+                    want = even_odd_oracle(verts, js * d + (d - 1) / 2.0, is_ * d + (d - 1) / 2.0)
+                    for block in BLOCKS:
+                        with mock.patch.object(geometry, "PAIR_BLOCK", block):
+                            got = rasterize_mask(poly, 64, 64, downscale=d).data
+                        assert np.array_equal(got, want.astype(np.float64))
 
 
 def hull_oracle(points):
