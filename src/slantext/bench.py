@@ -275,14 +275,6 @@ def report_config(
     return {**asdict(config), "betas": schedule.betas.tolist(), "canvas": list(canvas)}
 
 
-def config_fingerprint(
-    config: GuidanceConfig,
-    schedule: NoiseSchedule = DEFAULT_SCHEDULE,
-    canvas: tuple[int, int] = CANVAS,
-) -> str:
-    return _fingerprint(report_config(config, schedule, canvas))
-
-
 def _fingerprint(resolved: dict) -> str:
     """sha256 of a `report_config` dict's sorted-key JSON."""
     return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()

@@ -16,13 +16,13 @@ from slantext.bench import (
     BaseSpec,
     BenchCase,
     base_mask,
-    config_fingerprint,
     default_base_specs,
     generate_benchmark,
     levenshtein,
     load_manifest,
     ned,
     place_mask,
+    report_config,
     run_bench,
     save_manifest,
     sentence_accuracy,
@@ -34,6 +34,13 @@ from slantext.diffusion import LatentCodec, linear_schedule
 from slantext.errors import GeometryError, InputError
 from slantext.geometry import PolygonMask, polygon_area
 from slantext.guidance import GuidanceConfig
+
+from pins import pinned
+
+
+def fingerprint(*args, **kwargs) -> str:
+    """The config digest `run_bench` writes for `report_config(*args)`."""
+    return bench._fingerprint(report_config(*args, **kwargs))
 
 
 def edit_distance_oracle(a: str, b: str) -> int:
@@ -216,17 +223,15 @@ def tiny_cases():
 
 # (id, cases per tier, config, sha256 of report.json) for seed-0 manifests.
 # The 30-case rows are the full default manifest, guided and with both
-# branches off, the same reports BENCH_17.json records under 0/full and
-# 0/both_off.  The ids stay put when a pin moves.
+# branches off, the same reports the gate pins under 0/full and 0/both_off.
+# The ids stay put when a pin moves.
 PINNED_REPORTS = [
-    ("count1-full", 1, GuidanceConfig(),
-     "4a480703d7d121e74336de5602a37c246dfc223c67d922159f753b86a52bcfb9"),
+    ("count1-full", 1, GuidanceConfig(), pinned("count1_reports")["full"]),
     ("count1-both_off", 1, GuidanceConfig(use_srb=False, use_sib=False),
-     "3806c17e999b841df62d232fe7c3d4a9399736edf5e30e5a5eebcf8150e2dfea"),
-    ("count10-full", 10, GuidanceConfig(),
-     "36e5b075f9e76d0a733d11faca9d75d7985c38f97b3c16f9a92a668dcc2af4fb"),
+     pinned("count1_reports")["both_off"]),
+    ("count10-full", 10, GuidanceConfig(), pinned("reports")["0/full"]["report.json"]),
     ("count10-both_off", 10, GuidanceConfig(use_srb=False, use_sib=False),
-     "efa7313f634ef51c49a99047f45af66e20fc552d2e059a1f224be19f09e9379d"),
+     pinned("reports")["0/both_off"]["report.json"]),
 ]
 
 
@@ -349,9 +354,9 @@ class TestRunBench:
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
     def test_fingerprint_tracks_config(self):
-        base = config_fingerprint(GuidanceConfig())
-        assert base == config_fingerprint(GuidanceConfig())
-        assert base != config_fingerprint(GuidanceConfig(use_srb=False))
+        base = fingerprint(GuidanceConfig())
+        assert base == fingerprint(GuidanceConfig())
+        assert base != fingerprint(GuidanceConfig(use_srb=False))
         assert len(base) == 64 and set(base) <= set("0123456789abcdef")
 
     def test_config_covers_schedule_and_canvas(self, tiny_cases):
@@ -361,16 +366,16 @@ class TestRunBench:
                          schedule=linear_schedule(steps=2))
         assert base.config["betas"] == linear_schedule(steps=2).betas.tolist()
         assert base.config["canvas"] == [96, 96]
-        assert base.config_digest == config_fingerprint(
+        assert base.config_digest == fingerprint(
             GuidanceConfig(), linear_schedule(steps=2), (96, 96))
         digests = {
-            config_fingerprint(GuidanceConfig()),
-            config_fingerprint(GuidanceConfig(), linear_schedule()),
-            config_fingerprint(GuidanceConfig(), linear_schedule(), CANVAS),
+            fingerprint(GuidanceConfig()),
+            fingerprint(GuidanceConfig(), linear_schedule()),
+            fingerprint(GuidanceConfig(), linear_schedule(), CANVAS),
         }
         assert len(digests) == 1
-        assert config_fingerprint(GuidanceConfig(), linear_schedule(steps=12)) not in digests
-        assert config_fingerprint(GuidanceConfig(), canvas=(96, 96)) not in digests
+        assert fingerprint(GuidanceConfig(), linear_schedule(steps=12)) not in digests
+        assert fingerprint(GuidanceConfig(), canvas=(96, 96)) not in digests
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

@@ -32,6 +32,8 @@ from slantext.errors import ConditionError, InputError, ScheduleError, ShapeErro
 from slantext.glyph import default_font
 from slantext.grid import LatentGrid
 
+from pins import pinned
+
 
 def grid(arr):
     return LatentGrid(np.asarray(arr, dtype=np.float64))
@@ -447,7 +449,7 @@ class TestCorpus:
         h = hashlib.sha256()
         for ex in build_corpus().exemplars:
             h.update(ex.latent.data.tobytes())
-        assert h.hexdigest() == "d11281c3c741f81a9406303df360ee1074d8653747cde22400ddecad56926798"
+        assert h.hexdigest() == pinned("exemplar_latents")["default_corpus"]
 
     def test_scene_image_ink_position(self):
         (img,) = _scene_images(0, "BLAZE", (16,), CANVAS)

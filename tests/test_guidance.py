@@ -46,6 +46,7 @@ from slantext.guidance import (
 )
 
 from perfbench_cases import curved_cases_0
+from pins import pinned
 
 
 def grid(arr):
@@ -540,12 +541,9 @@ class TestGeneratePipeline:
     # order (as strided column views of one shared basis sum them), which
     # the two other masks do not show
     @pytest.mark.parametrize("mask_fn,text,n_segments,digest", [
-        (arc_mask, "CURVED", 2,
-         "58b53874a6b18bff272cee7af3b332a9b7bfa61cc79e6a7e7756e20f80b3ac6b"),
-        (s_curve_mask, "WAVY4", 2,
-         "a8181a319203905117bf60e9837c3803e50a2e7867516efea4828c549b2432fe"),
-        (lambda: arc_mask(64), "BENDS", 2,
-         "7b6b09fc122165251839cd1d134307f19fedd58089ea00c07405b8a52186cfec"),
+        (arc_mask, "CURVED", 2, pinned("curved_outputs")["arc"]),
+        (s_curve_mask, "WAVY4", 2, pinned("curved_outputs")["s_curve"]),
+        (lambda: arc_mask(64), "BENDS", 2, pinned("curved_outputs")["arc64"]),
     ], ids=["arc", "s_curve", "arc64"])
     def test_curved_outputs_pinned(self, corpus, mask_fn, text, n_segments, digest):
         res = generate(text, mask_fn(), 3, seed=11, corpus=corpus)

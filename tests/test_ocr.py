@@ -28,6 +28,8 @@ from slantext.grid import LatentGrid, quad_points, sample_at
 from slantext.guidance import GuidanceConfig
 from slantext.ocr import OCR_SENTINEL, OcrResult, ocr_decode
 
+from pins import pinned
+
 
 def text_mask(text: str, y: float = 24.5) -> PolygonMask:
     w = CHAR_W * len(text)
@@ -663,8 +665,8 @@ class TestSetUpBitwise:
 # branches off: a sha256 over one line per ocr_decode call, the decoded
 # string, a colon, and every confidence in float.hex joined by commas; and
 # a sha256 over the decoded strings alone, one per line.
-PINNED_READS = "57951349a0e682d55d8d4f3c2d6e97875bb32ec2b4d9db1e8b0a701d91e55a96"
-PINNED_STRINGS = "c7d4cf2f32f03bb54c0bd95d37e4ce792804d60a435595708916444b12294d69"
+PINNED_READS = pinned("seed0_reads")["reads"]
+PINNED_STRINGS = pinned("seed0_reads")["strings"]
 
 
 def seed0_reads(monkeypatch, cases=None):
@@ -745,16 +747,7 @@ def curved_read():
 # The curved read, decoded string and float.hex confidences.  Cells 1-4
 # have left edges 34, 67, 101 and 134 in the decoded text, off block edges,
 # so their context passes read composites shifted by 2, 1, 3 and 2 px.
-PINNED_CURVED = (
-    "UXVY7",
-    (
-        "0x1.52f3d0de85bdep-2",
-        "0x1.b7f9d5a894551p-1",
-        "0x1.296b2c066fbcap-1",
-        "0x1.4d9580d9165a1p-2",
-        "0x1.e08886caaafacp-2",
-    ),
-)
+PINNED_CURVED = (pinned("curved_read")["decoded"], tuple(pinned("curved_read")["confidences"]))
 
 
 def test_curved_read_pinned():

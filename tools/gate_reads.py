@@ -4,10 +4,7 @@ Runs `run_bench(generate_benchmark(10, s))` at --jobs 1 for the gate seeds
 s = 0-4 and 101 and the held-out seeds 5-9, each under the five gate
 configs of BENCH_8.json, and prints:
 
-- the sha256 of each run's report.json and report.csv, and how many of the
-  30 gate runs match the digests recorded in BENCH_17.json; the script
-  exits with status 1, after all its other output, unless all 30 do and
-  both curved image digests below match their pins;
+- the sha256 of each run's report.json and report.csv;
 - one sha256 over the 900 gate reads and one over the 750 held-out reads.
   A read is one line per `ocr_decode` call, in run order: the decoded
   string, a space, then its confidences in `float.hex` joined by commas;
@@ -17,18 +14,23 @@ configs of BENCH_8.json, and prints:
   `curved_cases` batches 0-4 at seeds 0 and 101, rendered along their
   divided segments at the corpus ink amplitude, each read raw and then
   after a codec round trip, in case order.  Most of their cells' left
-  edges in the decoded text lie off block edges, as no gate read's do.
-  These lines do not affect the exit status;
+  edges in the decoded text lie off block edges, as no gate read's do;
 - one sha256 over the `generate` images of perfbench's curved batch 0 at
   seeds 0 and 101 (80 cases) under each of the `full`, `both_off`,
   `no_srb` (structure branch alone) and `no_sib` (semantic branch alone)
-  configs, each image's float64 bytes in case order, and how many of the
-  four equal the digests recorded in BENCH_30.json.  The guided digests
+  configs, each image's float64 bytes in case order.  The guided digests
   cover the mask checks, the division, the guidance hook and the main
   chain on curved masks, with the glyph prior (`full`, `no_srb`) and the
   reference chain and warp (`full`, `no_sib`); the unguided one covers the
-  division and the main chain alone.  The script also exits with status 1
-  unless all four match.
+  division and the main chain alone.
+
+It then compares these 37 measured entries (30 reports, 3 read hashes and
+4 image sets) with their pins in PINS.json at the repository root, prints
+one line per entry that differs, naming it, its pinned value and its
+measured one, and how many are equal, and exits with status 1, after all
+its other output, if any differs.  The script never writes PINS.json: a
+change that moves outputs on purpose edits that file by hand, and the diff
+is its record.
 
 With `--reads FILE` it also writes the 1,650 read lines, gate reads first,
 to FILE.  With `--compare A B` it compares two such files, written on two
@@ -101,11 +103,12 @@ def read_line(result: ocr.OcrResult) -> str:
     return result.decoded + " " + ",".join(c.hex() for c in result.confidences)
 
 
-def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
-    """Run every gate and held-out config, print the digests, and return
-    whether all gate reports equal BENCH_17.json's, the read lines and every
-    in-band `ocr._top` gap with its run and case."""
-    pinned = json.loads((ROOT / "BENCH_17.json").read_text())["report_digests"]["digests"]
+def run_gate() -> tuple[dict, dict, list[str], list[tuple[str, float]]]:
+    """Run every gate and held-out config, print the digests, and return the
+    gate reports' digests by run, the gate and held-out read hashes, the
+    read lines and every in-band `ocr._top` gap with its run and case."""
+    reports = {}
+    reads = {}
     lines: list[str] = []
     gaps: list[tuple[str, float]] = []
     run = {"key": "", "cases": [], "start": 0, "read": ""}
@@ -126,8 +129,6 @@ def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
     bench.ocr_decode = record
     ocr._top = watched
     corpus = build_corpus()
-    matched = 0
-    reads = {}
     for group, seeds in (("gate", GATE_SEEDS), ("held-out", HELD_OUT_SEEDS)):
         first = len(lines)
         for seed in seeds:
@@ -138,21 +139,20 @@ def run_gate() -> tuple[bool, list[str], list[tuple[str, float]]]:
                 with tempfile.TemporaryDirectory() as out:
                     run_bench(cases, config=config, corpus=corpus, out_dir=out)
                     digests = {f: sha256((Path(out) / f).read_bytes()) for f in ("report.json", "report.csv")}
-                matched += digests == pinned.get(key)
+                if group == "gate":
+                    reports[key] = digests
                 print(key, digests["report.json"], digests["report.csv"], flush=True)
         reads[group] = (len(lines) - first, sha256("\n".join(lines[first:]).encode()))
     bench.ocr_decode = ocr.ocr_decode
     ocr._top = top
-    total = len(GATE_SEEDS) * len(CONFIGS)
-    print(f"gate reports equal to BENCH_17.json: {matched} of {total}")
     for group, (n, digest) in reads.items():
         print(f"{group} reads: {n} {digest}")
-    return matched == total, lines, gaps
+    return reports, {group: digest for group, (_, digest) in reads.items()}, lines, gaps
 
 
-def run_curved() -> None:
-    """Read the curved texts raw and after a codec round trip, and print the
-    reads' sha256 and their correct characters."""
+def run_curved() -> str:
+    """Read the curved texts raw and after a codec round trip, print the
+    reads' sha256 and their correct characters, and return the sha256."""
     codec = LatentCodec()
     lines = []
     correct = {"raw": 0, "codec round trip": 0}
@@ -174,15 +174,15 @@ def run_curved() -> None:
     print(f"curved reads: {len(lines)} {digest}")
     counts = ", ".join(f"{n} {kind}" for kind, n in correct.items())
     print(f"curved characters read correctly of {total}: {counts}")
+    return digest
 
 
-def run_curved_images() -> bool:
+def run_curved_images() -> dict:
     """Generate perfbench's curved batch 0 at each curved seed under each
     curved image config, print one sha256 over each config's images, and
-    return whether all equal BENCH_30.json's."""
-    pinned = json.loads((ROOT / "BENCH_30.json").read_text())["curved_generate_digests"]
+    return them by config."""
     corpus = build_corpus()
-    matched = 0
+    digests = {}
     for name, config in CURVED_IMAGE_CONFIGS.items():
         digest = hashlib.sha256()
         n = 0
@@ -193,11 +193,26 @@ def run_curved_images() -> bool:
                                   config=config, corpus=corpus)
                 digest.update(result.image.tobytes())
                 n += 1
-        matched += digest.hexdigest() == pinned.get(name)
-        print(f"curved generate images, {name}: {n} {digest.hexdigest()}")
-    total = len(CURVED_IMAGE_CONFIGS)
-    print(f"curved generate images equal to BENCH_30.json: {matched} of {total}")
-    return matched == total
+        digests[name] = digest.hexdigest()
+        print(f"curved generate images, {name}: {n} {digests[name]}")
+    return digests
+
+
+def check_pins(pins: dict, measured: dict) -> int:
+    """Print one line per measured entry that differs from its pin, naming
+    the entry, the pinned value and the measured one, then how many are
+    equal; return the exit status, 1 if any differs.  `pins` is PINS.json's
+    object and `measured` maps entry names to values keyed as their pins."""
+    failed = 0
+    for entry, values in measured.items():
+        for key, value in values.items():
+            pin = pins[entry]["pins"].get(key)
+            if value != pin:
+                print(f"{entry} {key}: pinned {pin}, measured {value}")
+                failed += 1
+    total = sum(len(values) for values in measured.values())
+    print(f"entries equal to PINS.json: {total - failed} of {total}")
+    return int(failed > 0)
 
 
 def compare(a: Path, b: Path, lines: list[str], gaps: list[tuple[str, float]]) -> None:
@@ -226,15 +241,15 @@ def main() -> None:
     parser.add_argument("--reads", type=Path, help="write the 1,650 read lines to this file")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two read files")
     args = parser.parse_args()
-    passed, lines, gaps = run_gate()
-    run_curved()
-    images_pinned = run_curved_images()
+    reports, reads, lines, gaps = run_gate()
+    reads["curved"] = run_curved()
+    images = run_curved_images()
     if args.reads:
         args.reads.write_text("\n".join(lines))
     if args.compare:
         compare(*args.compare, lines, gaps)
-    if not (passed and images_pinned):
-        sys.exit(1)
+    pins = json.loads((ROOT / "PINS.json").read_text())
+    sys.exit(check_pins(pins, {"reports": reports, "reads": reads, "curved_images": images}))
 
 
 if __name__ == "__main__":
